@@ -29,7 +29,7 @@ from .enumeration import (
     render_percent,
     table_sweep,
 )
-from .errors import ParameterError, PartialSearchError
+from .errors import ParameterError, PartialSearchError, UsageError
 from .space import angles as space_angles
 from .space import new_search_space
 from .statevec import verify_subspace
@@ -126,13 +126,14 @@ def render_json(record: OutputRecord) -> str:
 
 def parse_range(text: str) -> range:
     """'a..b' inclusive, or a single integer."""
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise UsageError(f"bad range {text!r}, expected <int> or a..b") from None
     if hi < lo:
-        raise ParameterError(f"empty range {text!r}")
+        raise UsageError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -458,6 +459,8 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
+    if args.sequences < 1 or args.max_k < 1:
+        raise UsageError("--sequences and --max-k must be >= 1")
     report = verify_subspace(
         args.n,
         args.m,
@@ -502,7 +505,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         record = _COMMANDS[args.command](args)
     except PartialSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
     if args.command == "verify" and args.format == "csv":
         # the per-failure detail only fits the JSON shape

@@ -197,29 +197,46 @@ def local_grover_matrix(space: SearchSpace) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _rotate_local(x: float, y: float, angle: float) -> tuple[float, float]:
+def _rotate(x: float, y: float, angle: float) -> tuple[float, float]:
     c, s = math.cos(angle), math.sin(angle)
     return c * x + s * y, -s * x + c * y
 
 
-def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
-    """Apply the runs in order to the initial state.
+def _uniform_complement(space: SearchSpace) -> tuple[float, float]:
+    """(|bt~>, |b~>) components of |u>, the unit part of the uniform state
+    orthogonal to |t>; |w> = (0, u_bbar, -u_bt) completes the basis."""
+    rest = space.N - 1
+    return math.sqrt((space.b - 1) / rest), math.sqrt((space.N - space.b) / rest)
 
-    A local run of j queries is one closed-form rotation by 2*j*theta2;
-    a global run is j successive matrix-vector products (j stays small
-    at desk scale, and this avoids eigendecomposition corner cases).
+
+def uniform_after_globals(space: SearchSpace, k: np.ndarray) -> np.ndarray:
+    """G_n^k applied to the initial state for every k in the array, as
+    rows of 3-vectors: sin((2k+1) theta1)|t> + cos((2k+1) theta1)|u>."""
+    u_bt, u_bb = _uniform_complement(space)
+    phase = (2.0 * k + 1.0) * angles(space).theta1
+    c = np.cos(phase)
+    return np.stack([np.sin(phase), u_bt * c, u_bb * c], axis=-1)
+
+
+def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
+    """Apply the runs in order to the initial state, each run in O(1).
+
+    A local run of j queries rotates (|t>, |bt~>) by 2*j*theta2. G_n
+    rotates (|t>, |u>) by 2*theta1 and negates |w>, so a global run of j
+    rotates that plane by 2*j*theta1 and scales the |w> part by (-1)^j.
     """
     a = angles(space)
-    gn = global_grover_matrix(space)
-    v = initial_state(space).as_array()
+    u_bt, u_bb = _uniform_complement(space)
+    st = initial_state(space)
+    t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
     for kind, count in seq.runs:
         if kind is Kind.LOCAL:
-            x, y = _rotate_local(v[0], v[1], 2.0 * count * a.theta2)
-            v = np.array([x, y, v[2]])
+            t, bt = _rotate(t, bt, 2.0 * count * a.theta2)
         else:
-            for _ in range(count):
-                v = gn @ v
-    return State3(float(v[0]), float(v[1]), float(v[2]))
+            t, c = _rotate(t, u_bt * bt + u_bb * bb, 2.0 * count * a.theta1)
+            d = (u_bb * bt - u_bt * bb) * (-1.0 if count % 2 else 1.0)
+            bt, bb = u_bt * c + u_bb * d, u_bb * c - u_bt * d
+    return State3(t, bt, bb)
 
 
 def _clamp_probability(p: float) -> float:

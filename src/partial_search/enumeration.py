@@ -147,7 +147,8 @@ def enumerate_max_probability(
     query never beat their global-ending siblings (the outside-block
     amplitude ignores local queries), so they are dropped from the
     reported optima; if every tie ended locally they would be kept, but
-    that cannot occur alongside a global-ending tie member.
+    that cannot occur alongside a global-ending tie member. The sweep only
+    picks the ties: pr_max is `block_success_probability` of the canonical.
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")
@@ -171,8 +172,8 @@ def enumerate_max_probability(
     else:
         chunks = [_scan_chunk(p, depth, k_tot, v0, gn_t, lm_t) for p in prefixes]
 
-    pr_max = max(cm for cm, _ in chunks)
-    ties = [(mask, p) for _, cand in chunks for mask, p in cand if p >= pr_max - TIE_TOL]
+    top = max(cm for cm, _ in chunks)
+    ties = [(mask, p) for _, cand in chunks for mask, p in cand if p >= top - TIE_TOL]
 
     kept = [(mask, p) for mask, p in ties if (mask & 1) == 0]
     if not kept:  # defensive: all ties end in a local query
@@ -180,6 +181,7 @@ def enumerate_max_probability(
     kept.sort(key=lambda mp: (_run_count(mp[0], k_tot), mp[0]))
     seqs = tuple(_mask_to_sequence(mask, k_tot) for mask, _ in kept)
 
+    pr_max = block_success_probability(space, seqs[0])
     if pr_max <= 0.0:
         raise NumericalError("maximum probability is zero; cannot happen for k>=1")
     return EnumerationResult(

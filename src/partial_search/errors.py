@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps ParameterError/ConstraintError/ResourceLimitError to exit
-code 1; argparse usage problems exit 2.
+code 1; UsageError and argparse usage problems exit 2.
 """
 
 
@@ -11,6 +11,10 @@ class PartialSearchError(Exception):
 
 class ParameterError(PartialSearchError, ValueError):
     """A value is outside its documented domain (bad n, m, k, ...)."""
+
+
+class UsageError(ParameterError):
+    """Malformed command-line argument text (a range like 3..x)."""
 
 
 class ConstraintError(PartialSearchError, ValueError):

@@ -93,6 +93,7 @@ def inner_expected(N: int, l: int, k: int) -> float:
 
 
 def inner_min(N: int, l: int) -> SchemeResult:
+    _require_parallelism(l)
     hi = math.ceil(math.pi * math.sqrt(N / l) / 4.0) + 2
     best: tuple[float, int] | None = None
     for k in range(1, hi + 1):

@@ -1,5 +1,7 @@
 """Vectorized integer scans over the three-parameter family
-G^k1 (locals)^k2 (one final global).
+G^k1 (locals)^k2 (one final global), with no stepping: the states after
+k1 globals are closed-form, and k2 locals plus the final global fold
+into one 3 x k2 matrix per amplitude.
 
 These kernels back the bound comparisons and the parallel-scheme
 optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import global_grover_matrix, initial_state
+from .dynamics import global_grover_matrix, uniform_after_globals
 from .errors import ParameterError
 from .space import SearchSpace, angles
 
@@ -29,6 +31,18 @@ def default_k2_cap(space: SearchSpace) -> int:
     return math.ceil(math.pi * math.sqrt(space.b) / 2.0)
 
 
+_CHUNK_CELLS = 4096  # cells per scan chunk; larger ones cost peak memory
+
+
+def _final_rows(space: SearchSpace, k2s: np.ndarray, row: int) -> np.ndarray:
+    """3 x len(k2s) matrix W: (state @ W)[j] is the amplitude `row` of
+    G_n (locals)^k2s[j] applied to the state."""
+    r = global_grover_matrix(space)[row]
+    ang = (2.0 * angles(space).theta2) * k2s
+    c, s = np.cos(ang), np.sin(ang)
+    return np.stack([r[0] * c - r[1] * s, r[0] * s + r[1] * c, np.full(len(k2s), r[2])])
+
+
 def grk_scan_min(
     space: SearchSpace,
     objective: Objective,
@@ -39,9 +53,9 @@ def grk_scan_min(
     """Minimize objective(queries, pr_block, pr_target) over the grid.
 
     queries = 1 + k1 + k2. Returns (value, k1, k2, pr_block, pr_target)
-    at the optimum; ties break toward smaller (queries, k2). The k1 axis
-    advances by one matrix-vector product per step; each row handles all
-    k2 at once through the closed-form local rotation.
+    at the optimum; ties break toward smaller (queries, k2). Chunks of
+    whole k1 rows, _CHUNK_CELLS cells each, are one (rows x 3)(3 x k2)
+    product per amplitude; the objective sees their in-budget cells.
     """
     if budget is None:
         budget = default_budget(space)
@@ -49,37 +63,28 @@ def grk_scan_min(
         raise ParameterError("scan budget must allow at least one query")
     k2_hi = (k2_cap if k2_cap is not None else default_k2_cap(space)) if allow_k2 else 0
 
-    a = angles(space)
-    gn = global_grover_matrix(space)
-    r_t, r_bb = gn[0], gn[2]
-    v = initial_state(space).as_array()
+    k2s = np.arange(min(k2_hi, budget - 1) + 1)
+    w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
+    rows = max(1, _CHUNK_CELLS // len(k2s))
 
-    best: tuple[float, int, int] | None = None
-    best_pr: tuple[float, float] = (0.0, 0.0)
-    for k1 in range(budget):
-        max_k2 = min(k2_hi, budget - 1 - k1)
-        if max_k2 < 0:
-            break
-        k2s = np.arange(max_k2 + 1)
-        ang = (2.0 * a.theta2) * k2s
-        c, s = np.cos(ang), np.sin(ang)
-        x = c * v[0] + s * v[1]
-        y = -s * v[0] + c * v[1]
-        amp_t = r_t[0] * x + r_t[1] * y + r_t[2] * v[2]
-        amp_bb = r_bb[0] * x + r_bb[1] * y + r_bb[2] * v[2]
-        pr_b = 1.0 - amp_bb**2
-        pr_t = amp_t**2
-        q = (1 + k1 + k2s).astype(float)
-        vals = objective(q, pr_b, pr_t)
-        j = int(np.argmin(vals))  # first occurrence: smallest k2 in the row
-        cand = (float(vals[j]), 1 + k1 + j, j)
-        if best is None or cand < best:
+    best: tuple[float, int, int, float, float] | None = None
+    for start in range(0, budget, rows):
+        k1s = np.arange(start, min(start + rows, budget))
+        states = uniform_after_globals(space, k1s)
+        keep = k1s[:, None] + k2s[None, :] < budget
+        pr_b = 1.0 - (states @ w_bb)[keep] ** 2
+        pr_t = (states @ w_t)[keep] ** 2
+        k2 = np.broadcast_to(k2s, keep.shape)[keep]
+        q = (k1s[:, None] + 1 + k2s)[keep]
+        vals = objective(q.astype(float), pr_b, pr_t)
+        ties = np.flatnonzero(vals == vals.min())
+        j = ties[np.lexsort((k2[ties], q[ties]))[0]]
+        cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))
+        if best is None or cand[:3] < best[:3]:
             best = cand
-            best_pr = (float(pr_b[j]), float(pr_t[j]))
-        v = gn @ v
     assert best is not None
-    value, q_opt, k2_opt = best
-    return value, q_opt - 1 - k2_opt, k2_opt, best_pr[0], best_pr[1]
+    value, q_opt, k2_opt, pr_b_opt, pr_t_opt = best
+    return value, q_opt - 1 - k2_opt, k2_opt, pr_b_opt, pr_t_opt
 
 
 def grk_max_block_probability(
@@ -87,29 +92,14 @@ def grk_max_block_probability(
 ) -> tuple[float, int, int]:
     """Maximum block probability over k1 + k2 = k_tot - 1 (full k2 range).
 
-    Returns (pr, k1, k2); ties take the smallest k2. Prefix states are
-    shared: one pass builds every global-power vector, then all splits
-    are evaluated in a single vectorized sweep.
+    Returns (pr, k1, k2); ties take the smallest k2. All splits are one
+    vectorized sweep over the closed-form states after k1 globals.
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")
-    a = angles(space)
-    gn = global_grover_matrix(space)
-    r_bb = gn[2]
-
-    prefix = np.empty((k_tot, 3))
-    v = initial_state(space).as_array()
-    for j in range(k_tot):
-        prefix[j] = v
-        v = gn @ v
-
     k2s = np.arange(k_tot)
-    pv = prefix[k_tot - 1 - k2s]
-    ang = (2.0 * a.theta2) * k2s
-    c, s = np.cos(ang), np.sin(ang)
-    x = c * pv[:, 0] + s * pv[:, 1]
-    y = -s * pv[:, 0] + c * pv[:, 1]
-    amp_bb = r_bb[0] * x + r_bb[1] * y + r_bb[2] * pv[:, 2]
+    states = uniform_after_globals(space, k_tot - 1 - k2s)
+    amp_bb = np.einsum("ij,ji->i", states, _final_rows(space, k2s, 2))
     pr = 1.0 - amp_bb**2
     j = int(np.argmax(pr))
     return float(pr[j]), k_tot - 1 - j, j

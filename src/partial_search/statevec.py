@@ -142,6 +142,8 @@ def verify_subspace(
     deviation exceeds tol, and failing sequences are listed.
     """
     space = new_search_space(n, m)
+    if num_random_sequences < 1 or max_k < 1:
+        raise ParameterError("num_random_sequences and max_k must be >= 1")
     rng = np.random.default_rng(seed)
     worst = {"deviation": -1.0, "sequence": None, "target_index": None}
     failures = []

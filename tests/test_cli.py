@@ -88,6 +88,35 @@ def test_domain_errors_return_1(capsys):
     assert "--m" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "8", "--m", "2", "--ktot", "x"),
+        ("enumerate", "--n", "8", "--m", "2", "--ktot", "3..x"),
+        ("enumerate", "--n", "8", "--m", "2", "--ktot", "5..3"),
+        ("tables", "--which", "pr", "--m-range", "2..y"),
+        ("tables", "--which", "e", "--k-range", "2.5..4"),
+        ("bounds", "--n", "8", "--m", "4", "--ktot-range", "2..."),
+        ("parallel", "--scheme", "compare", "--n", "6", "--l-range", "one..4"),
+    ],
+)
+def test_bad_range_text_is_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "range" in err
+
+
+@pytest.mark.parametrize("flag", ["--sequences", "--max-k"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_counts_below_one_are_usage_errors(capsys, flag, count):
+    rc, out, err = run_cli(capsys, "verify", "--n", "6", "--m", "2", flag, count)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # -- angles / simulate ---------------------------------------------------------
 
 
@@ -252,6 +281,12 @@ def test_parallel_single_scheme(capsys):
 
     rc, _, err = run_cli(capsys, "parallel", "--scheme", "inner", "--n", "10")
     assert rc == 1  # missing --l
+
+    for scheme in ("inner", "outer"):
+        rc, out, err = run_cli(
+            capsys, "parallel", "--scheme", scheme, "--n", "20", "--l", "0"
+        )
+        assert (rc, out, err) == (1, "", "error: parallelism l must be >= 1\n")
 
 
 def test_parallel_compare_lists_skips(capsys):

@@ -10,6 +10,7 @@ from partial_search import (
     FullState,
     Kind,
     OperatorSequence,
+    ParameterError,
     ResourceLimitError,
     angles,
     apply_global_diffusion,
@@ -185,6 +186,13 @@ def test_verify_subspace_is_seeded():
     a = verify_subspace(7, 2, num_random_sequences=10, max_k=15, seed=9)
     b = verify_subspace(7, 2, num_random_sequences=10, max_k=15, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("counts", [(0, 20), (10, 0), (-1, 5)])
+def test_verify_subspace_rejects_counts_below_one(counts):
+    sequences, max_k = counts
+    with pytest.raises(ParameterError):
+        verify_subspace(6, 2, num_random_sequences=sequences, max_k=max_k)
 
 
 def test_verify_subspace_reports_failures_at_absurd_tol():
