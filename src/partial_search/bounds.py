@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from .errors import ConstraintError, NumericalError, ParameterError, ResourceLimitError
+from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import grk_max_block_probability, grk_scan_min
 from .space import SearchSpace, angles, new_search_space
 
@@ -267,19 +267,6 @@ class MinExpectedRecord:
     unit_probability_reference: float  # pi sqrt(N)/4 - c_grk sqrt(b)
 
 
-# full scans above this many k1 rows would stop being interactive
-_SCAN_BUDGET_LIMIT = 4_000_000
-
-
-def _scan_e_min(space: SearchSpace) -> tuple[float, int, int]:
-    from .scans import default_budget
-
-    if default_budget(space) > _SCAN_BUDGET_LIMIT:
-        raise ResourceLimitError("expectation scan too large at this n")
-    e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
-    return e, k1, k2
-
-
 def min_expected_sweep(
     n: int, m_values: Sequence[int] | None = None
 ) -> list[MinExpectedRecord]:
@@ -291,7 +278,7 @@ def min_expected_sweep(
     out = []
     for m in m_values:
         space = new_search_space(n, m)
-        e, k1, k2 = _scan_e_min(space)
+        e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
         out.append(
             MinExpectedRecord(

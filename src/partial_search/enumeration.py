@@ -2,18 +2,20 @@
 
 A sequence of k_tot queries is a k_tot-bit mask (bit per query, global=0,
 local=1, first query at the most significant bit so numeric order equals
-lexicographic order). All 2^k_tot masks are evaluated by a prefix-sharing
-breadth-first sweep: one batched 3x3 product per level doubles the state
-array, so every prefix is computed exactly once.
+lexicographic order). The sweep splits each mask after p = k_tot // 2
+queries: mask (P << s) | S, s = k_tot - p, has the outside-block
+amplitude u_S . v_P, where v_P is the state after prefix P and
+u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
+covectors are each built by doubling, and the amplitude grid is
+evaluated in chunks of whole prefix rows, _CHUNK_CELLS cells each.
 
-The mask space is split at a prefix depth that depends only on k_tot,
-never on the worker count, so results are bit-identical for any number
-of workers.
+The chunk grid depends only on k_tot, never on the worker count, and
+every amplitude is the same three-term sum outside BLAS, so results are
+bit-identical for any number of workers or BLAS threads.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ from .space import SearchSpace, new_search_space
 
 K_TOT_CAP = 30  # 2^30 leaves; beyond this the exhaustive contract is off
 TIE_TOL = 1e-9  # sequences this close to the maximum count as co-optimal
+_CHUNK_CELLS = 1 << 16  # amplitude-grid cells per chunk of prefix rows
 
 WORKERS_ENV_VAR = "PARTIAL_SEARCH_WORKERS"
 
@@ -101,40 +104,22 @@ def _run_count(mask: int, k_tot: int) -> int:
     return 1 + sum(1 for a, b in zip(bits, bits[1:]) if a != b)
 
 
-def _prefix_depth(k_tot: int) -> int:
-    # fixed per k_tot so the float path is identical for any worker count;
-    # suffix arrays stay <= 2^18 rows
-    return max(0, min(k_tot - 8, 8), k_tot - 18)
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat by numpy's own sum-of-products loop, each entry the sum
+    r0 m0 + r1 m1 + r2 m2: no BLAS kernel or thread count touches the bits."""
+    return np.einsum("ij,jk->ik", rows, mat)
 
 
-def _scan_chunk(
-    prefix: int,
-    prefix_depth: int,
-    k_tot: int,
-    v0: np.ndarray,
-    gn_t: np.ndarray,
-    lm_t: np.ndarray,
-) -> tuple[float, list[tuple[int, float]]]:
-    """Evaluate every mask sharing the given prefix.
-
-    Returns the chunk maximum of the block probability and all
-    (mask, pr) pairs within TIE_TOL of it.
-    """
-    v = v0
-    for j in range(prefix_depth):
-        bit = (prefix >> (prefix_depth - 1 - j)) & 1
-        v = v @ (lm_t if bit else gn_t)
-    states = v.reshape(1, 3)
-    for _ in range(k_tot - prefix_depth):
-        nxt = np.empty((2 * states.shape[0], 3))
-        nxt[0::2] = states @ gn_t
-        nxt[1::2] = states @ lm_t
-        states = nxt
-    pr = 1.0 - states[:, 2] ** 2
-    chunk_max = float(pr.max())
-    base = prefix << (k_tot - prefix_depth)
-    idx = np.nonzero(pr >= chunk_max - TIE_TOL)[0]
-    return chunk_max, [(base + int(i), float(pr[i])) for i in idx]
+def _doubled(
+    start: np.ndarray, mats: tuple[np.ndarray, np.ndarray], depth: int, axis: int
+) -> np.ndarray:
+    """All 2^depth products of `start` with mats[0]/mats[1] (bit 0/1), one
+    row each; axis=1 appends each new bit as the lowest, axis=0 as the
+    highest."""
+    rows = start.reshape(1, 3)
+    for _ in range(depth):
+        rows = np.stack([_times(rows, mat) for mat in mats], axis=axis).reshape(-1, 3)
+    return rows
 
 
 def enumerate_max_probability(
@@ -143,12 +128,13 @@ def enumerate_max_probability(
     """Exact maximum of the block success probability over all 2^k_tot
     sequences of k_tot oracle queries.
 
-    Ties within TIE_TOL are all collected. Sequences ending in a local
-    query never beat their global-ending siblings (the outside-block
-    amplitude ignores local queries), so they are dropped from the
-    reported optima; if every tie ended locally they would be kept, but
-    that cannot occur alongside a global-ending tie member. The sweep only
-    picks the ties: pr_max is `block_success_probability` of the canonical.
+    Ties within TIE_TOL are all collected. A trailing local query leaves
+    the outside-block amplitude unchanged, so a local-ending sequence
+    scores what its (k_tot - 1)-query prefix scores, and it can win where
+    every extra global overshoots: at (n, m, k_tot) = (2, 1, 2) g:1,l:1
+    reaches 1 and g:2 only 0.5. Local-ending ties are dropped from the
+    reported optima unless every tie ends locally. The sweep only picks
+    the ties: pr_max is `block_success_probability` of the canonical.
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")
@@ -156,27 +142,34 @@ def enumerate_max_probability(
         raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
     nworkers = resolve_workers(workers)
 
-    gn_t = np.ascontiguousarray(global_grover_matrix(space).T)
-    lm_t = np.ascontiguousarray(local_grover_matrix(space).T)
-    v0 = initial_state(space).as_array()
+    gn, lm = global_grover_matrix(space), local_grover_matrix(space)
+    p, s = k_tot // 2, k_tot - k_tot // 2
+    v = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
+    u_t = np.ascontiguousarray(_doubled(np.eye(3)[2], (gn, lm), s, axis=0).T)
+    rows = max(1, _CHUNK_CELLS >> s)
+    starts = range(0, 1 << p, rows)
 
-    depth = _prefix_depth(k_tot)
-    prefixes = range(1 << depth)
-    if nworkers > 1 and len(prefixes) > 1:
+    def scan(start: int) -> tuple[float, list[tuple[int, float]]]:
+        # the chunk maximum and each (mask, pr) that may lie within TIE_TOL
+        # of it (a superset); max(1 - sq) = 1 - min(sq), rounding is monotone
+        amp = _times(v[start : start + rows], u_t)
+        sq = np.square(amp, out=amp).ravel()
+        low = float(sq.min())
+        idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+        masks = (start << s) + idx
+        return 1.0 - low, [(int(mk), float(pr)) for mk, pr in zip(masks, 1.0 - sq[idx])]
+
+    if nworkers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda p: _scan_chunk(p, depth, k_tot, v0, gn_t, lm_t), prefixes
-                )
-            )
+            chunks = list(pool.map(scan, starts))
     else:
-        chunks = [_scan_chunk(p, depth, k_tot, v0, gn_t, lm_t) for p in prefixes]
+        chunks = [scan(start) for start in starts]
 
     top = max(cm for cm, _ in chunks)
     ties = [(mask, p) for _, cand in chunks for mask, p in cand if p >= top - TIE_TOL]
 
     kept = [(mask, p) for mask, p in ties if (mask & 1) == 0]
-    if not kept:  # defensive: all ties end in a local query
+    if not kept:  # every tie ends in a local query
         kept = ties
     kept.sort(key=lambda mp: (_run_count(mp[0], k_tot), mp[0]))
     seqs = tuple(_mask_to_sequence(mask, k_tot) for mask, _ in kept)

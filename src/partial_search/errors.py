@@ -24,7 +24,8 @@ class ConstraintError(PartialSearchError, ValueError):
 
 
 class ResourceLimitError(PartialSearchError):
-    """A hard size cap was exceeded (enumeration k_tot, statevector n)."""
+    """A hard size cap was exceeded (enumeration k_tot, statevector n,
+    GRK scan cells)."""
 
 
 class NumericalError(PartialSearchError):

@@ -6,7 +6,9 @@ into one 3 x k2 matrix per amplitude.
 These kernels back the bound comparisons and the parallel-scheme
 optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
 k2 <= ceil(pi sqrt(b)/2) covers every optimum seen at desk scale; widen
-the arguments if exploring elsewhere.
+the arguments if exploring elsewhere. A scan whose box holds more than
+_SCAN_CELL_CAP cells (rows x k2 columns) is refused rather than left to
+run for minutes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import global_grover_matrix, uniform_after_globals
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .space import SearchSpace, angles
 
 Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -32,6 +34,7 @@ def default_k2_cap(space: SearchSpace) -> int:
 
 
 _CHUNK_CELLS = 4096  # cells per scan chunk; larger ones cost peak memory
+_SCAN_CELL_CAP = 1 << 29  # budget x k2 columns; about 16 s at ~33M cells/s
 
 
 def _final_rows(space: SearchSpace, k2s: np.ndarray, row: int) -> np.ndarray:
@@ -64,6 +67,10 @@ def grk_scan_min(
     k2_hi = (k2_cap if k2_cap is not None else default_k2_cap(space)) if allow_k2 else 0
 
     k2s = np.arange(min(k2_hi, budget - 1) + 1)
+    if budget * len(k2s) > _SCAN_CELL_CAP:
+        raise ResourceLimitError(
+            f"scan of {budget} x {len(k2s)} cells exceeds the cap of 2^29 at this n"
+        )
     w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
     rows = max(1, _CHUNK_CELLS // len(k2s))
 
@@ -92,8 +99,10 @@ def grk_max_block_probability(
 ) -> tuple[float, int, int]:
     """Maximum block probability over k1 + k2 = k_tot - 1 (full k2 range).
 
-    Returns (pr, k1, k2); ties take the smallest k2. All splits are one
-    vectorized sweep over the closed-form states after k1 globals.
+    Returns (pr, k1, k2). All splits are one vectorized sweep over the
+    closed-form states after k1 globals, and the argmax is taken in
+    floating point: splits that tie exactly in exact arithmetic (as at
+    m = 1) are settled by rounding, not by a rule on k2.
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")

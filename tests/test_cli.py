@@ -11,6 +11,7 @@ import json
 import math
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -287,6 +288,24 @@ def test_parallel_single_scheme(capsys):
             capsys, "parallel", "--scheme", scheme, "--n", "20", "--l", "0"
         )
         assert (rc, out, err) == (1, "", "error: parallelism l must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--n", "40", "--m", "20"),
+        ("parallel", "--scheme", "hybrid", "--n", "40", "--l", "2"),
+    ],
+)
+def test_oversized_scans_exit_1_promptly(capsys, argv):
+    # 824,574 budget rows x 1,610 k2 columns: 1.3e9 cells, more than twice
+    # the scan cap, so the scan is refused before it starts
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 10.0
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "cap" in err
 
 
 def test_parallel_compare_lists_skips(capsys):

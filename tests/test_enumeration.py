@@ -26,6 +26,7 @@ from partial_search import (
     render_percent,
     table_sweep,
 )
+from partial_search.enumeration import TIE_TOL
 
 from reference_tables import (
     REFERENCE_E,
@@ -39,23 +40,31 @@ G, L = Kind.GLOBAL, Kind.LOCAL
 
 def _independent_enumerate(space, k_tot):
     """Recursive tree walk over all 2^k_tot sequences; deliberately a
-    different traversal and arithmetic path than the production code."""
+    different traversal and arithmetic path than the production code.
+
+    Returns the reported tie set built from scratch as (sequence, pr)
+    pairs: every leaf within TIE_TOL of the maximum, local-ending ones
+    dropped unless all end locally, fewest runs first, then global before
+    local query by query.
+    """
     gn = global_grover_matrix(space)
     lm = local_grover_matrix(space)
+    leaves = []
 
-    best = [-1.0]
-
-    def walk(v, depth):
-        if depth == k_tot:
-            pr = 1.0 - float(v[2]) ** 2
-            if pr > best[0]:
-                best[0] = pr
+    def walk(v, kinds):
+        if len(kinds) == k_tot:
+            leaves.append((1.0 - float(v[2]) ** 2, kinds))
             return
-        walk(gn @ v, depth + 1)
-        walk(lm @ v, depth + 1)
+        walk(gn @ v, kinds + (G,))
+        walk(lm @ v, kinds + (L,))
 
-    walk(initial_state(space).as_array(), 0)
-    return best[0]
+    walk(initial_state(space).as_array(), ())
+    best = max(pr for pr, _ in leaves)
+    ties = [(pr, kinds) for pr, kinds in leaves if pr >= best - TIE_TOL]
+    ties = [(pr, kinds) for pr, kinds in ties if kinds[-1] is G] or ties
+    pairs = [(OperatorSequence.from_kinds(kinds), pr) for pr, kinds in ties]
+    pairs.sort(key=lambda sp: (len(sp[0].runs), [k is L for k in sp[0].kinds()]))
+    return tuple(pairs)
 
 
 # -- golden grids --------------------------------------------------------------
@@ -128,11 +137,15 @@ def test_single_query_closed_form():
 
 
 def test_matches_independent_recursive_enumerator():
-    for n, m in [(8, 3), (6, 2)]:
+    # whole ordered tie sets, not only the maximum
+    cases = [(8, m, 12) for m in range(8)] + [(6, 2, 12), (2, 1, 4)]
+    for n, m, k_max in cases:
         sp = new_search_space(n, m)
-        for k in range(1, 13):
+        for k in range(1, k_max + 1):
             res = enumerate_max_probability(sp, k)
-            assert abs(res.pr_max - _independent_enumerate(sp, k)) <= 1e-14
+            ties = _independent_enumerate(sp, k)
+            assert res.optimal_sequences == tuple(seq for seq, _ in ties), (n, m, k)
+            assert abs(res.pr_max - ties[0][1]) <= 1e-14, (n, m, k)
 
 
 def test_result_invariants():
@@ -191,12 +204,13 @@ def test_trailing_local_kept_only_when_unavoidable():
 
 
 def test_worker_count_does_not_change_results():
-    sp = new_search_space(8, 2)
-    a = enumerate_max_probability(sp, 14, workers=1)
-    b = enumerate_max_probability(sp, 14, workers=3)
-    c = enumerate_max_probability(sp, 14, workers=16)
-    assert a.pr_max == b.pr_max == c.pr_max
-    assert a.optimal_sequences == b.optimal_sequences == c.optimal_sequences
+    # k_tot = 20 splits into 2^10 prefix rows x 2^10 suffix columns, 16
+    # chunks of 64 rows, so the workers really share the grid
+    sp = new_search_space(16, 8)
+    a, *others = [enumerate_max_probability(sp, 20, workers=w) for w in (1, 2, 3, 16)]
+    for b in others:
+        assert b.pr_max == a.pr_max
+        assert b.optimal_sequences == a.optimal_sequences
 
 
 def test_workers_env_var(monkeypatch):

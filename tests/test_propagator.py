@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from partial_search import (
     Kind,
     OperatorSequence,
+    ResourceLimitError,
     apply_sequence,
     grk_optimal_parameters,
     new_search_space,
 )
+from partial_search import scans
 from partial_search.cli import run
 from partial_search.scans import (
     default_budget,
@@ -182,6 +184,20 @@ def test_scan_min_tie_order_across_chunks():
         cells = scan_cells(space, objective, budget, 1)
         got = grk_scan_min(space, objective, budget=budget, k2_cap=1)
         assert_same_optimum(got, cells)
+
+
+def test_scan_min_refuses_more_cells_than_the_cap(monkeypatch):
+    # the cap counts budget rows x k2 columns, the box before the budget
+    # mask; 4 x 3 fits a cap of 12 exactly, 4 x 4 does not
+    space = new_search_space(8, 3)
+    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 12)
+    objective = OBJECTIVES["expectation"]
+    grk_scan_min(space, objective, budget=4, k2_cap=2)
+    with pytest.raises(ResourceLimitError, match="4 x 4 cells"):
+        grk_scan_min(space, objective, budget=4, k2_cap=3)
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimitError):  # 2^20 x 513 cells
+        grk_scan_min(space, objective, budget=1 << 20, k2_cap=512)
 
 
 def test_scan_min_prefers_fewer_queries_over_smaller_k2():
