@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstraintError, NumericalError, ParameterError
-from .scans import grk_max_block_probability, grk_scan_min
+from .scans import grk_max_block_probability, grk_scan_min, scan_shape
 from .space import SearchSpace, angles, new_search_space
 
 BISECT_ITERS = 200
@@ -274,15 +274,17 @@ def min_expected_sweep(
     both analytic branch values and the unit-probability reference."""
     if m_values is None:
         m_values = range(1, n)
+    spaces = [new_search_space(n, m) for m in m_values]
+    for space in spaces:
+        scan_shape(space)  # refuse an oversized m before scanning any
     c = bound_constants()
     out = []
-    for m in m_values:
-        space = new_search_space(n, m)
+    for space in spaces:
         e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
         out.append(
             MinExpectedRecord(
-                m=m,
+                m=space.m,
                 e_min=e,
                 k1=k1,
                 k2=k2,

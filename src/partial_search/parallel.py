@@ -24,7 +24,7 @@ from .dynamics import (
     apply_sequence,
 )
 from .errors import ConstraintError, ParameterError
-from .scans import grk_scan_min
+from .scans import grk_scan_min, scan_shape
 from .space import SearchSpace, new_search_space
 
 INNER = "inner"
@@ -276,11 +276,14 @@ def compare_schemes(
     n = N.bit_length() - 1
     if N < 2 or (1 << n) != N:
         raise ParameterError("N must be a power of two >= 2")
-    results: list[SchemeResult] = []
-    skipped: list[SkippedScheme] = []
     for l in l_values:
         if l < 1:
             raise ParameterError("l values must be >= 1")
+        if n % l == 0:
+            scan_shape(space_for_parallelism(n, l))  # refuse before any scan
+    results: list[SchemeResult] = []
+    skipped: list[SkippedScheme] = []
+    for l in l_values:
         if _is_power_of_two(l) and l <= N:
             results.append(inner_min(N, l))
         elif not _is_power_of_two(l):

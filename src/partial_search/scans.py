@@ -46,6 +46,31 @@ def _final_rows(space: SearchSpace, k2s: np.ndarray, row: int) -> np.ndarray:
     return np.stack([r[0] * c - r[1] * s, r[0] * s + r[1] * c, np.full(len(k2s), r[2])])
 
 
+def scan_shape(
+    space: SearchSpace,
+    allow_k2: bool = True,
+    budget: int | None = None,
+    k2_cap: int | None = None,
+) -> tuple[int, int]:
+    """(budget, k2 columns) of the grk_scan_min box with these arguments.
+
+    Raises ResourceLimitError when the box holds more than _SCAN_CELL_CAP
+    cells, so a caller about to run several scans can refuse before the
+    first one starts.
+    """
+    if budget is None:
+        budget = default_budget(space)
+    if budget < 1:
+        raise ParameterError("scan budget must allow at least one query")
+    k2_hi = (k2_cap if k2_cap is not None else default_k2_cap(space)) if allow_k2 else 0
+    columns = min(k2_hi, budget - 1) + 1
+    if budget * columns > _SCAN_CELL_CAP:
+        raise ResourceLimitError(
+            f"scan of {budget} x {columns} cells exceeds the cap of 2^29 at this n"
+        )
+    return budget, columns
+
+
 def grk_scan_min(
     space: SearchSpace,
     objective: Objective,
@@ -60,17 +85,8 @@ def grk_scan_min(
     whole k1 rows, _CHUNK_CELLS cells each, are one (rows x 3)(3 x k2)
     product per amplitude; the objective sees their in-budget cells.
     """
-    if budget is None:
-        budget = default_budget(space)
-    if budget < 1:
-        raise ParameterError("scan budget must allow at least one query")
-    k2_hi = (k2_cap if k2_cap is not None else default_k2_cap(space)) if allow_k2 else 0
-
-    k2s = np.arange(min(k2_hi, budget - 1) + 1)
-    if budget * len(k2s) > _SCAN_CELL_CAP:
-        raise ResourceLimitError(
-            f"scan of {budget} x {len(k2s)} cells exceeds the cap of 2^29 at this n"
-        )
+    budget, columns = scan_shape(space, allow_k2, budget, k2_cap)
+    k2s = np.arange(columns)
     w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
     rows = max(1, _CHUNK_CELLS // len(k2s))
 

@@ -295,11 +295,17 @@ def test_parallel_single_scheme(capsys):
     [
         ("bounds", "--n", "40", "--m", "20"),
         ("parallel", "--scheme", "hybrid", "--n", "40", "--l", "2"),
+        ("bounds", "--n", "40"),
+        ("bounds", "--n", "48"),
+        ("parallel", "--scheme", "compare", "--n", "36", "--l-range", "1..3"),
     ],
 )
 def test_oversized_scans_exit_1_promptly(capsys, argv):
-    # 824,574 budget rows x 1,610 k2 columns: 1.3e9 cells, more than twice
-    # the scan cap, so the scan is refused before it starts
+    # at n = 40, m = 20 (hybrid l = 2) the box is 824,574 budget rows x
+    # 1,610 k2 columns: 1.3e9 cells, more than twice the scan cap, so the
+    # scan is refused before it starts; the sweeps hold smaller m (bounds,
+    # every m from 1) or l (compare, l = 1, 2) that fit and would take
+    # tens of seconds, but they check every box before scanning any
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 10.0

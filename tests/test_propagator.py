@@ -17,13 +17,14 @@ from partial_search import (
     grk_optimal_parameters,
     new_search_space,
 )
-from partial_search import scans
+from partial_search import bounds, parallel, scans
 from partial_search.cli import run
 from partial_search.scans import (
     default_budget,
     default_k2_cap,
     grk_max_block_probability,
     grk_scan_min,
+    scan_shape,
 )
 
 G, L = Kind.GLOBAL, Kind.LOCAL
@@ -198,6 +199,33 @@ def test_scan_min_refuses_more_cells_than_the_cap(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ResourceLimitError):  # 2^20 x 513 cells
         grk_scan_min(space, objective, budget=1 << 20, k2_cap=512)
+
+
+def test_sweeps_refuse_an_oversized_scan_before_scanning_any(monkeypatch):
+    # at n = 8 the boxes grow with m, from 15 x 4 cells at m = 1 to
+    # 25 x 19 at m = 7; a cap of 140 admits the first and not the last
+    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 140)
+    assert scan_shape(new_search_space(8, 1)) == (15, 4)
+    with pytest.raises(ResourceLimitError, match="25 x 19 cells"):
+        scan_shape(new_search_space(8, 7))
+    scanned = []
+
+    def record(space, *args, **kwargs):
+        scanned.append(space.m)
+        return grk_scan_min(space, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "grk_scan_min", record)
+    monkeypatch.setattr(parallel, "grk_scan_min", record)
+    with pytest.raises(ResourceLimitError):
+        bounds.min_expected_sweep(8)
+    # l = 1, 2 fit (m = 0, 4: 14 x 3 and 17 x 8 cells); l = 4 (m = 6,
+    # 21 x 14 cells) does not
+    with pytest.raises(ResourceLimitError, match="21 x 14 cells"):
+        parallel.compare_schemes(256, [1, 2, 4])
+    assert scanned == []
+    bounds.min_expected_sweep(8, [1, 2])
+    parallel.compare_schemes(256, [1, 2])
+    assert scanned == [1, 2, 0, 0, 4, 4]
 
 
 def test_scan_min_prefers_fewer_queries_over_smaller_k2():
