@@ -17,6 +17,7 @@ bit-identical for any number of workers or BLAS threads.
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -91,17 +92,22 @@ def resolve_workers(workers: int | None) -> int:
     return os.cpu_count() or 1
 
 
+_RUNS = re.compile("0+|1+")
+
+
 def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
-    kinds = [
-        Kind.LOCAL if (mask >> (k_tot - 1 - j)) & 1 else Kind.GLOBAL
-        for j in range(k_tot)
-    ]
-    return OperatorSequence.from_kinds(kinds)
+    runs = _RUNS.findall(format(mask, f"0{k_tot}b"))
+    return OperatorSequence(
+        (Kind.LOCAL if run[0] == "1" else Kind.GLOBAL, len(run)) for run in runs
+    )
 
 
-def _run_count(mask: int, k_tot: int) -> int:
-    bits = [(mask >> (k_tot - 1 - j)) & 1 for j in range(k_tot)]
-    return 1 + sum(1 for a, b in zip(bits, bits[1:]) if a != b)
+def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
+    """Runs in each k_tot-bit mask: one more than its adjacent bit changes
+    (popcount by unpacking bytes; k_tot <= K_TOT_CAP fits in 32 bits)."""
+    changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint32)
+    bits = np.unpackbits(changes.view(np.uint8)).reshape(len(masks), 32)
+    return 1 + bits.sum(axis=1)
 
 
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -149,15 +155,14 @@ def enumerate_max_probability(
     rows = max(1, _CHUNK_CELLS >> s)
     starts = range(0, 1 << p, rows)
 
-    def scan(start: int) -> tuple[float, list[tuple[int, float]]]:
-        # the chunk maximum and each (mask, pr) that may lie within TIE_TOL
+    def scan(start: int) -> tuple[float, np.ndarray, np.ndarray]:
+        # the chunk maximum and the masks and pr that may lie within TIE_TOL
         # of it (a superset); max(1 - sq) = 1 - min(sq), rounding is monotone
         amp = _times(v[start : start + rows], u_t)
         sq = np.square(amp, out=amp).ravel()
         low = float(sq.min())
         idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
-        masks = (start << s) + idx
-        return 1.0 - low, [(int(mk), float(pr)) for mk, pr in zip(masks, 1.0 - sq[idx])]
+        return 1.0 - low, (start << s) + idx, 1.0 - sq[idx]
 
     if nworkers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
@@ -165,14 +170,15 @@ def enumerate_max_probability(
     else:
         chunks = [scan(start) for start in starts]
 
-    top = max(cm for cm, _ in chunks)
-    ties = [(mask, p) for _, cand in chunks for mask, p in cand if p >= top - TIE_TOL]
+    top = max(cm for cm, _, _ in chunks)
+    masks = np.concatenate([mk for _, mk, _ in chunks])
+    ties = masks[np.concatenate([pr for _, _, pr in chunks]) >= top - TIE_TOL]
 
-    kept = [(mask, p) for mask, p in ties if (mask & 1) == 0]
-    if not kept:  # every tie ends in a local query
+    kept = ties[(ties & 1) == 0]
+    if not len(kept):  # every tie ends in a local query
         kept = ties
-    kept.sort(key=lambda mp: (_run_count(mp[0], k_tot), mp[0]))
-    seqs = tuple(_mask_to_sequence(mask, k_tot) for mask, _ in kept)
+    kept = kept[np.lexsort((kept, _run_counts(kept, k_tot)))]
+    seqs = tuple(_mask_to_sequence(mask, k_tot) for mask in kept.tolist())
 
     pr_max = block_success_probability(space, seqs[0])
     if pr_max <= 0.0:

@@ -360,6 +360,13 @@ def test_verify_passing_and_failing(capsys):
     assert "sequence" in report["worst_case"]
 
 
+def test_verify_above_the_statevector_cap_exits_1(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--n", "15", "--m", "7")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: statevector simulation capped at n <= 14\n"
+
+
 def test_verify_is_seed_deterministic(capsys):
     args = ("verify", "--n", "5", "--m", "3", "--sequences", "8", "--seed", "7")
     rc, out1, _ = run_cli(capsys, *args)

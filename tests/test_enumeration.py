@@ -26,7 +26,7 @@ from partial_search import (
     render_percent,
     table_sweep,
 )
-from partial_search.enumeration import TIE_TOL
+from partial_search.enumeration import TIE_TOL, _mask_to_sequence, _run_counts
 
 from reference_tables import (
     REFERENCE_E,
@@ -143,8 +143,9 @@ MAX_ENDS_LOCALLY = {(8, 7, 11)}
 
 
 def test_matches_independent_recursive_enumerator():
-    # the maximum and the whole ordered tie set
-    cases = [(8, m, 12) for m in range(8)] + [(6, 2, 12), (2, 1, 4)]
+    # the maximum and the whole ordered tie set; at (2, 0) fewest runs first
+    # and mask order disagree
+    cases = [(8, m, 12) for m in range(8)] + [(6, 2, 12), (2, 1, 4), (2, 0, 8)]
     for n, m, k_max in cases:
         sp = new_search_space(n, m)
         for k in range(1, k_max + 1):
@@ -156,6 +157,21 @@ def test_matches_independent_recursive_enumerator():
                 assert abs(res.pr_max - best) <= 1e-14, (n, m, k)
             assert res.optimal_sequences == tuple(seq for seq, _ in ties), (n, m, k)
             assert abs(res.pr_max - ties[0][1]) <= 1e-14, (n, m, k)
+
+
+def test_tie_keys_and_sequences_match_the_per_query_bits():
+    # the tie order's run counts and the reported sequences, both built
+    # from runs, against the mask read one query (bit) at a time
+    cases = [(k, np.arange(1 << k)) for k in range(1, 13)]
+    wide = [0, 1, 2**29, 2**30 - 1, 0x2AAAAAAA, 0x15555555, 123456789]
+    cases.append((30, np.array(wide)))
+    for k, masks in cases:
+        counts = _run_counts(masks, k)
+        for mask, count in zip(masks.tolist(), counts.tolist()):
+            kinds = [L if (mask >> (k - 1 - j)) & 1 else G for j in range(k)]
+            seq = _mask_to_sequence(mask, k)
+            assert seq == OperatorSequence.from_kinds(kinds)
+            assert count == len(seq.runs)
 
 
 def test_result_invariants():

@@ -6,12 +6,14 @@ import random
 import numpy as np
 import pytest
 
+import partial_search.statevec as statevec
 from partial_search import (
     FullState,
     Kind,
     OperatorSequence,
     ParameterError,
     ResourceLimitError,
+    State3,
     angles,
     apply_global_diffusion,
     apply_local_diffusion,
@@ -25,6 +27,7 @@ from partial_search import (
     simulate_sequence,
     verify_subspace,
 )
+from partial_search.cli import OutputRecord, render_json, run
 
 G, L = Kind.GLOBAL, Kind.LOCAL
 
@@ -201,3 +204,156 @@ def test_verify_subspace_reports_failures_at_absurd_tol():
     assert len(report["failures"]) > 0
     failure = report["failures"][0]
     assert set(failure) >= {"deviation", "sequence", "target_index"}
+
+
+# -- the batch kernel against the one-vector primitives -------------------------
+
+
+def reference_run(n, m, target, kinds):
+    """Per-query composition of the public one-vector primitives."""
+    state = FullState.uniform(n, target)
+    for kind in kinds:
+        state = apply_oracle(state)
+        if kind is G:
+            state = apply_global_diffusion(state)
+        elif m:  # m = 0 blocks are single items; their diffusion is the identity
+            state = apply_local_diffusion(state, m)
+    return state.amplitudes
+
+
+@pytest.mark.parametrize(
+    "n, m, max_k", [(1, 0, 6), (4, 0, 9), (6, 2, 12), (7, 6, 9), (9, 4, 1)]
+)
+def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
+    # bit for bit: the same arithmetic, one row or one vector at a time
+    rng = np.random.default_rng(n * 100 + m)
+    count = 17
+    local = [rng.integers(0, 2, 1 + i % max_k).astype(bool) for i in range(count)]
+    local[0][:] = False  # an all-global and an all-local row, whatever the draw
+    local[1][:] = True
+    targets = rng.permutation(np.arange(count) % (1 << n))  # distinct where 2^n >= 17
+    # five rows per batch: the 17 sequences span four batches
+    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", 5 << n)
+    batches = list(statevec._simulate_batches(n, m, targets, local))
+    assert [len(rows) for rows, _ in batches] == [5, 5, 5, 2]
+    for rows, amp in batches:
+        for row, r in zip(amp, rows):
+            kinds = [L if bit else G for bit in local[r]]
+            assert np.array_equal(row, reference_run(n, m, int(targets[r]), kinds))
+    assert sorted(r for rows, _ in batches for r in rows) == list(range(count))
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (5, 0), (6, 3), (9, 8)])
+def test_simulate_sequence_is_the_kernel_with_one_row(n, m):
+    rng = np.random.default_rng(n + m)
+    for k in (0, 1, 7):
+        kinds = [L if bit else G for bit in rng.integers(0, 2, k)]
+        t = int(rng.integers(0, 1 << n))
+        seq = OperatorSequence.from_kinds(kinds)
+        block, target, st3 = simulate_sequence(n, m, t, seq)
+        ref_block, ref_target, ref_st3, _ = reference_project(
+            reference_run(n, m, t, kinds), t, m
+        )
+        assert (block, target, st3) == (ref_block, ref_target, ref_st3)
+
+
+# -- verify_subspace against the per-query loop ---------------------------------
+
+
+def reference_project(amp, t, m):
+    """(block prob, target prob, State3, residual) of one full vector."""
+    N, b = len(amp), 1 << m
+    start = t // b * b
+    block = amp[start : start + b]
+    amp_t = float(amp[t])
+    amp_bt = float((block.sum() - amp_t) / math.sqrt(b - 1)) if b > 1 else 0.0
+    outside = np.concatenate([amp[:start], amp[start + b :]])
+    amp_bbar = float(outside.sum() / math.sqrt(N - b))
+    recon_block = np.full(b, amp_bt / math.sqrt(b - 1) if b > 1 else 0.0)
+    recon_block[t - start] = amp_t
+    residual = max(
+        float(np.abs(block - recon_block).max()),
+        float(np.abs(outside - amp_bbar / math.sqrt(N - b)).max()),
+    )
+    block_prob = float((block**2).sum())
+    return block_prob, amp_t**2, State3(amp_t, amp_bt, amp_bbar), residual
+
+
+def reference_verify(n, m, num_random_sequences=200, max_k=40, tol=1e-10, seed=42):
+    """verify_subspace as one sequence at a time, one query at a time."""
+    space = new_search_space(n, m)
+    rng = np.random.default_rng(seed)
+    worst = {"deviation": -1.0, "sequence": None, "target_index": None}
+    failures = []
+    for _ in range(num_random_sequences):
+        k_tot = int(rng.integers(1, max_k + 1))
+        kinds = [L if bit else G for bit in rng.integers(0, 2, k_tot)]
+        seq = OperatorSequence.from_kinds(kinds)
+        target = int(rng.integers(0, space.N))
+        reduced = apply_sequence(space, seq).as_array()
+        block_prob, target_prob, proj, residual = reference_project(
+            reference_run(n, m, target, kinds), target, m
+        )
+        dev = float(np.abs(reduced - proj.as_array()).max())
+        dev = max(dev, residual)
+        dev = max(dev, abs(block_prob - (1.0 - reduced[2] ** 2)))
+        dev = max(dev, abs(target_prob - reduced[0] ** 2))
+        case = {"sequence": seq.token_spec(), "target_index": target}
+        if dev > worst["deviation"]:
+            worst = {"deviation": dev, **case}
+        if dev > tol:
+            failures.append({**case, "deviation": dev})
+    return {
+        "n": n, "m": m, "sequences": num_random_sequences, "max_k": max_k,
+        "tol": tol, "seed": seed, "max_deviation": worst["deviation"],
+        "worst_case": worst, "failures": failures, "passed": not failures,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, m, seed",
+    [(1, 0, 3), (2, 1, 42), (5, 0, 3), (6, 3, 42), (8, 2, 3), (10, 0, 42), (10, 0, 3),
+     (10, 4, 42), (10, 9, 3), (12, 6, 42), (14, 7, 3)],
+)
+def test_verify_report_equals_per_query_loop(n, m, seed):
+    assert verify_subspace(n, m, seed=seed) == reference_verify(n, m, seed=seed)
+
+
+def test_verify_cli_output_equals_per_query_loop(capsys):
+    params = {"n": 10, "m": 4, "sequences": 200, "max_k": 40, "tol": 1e-10, "seed": 42}
+    expected = render_json(OutputRecord("verify", params, [reference_verify(10, 4)]))
+    assert run(["verify", "--n", "10", "--m", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_verify_failure_listing_equals_per_query_loop():
+    args = dict(num_random_sequences=30, max_k=12, tol=1e-17, seed=5)
+    report = verify_subspace(7, 3, **args)
+    assert report["failures"]
+    assert report == reference_verify(7, 3, **args)
+
+
+def test_verify_flags_every_sequence_when_the_reduced_side_is_off(monkeypatch):
+    def shifted(space, seq):
+        st = apply_sequence(space, seq)
+        return State3(st.amp_t + 1e-8, st.amp_bt, st.amp_bbar)
+
+    monkeypatch.setattr(statevec, "apply_sequence", shifted)
+    report = verify_subspace(8, 3, num_random_sequences=25, max_k=15, seed=11)
+    assert report["passed"] is False
+    every = reference_verify(8, 3, num_random_sequences=25, max_k=15, tol=-1.0, seed=11)
+    assert [(f["sequence"], f["target_index"]) for f in report["failures"]] == [
+        (f["sequence"], f["target_index"]) for f in every["failures"]
+    ]
+    assert all(f["deviation"] >= 0.9e-8 for f in report["failures"])
+
+
+def test_verify_refuses_n_above_cap_before_drawing(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("drew or simulated before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", boom)
+    monkeypatch.setattr(statevec, "_run_rows", boom)
+    monkeypatch.setattr(statevec, "apply_sequence", boom)
+    with pytest.raises(ResourceLimitError):
+        verify_subspace(15, 7)
