@@ -48,7 +48,6 @@ from .errors import (
 )
 from .parallel import (
     SchemeResult,
-    SchemeSpec,
     SkippedScheme,
     compare_schemes,
     grk_parallel_expected,
@@ -62,7 +61,6 @@ from .parallel import (
     inner_min,
     outer_expected,
     outer_min,
-    scheme_min,
     space_for_parallelism,
 )
 from .space import Angles, SearchSpace, angles, new_search_space

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -225,10 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, default=None, help="QPU count (single scheme)")
     p.add_argument(
-        "--l-range", default=None, help="a..b for compare (default 1..min(N,64))"
+        "--l-range", default=None, help="a..b, compare only (default 1..min(N,64))"
     )
     p.add_argument(
-        "--no-k2", action="store_true", help="restrict block schemes to k2 = 0"
+        "--no-k2", action="store_true", help="restrict hybrid to k2 = 0"
     )
 
     p = sub.add_parser(
@@ -359,78 +359,43 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
             raise ParameterError("--ktot-range needs --m")
         params.update({"m": args.m, "ktot_range": args.ktot_range})
         space = new_search_space(args.n, args.m)
-        rows = [
-            {
-                "k_tot": r.k_tot,
-                "alpha": r.alpha,
-                "pr_numeric": r.pr_numeric,
-                "pr_bound": r.pr_bound,
-                "gap": r.gap,
-                "k1": r.k1,
-                "k2": r.k2,
-                "k2_rule_floor": r.k2_rule_floor,
-                "k2_rule_round": r.k2_rule_round,
-            }
-            for r in bounds_mod.pr_bound_comparison(space, parse_range(args.ktot_range))
-        ]
-        return OutputRecord("bounds", params, rows)
+        comparison = bounds_mod.pr_bound_comparison(space, parse_range(args.ktot_range))
+        return OutputRecord("bounds", params, [asdict(r) for r in comparison])
 
-    m_values = [args.m] if args.m is not None else None
     if args.m is not None:
         params["m"] = args.m
-    rows = [
-        {
-            "m": r.m,
-            "e_min": r.e_min,
-            "k1": r.k1,
-            "k2": r.k2,
-            "k_tot": r.k_tot,
-            "bound_narrow": r.bound_narrow,
-            "bound_wide": r.bound_wide,
-            "bound_selected": r.bound_selected,
-            "unit_probability_reference": r.unit_probability_reference,
-        }
-        for r in bounds_mod.min_expected_sweep(args.n, m_values)
-    ]
-    return OutputRecord("bounds", params, rows)
+    sweep = bounds_mod.min_expected_sweep(args.n, None if args.m is None else [args.m])
+    return OutputRecord("bounds", params, [asdict(r) for r in sweep])
 
 
-def _scheme_row(res: parallel_mod.SchemeResult) -> dict[str, Any]:
-    return {
+def _scheme_row(
+    res: parallel_mod.SchemeResult | parallel_mod.SkippedScheme,
+) -> dict[str, Any]:
+    row = {
         "scheme": res.kind,
         "l": res.l,
-        "admissible": True,
-        "reason": None,
-        "k1": res.k1,
-        "k2": res.k2,
-        "queries": res.queries,
-        "e_min": res.e_min,
-        "pr_at_opt": res.pr_at_opt,
+        "admissible": isinstance(res, parallel_mod.SchemeResult),
     }
-
-
-def _skip_row(skip: parallel_mod.SkippedScheme) -> dict[str, Any]:
-    return {
-        "scheme": skip.kind,
-        "l": skip.l,
-        "admissible": False,
-        "reason": skip.reason,
-        "k1": None,
-        "k2": None,
-        "queries": None,
-        "e_min": None,
-        "pr_at_opt": None,
-    }
+    for col in ("reason", "k1", "k2", "queries", "e_min", "pr_at_opt"):
+        row[col] = getattr(res, col, None)
+    return row
 
 
 def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
+    compare = args.scheme == "compare"
+    if args.no_k2 and args.scheme != "hybrid":
+        raise UsageError("--no-k2 applies to --scheme hybrid only")
+    if compare and args.l is not None:
+        raise UsageError("--l applies to a single scheme; use --l-range with compare")
+    if not compare and args.l_range is not None:
+        raise UsageError("--l-range applies to --scheme compare only")
     n = args.n
     N = 1 << n
     params: dict[str, Any] = {"scheme": args.scheme, "n": n}
     if args.no_k2:
         params["no_k2"] = True
 
-    if args.scheme == "compare":
+    if compare:
         l_values = (
             list(parse_range(args.l_range))
             if args.l_range
@@ -438,7 +403,7 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
         )
         params["l_range"] = f"{l_values[0]}..{l_values[-1]}"
         results, skipped = parallel_mod.compare_schemes(N, l_values)
-        rows = [_scheme_row(r) for r in results] + [_skip_row(s) for s in skipped]
+        rows = [_scheme_row(r) for r in [*results, *skipped]]
         rows.sort(key=lambda r: (r["l"], parallel_mod.SCHEME_KINDS.index(r["scheme"])))
         return OutputRecord("parallel", params, rows)
 
@@ -461,6 +426,8 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
 def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
     if args.sequences < 1 or args.max_k < 1:
         raise UsageError("--sequences and --max-k must be >= 1")
+    if not 0.0 <= args.tol < math.inf:
+        raise UsageError("--tol must be finite and >= 0")
     report = verify_subspace(
         args.n,
         args.m,
@@ -477,10 +444,19 @@ def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
         "tol": args.tol,
         "seed": args.seed,
     }
-    record = OutputRecord("verify", params, [report])
-    if not report["passed"]:
-        record.exit_code = 1
-    return record
+    row = report
+    if args.format == "csv":
+        # the per-failure detail only fits the JSON shape
+        row = {
+            "n": report["n"],
+            "m": report["m"],
+            "max_deviation": report["max_deviation"],
+            "worst_sequence": report["worst_case"]["sequence"],
+            "worst_target_index": report["worst_case"]["target_index"],
+            "num_failures": len(report["failures"]),
+            "passed": report["passed"],
+        }
+    return OutputRecord("verify", params, [row], exit_code=0 if report["passed"] else 1)
 
 
 _COMMANDS = {
@@ -507,30 +483,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
 
-    if args.command == "verify" and args.format == "csv":
-        # the per-failure detail only fits the JSON shape
-        report = record.rows[0]
-        worst = report["worst_case"]
-        record = OutputRecord(
-            record.command,
-            record.parameters,
-            [
-                {
-                    "n": report["n"],
-                    "m": report["m"],
-                    "max_deviation": report["max_deviation"],
-                    "worst_sequence": worst["sequence"],
-                    "worst_target_index": worst["target_index"],
-                    "num_failures": len(report["failures"]),
-                    "passed": report["passed"],
-                }
-            ],
-            exit_code=record.exit_code,
-        )
-
     text = render_csv(record) if args.format == "csv" else render_json(record)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return record.exit_code

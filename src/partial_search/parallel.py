@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .dynamics import (
     Kind,
@@ -33,14 +35,10 @@ GRK = "grk"
 HYBRID = "hybrid"
 SCHEME_KINDS = (INNER, OUTER, GRK, HYBRID)
 
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """One (scheme, parallelism) configuration request."""
-
-    kind: str
-    l: int
-    space: SearchSpace | None = None  # required for grk/hybrid
+# round success of a block scheme from (l, pr_block, pr_target), on
+# floats and, inside the scans, on numpy arrays
+Prob = TypeVar("Prob", float, np.ndarray)
+BlockSuccess = Callable[[int, Prob, Prob], Prob]
 
 
 @dataclass(frozen=True)
@@ -76,38 +74,50 @@ def _is_power_of_two(x: int) -> bool:
     return x >= 1 and (x & (x - 1)) == 0
 
 
-# -- inner ---------------------------------------------------------------
+# -- inner and outer ---------------------------------------------------------
 
 
-def inner_expected(N: int, l: int, k: int) -> float:
-    """k queries per QPU on a sub-database of N/l items."""
+def _inner_success(N: int, l: int, k: int) -> float:
+    theta = math.asin(math.sqrt(l / N))
+    return math.sin((2 * k + 1) * theta) ** 2
+
+
+def _outer_success(N: int, l: int, k: int) -> float:
+    theta1 = math.asin(N**-0.5)
+    pr1 = math.sin((2 * k + 1) * theta1) ** 2
+    return 1.0 - (1.0 - pr1) ** l
+
+
+def _check_inner(N: int, l: int) -> None:
     _require_parallelism(l)
     if not _is_power_of_two(l) or l > N:
         raise ConstraintError(
             f"inner scheme requires l to be a power of two at most N, got l={l}"
         )
+
+
+def _query_scan_min(
+    kind: str, N: int, l: int, hi: int, success: Callable[[int, int, int], float]
+) -> SchemeResult:
+    """Minimize k / success(N, l, k) over k = 1..hi; min keeps the first
+    (fewest-query) minimum."""
+    k = min(range(1, hi + 1), key=lambda k: k / success(N, l, k))
+    pr = success(N, l, k)
+    return SchemeResult(kind=kind, l=l, k1=k, k2=None, queries=k, e_min=k / pr, pr_at_opt=pr)
+
+
+def inner_expected(N: int, l: int, k: int) -> float:
+    """k queries per QPU on a sub-database of N/l items."""
+    _check_inner(N, l)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    theta = math.asin(math.sqrt(l / N))
-    return k / math.sin((2 * k + 1) * theta) ** 2
+    return k / _inner_success(N, l, k)
 
 
 def inner_min(N: int, l: int) -> SchemeResult:
-    _require_parallelism(l)
+    _check_inner(N, l)
     hi = math.ceil(math.pi * math.sqrt(N / l) / 4.0) + 2
-    best: tuple[float, int] | None = None
-    for k in range(1, hi + 1):
-        e = inner_expected(N, l, k)
-        if best is None or e < best[0]:
-            best = (e, k)
-    assert best is not None
-    e, k = best
-    theta = math.asin(math.sqrt(l / N))
-    pr = math.sin((2 * k + 1) * theta) ** 2
-    return SchemeResult(kind=INNER, l=l, k1=k, k2=None, queries=k, e_min=e, pr_at_opt=pr)
-
-
-# -- outer ---------------------------------------------------------------
+    return _query_scan_min(INNER, N, l, hi, _inner_success)
 
 
 def outer_expected(N: int, l: int, k: int) -> float:
@@ -115,26 +125,24 @@ def outer_expected(N: int, l: int, k: int) -> float:
     _require_parallelism(l)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    theta1 = math.asin(N**-0.5)
-    pr1 = math.sin((2 * k + 1) * theta1) ** 2
-    return k / (1.0 - (1.0 - pr1) ** l)
+    return k / _outer_success(N, l, k)
 
 
 def outer_min(N: int, l: int) -> SchemeResult:
+    _require_parallelism(l)
     hi = math.ceil(math.pi * math.sqrt(N) / 4.0)
-    theta1 = math.asin(N**-0.5)
-    best: tuple[float, int] | None = None
-    for k in range(1, hi + 1):
-        e = outer_expected(N, l, k)
-        if best is None or e < best[0]:
-            best = (e, k)
-    assert best is not None
-    e, k = best
-    pr = 1.0 - (1.0 - math.sin((2 * k + 1) * theta1) ** 2) ** l
-    return SchemeResult(kind=OUTER, l=l, k1=k, k2=None, queries=k, e_min=e, pr_at_opt=pr)
+    return _query_scan_min(OUTER, N, l, hi, _outer_success)
 
 
 # -- grk-based and hybrid --------------------------------------------------
+
+
+def _grk_success(l: int, pr_b: Prob, pr_t: Prob) -> Prob:
+    return pr_b**l
+
+
+def _hybrid_success(l: int, pr_b: Prob, pr_t: Prob) -> Prob:
+    return 1.0 - (1.0 - pr_b**l) * (1.0 - pr_t) ** l
 
 
 def space_for_parallelism(n: int, l: int) -> SearchSpace:
@@ -156,55 +164,52 @@ def _check_block_scheme(space: SearchSpace, l: int) -> None:
         )
 
 
-def _grk_probabilities(space: SearchSpace, k1: int, k2: int) -> tuple[float, float]:
+def _block_expected(
+    space: SearchSpace, l: int, k1: int, k2: int, success: BlockSuccess
+) -> float:
+    _check_block_scheme(space, l)
     if k1 < 0 or k2 < 0:
         raise ParameterError("k1 and k2 must be >= 0")
     seq = OperatorSequence([(Kind.GLOBAL, k1), (Kind.LOCAL, k2), (Kind.GLOBAL, 1)])
     st = apply_sequence(space, seq)
-    return 1.0 - st.amp_bbar**2, st.amp_t**2
+    return (1 + k1 + k2) / success(l, 1.0 - st.amp_bbar**2, st.amp_t**2)
 
 
-def grk_parallel_expected(space: SearchSpace, l: int, k1: int, k2: int) -> float:
-    """Every QPU must identify its block-bit group: success pr_block^l."""
+def _block_scan_min(
+    kind: str, space: SearchSpace, l: int, success: BlockSuccess, allow_k2: bool
+) -> SchemeResult:
     _check_block_scheme(space, l)
-    pr_b, _ = _grk_probabilities(space, k1, k2)
-    return (1 + k1 + k2) / pr_b**l
-
-
-def grk_parallel_min(space: SearchSpace, l: int) -> SchemeResult:
-    _check_block_scheme(space, l)
-    e, k1, k2, pr_b, _ = grk_scan_min(space, lambda q, prb, prt: q / prb**l)
+    e, k1, k2, pr_b, pr_t = grk_scan_min(
+        space, lambda q, prb, prt: q / success(l, prb, prt), allow_k2=allow_k2
+    )
     return SchemeResult(
-        kind=GRK,
+        kind=kind,
         l=l,
         k1=k1,
         k2=k2,
         queries=1 + k1 + k2,
         e_min=e,
-        pr_at_opt=pr_b**l,
+        pr_at_opt=success(l, pr_b, pr_t),
     )
+
+
+def grk_parallel_expected(space: SearchSpace, l: int, k1: int, k2: int) -> float:
+    """Every QPU must identify its block-bit group: success pr_block^l."""
+    return _block_expected(space, l, k1, k2, _grk_success)
+
+
+def grk_parallel_min(space: SearchSpace, l: int) -> SchemeResult:
+    return _block_scan_min(GRK, space, l, _grk_success, allow_k2=True)
 
 
 def hybrid_expected(space: SearchSpace, l: int, k1: int, k2: int) -> float:
     """A round succeeds if the assembled block address is right or any
     single QPU's measured item verifies classically."""
-    _check_block_scheme(space, l)
-    pr_b, pr_t = _grk_probabilities(space, k1, k2)
-    denom = 1.0 - (1.0 - pr_b**l) * (1.0 - pr_t) ** l
-    return (1 + k1 + k2) / denom
+    return _block_expected(space, l, k1, k2, _hybrid_success)
 
 
 def hybrid_min(space: SearchSpace, l: int, allow_k2: bool = True) -> SchemeResult:
-    _check_block_scheme(space, l)
-
-    def objective(q, prb, prt):
-        return q / (1.0 - (1.0 - prb**l) * (1.0 - prt) ** l)
-
-    e, k1, k2, pr_b, pr_t = grk_scan_min(space, objective, allow_k2=allow_k2)
-    pr = 1.0 - (1.0 - pr_b**l) * (1.0 - pr_t) ** l
-    return SchemeResult(
-        kind=HYBRID, l=l, k1=k1, k2=k2, queries=1 + k1 + k2, e_min=e, pr_at_opt=pr
-    )
+    return _block_scan_min(HYBRID, space, l, _hybrid_success, allow_k2)
 
 
 # -- hybrid closed forms ---------------------------------------------------
@@ -248,21 +253,6 @@ def hybrid_large_l_asymptotic(n: int) -> tuple[float, float]:
 
 
 # -- cross-scheme comparison -----------------------------------------------
-
-
-def scheme_min(spec: SchemeSpec, allow_k2: bool = True) -> SchemeResult:
-    """Dispatch to the right optimizer for one configuration."""
-    if spec.space is None:
-        raise ParameterError(f"scheme {spec.kind} needs a space")
-    if spec.kind == INNER:
-        return inner_min(spec.space.N, spec.l)
-    if spec.kind == OUTER:
-        return outer_min(spec.space.N, spec.l)
-    if spec.kind == GRK:
-        return grk_parallel_min(spec.space, spec.l)
-    if spec.kind == HYBRID:
-        return hybrid_min(spec.space, spec.l, allow_k2=allow_k2)
-    raise ParameterError(f"unknown scheme kind {spec.kind!r}")
 
 
 def compare_schemes(

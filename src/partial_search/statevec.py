@@ -208,6 +208,8 @@ def verify_subspace(
     space = new_search_space(n, m)
     if num_random_sequences < 1 or max_k < 1:
         raise ParameterError("num_random_sequences and max_k must be >= 1")
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError("tol must be finite and >= 0")
     _check_size(n)
     rng = np.random.default_rng(seed)
     draws, targets = [], []

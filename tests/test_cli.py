@@ -9,9 +9,12 @@ import csv
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,12 @@ from partial_search import (
     OperatorSequence,
     ParameterError,
     apply_sequence,
+    grk_parallel_min,
+    hybrid_min,
+    inner_min,
     new_search_space,
+    outer_min,
+    space_for_parallelism,
 )
 from partial_search.cli import build_parser, parse_range, run
 
@@ -116,6 +124,113 @@ def test_verify_counts_below_one_are_usage_errors(capsys, flag, count):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_not_finite_and_nonnegative_is_a_usage_error(capsys, tol):
+    rc, out, err = run_cli(capsys, "verify", "--n", "6", "--m", "2", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--scheme", "compare", "--n", "18", "--l-range", "3..3", "--no-k2"),
+        ("--scheme", "grk", "--n", "18", "--l", "3", "--no-k2"),
+        ("--scheme", "compare", "--n", "6", "--l", "2"),
+        ("--scheme", "outer", "--n", "6", "--l", "2", "--l-range", "1..4"),
+    ],
+)
+def test_parallel_flags_that_do_not_apply_are_usage_errors(capsys, argv):
+    # --no-k2 is hybrid-only, --l single-scheme-only, --l-range compare-only
+    rc, out, err = run_cli(capsys, "parallel", *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- column schema ---------------------------------------------------------------
+
+_SCHEME_COLUMNS = [
+    "scheme", "l", "admissible", "reason", "k1", "k2", "queries", "e_min", "pr_at_opt",
+]
+_ENUMERATE_COLUMNS = [
+    "k_tot", "pr_max", "pr_percent", "expected_iterations", "e_rendered",
+    "sequence", "tokens", "is_grk", "num_ties",
+]
+_TIES_COLUMNS = [
+    "k_tot", "tie_index", "pr_max", "pr_percent", "expected_iterations",
+    "sequence", "tokens", "is_grk",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, csv_columns, json_keys",
+    [
+        (
+            ("angles", "--n", "4", "--m", "2"),
+            ["n", "m", "N", "b", "K", "theta1", "theta2", "gamma",
+             "sin_theta1", "sin_theta2", "sin_gamma"],
+            None,
+        ),
+        (
+            ("simulate", "--n", "4", "--m", "2", "--seq", "g:1"),
+            ["n", "m", "tokens", "product", "queries", "block_probability",
+             "target_probability", "amp_t", "amp_bt", "amp_bbar"],
+            None,
+        ),
+        (("enumerate", "--n", "4", "--m", "2", "--ktot", "2..3"), _ENUMERATE_COLUMNS, None),
+        (
+            ("enumerate", "--n", "4", "--m", "2", "--ktot", "2..3", "--all-ties"),
+            _TIES_COLUMNS,
+            None,
+        ),
+        (
+            ("tables", "--n", "4", "--which", "pr", "--m-range", "2..3", "--k-range", "2..3"),
+            ["n", "m", "k_tot", "value", "sequence", "is_grk"],
+            None,
+        ),
+        (
+            ("bounds", "--n", "6"),
+            ["m", "e_min", "k1", "k2", "k_tot", "bound_narrow", "bound_wide",
+             "bound_selected", "unit_probability_reference"],
+            None,
+        ),
+        (
+            ("bounds", "--n", "6", "--m", "3", "--ktot-range", "3..4"),
+            ["k_tot", "alpha", "pr_numeric", "pr_bound", "gap", "k1", "k2",
+             "k2_rule_floor", "k2_rule_round"],
+            None,
+        ),
+        (("parallel", "--scheme", "outer", "--n", "4", "--l", "2"), _SCHEME_COLUMNS, None),
+        (
+            ("parallel", "--scheme", "compare", "--n", "4", "--l-range", "1..3"),
+            _SCHEME_COLUMNS,
+            None,
+        ),
+        (
+            ("verify", "--n", "4", "--m", "2", "--sequences", "2"),
+            ["n", "m", "max_deviation", "worst_sequence", "worst_target_index",
+             "num_failures", "passed"],
+            ["n", "m", "sequences", "max_k", "tol", "seed", "max_deviation",
+             "worst_case", "failures", "passed"],
+        ),
+    ],
+)
+def test_column_schema(capsys, argv, csv_columns, json_keys):
+    # json_keys None: the JSON rows carry the CSV columns
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    header = next(line for line in out.splitlines() if not line.startswith("# "))
+    assert header.split(",") == csv_columns
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) >= 1
+    for row in rows:
+        assert list(row) == (json_keys or csv_columns)
 
 
 # -- angles / simulate ---------------------------------------------------------
@@ -333,6 +448,38 @@ def test_parallel_compare_lists_skips(capsys):
     assert ls == sorted(ls)
 
 
+@pytest.mark.parametrize(
+    "scheme, extra",
+    [("inner", ()), ("outer", ()), ("grk", ()), ("hybrid", ()), ("hybrid", ("--no-k2",))],
+)
+def test_parallel_single_scheme_row_is_the_library_result(capsys, scheme, extra):
+    n, l = 6, 2
+    space = space_for_parallelism(n, l)
+    expected = {
+        "inner": lambda: inner_min(2**n, l),
+        "outer": lambda: outer_min(2**n, l),
+        "grk": lambda: grk_parallel_min(space, l),
+        "hybrid": lambda: hybrid_min(space, l, allow_k2=not extra),
+    }[scheme]()
+    rc, out, _ = run_cli(
+        capsys, "parallel", "--scheme", scheme, "--n", str(n), "--l", str(l), *extra
+    )
+    assert rc == 0
+    _, rows = parse_csv(out)
+    (row,) = rows
+    assert (row["scheme"], row["admissible"], row["reason"]) == (scheme, "true", "")
+    parsed = {
+        "kind": row["scheme"],
+        "l": int(row["l"]),
+        "k1": int(row["k1"]),
+        "k2": int(row["k2"]) if row["k2"] else None,
+        "queries": int(row["queries"]),
+        "e_min": float(row["e_min"]),
+        "pr_at_opt": float(row["pr_at_opt"]),
+    }
+    assert parsed == asdict(expected)
+
+
 # -- verify --------------------------------------------------------------------
 
 
@@ -387,6 +534,27 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert out == ""
     rc2, expected, _ = run_cli(capsys, "angles", "--n", "8", "--m", "2")
     assert target.read_text() == expected
+
+
+def test_out_into_a_missing_directory_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli(
+        capsys, "angles", "--n", "8", "--m", "2", "--out", str(target)
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_readme_enumerate_example_is_current(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command = "partial-search enumerate --n 8 --m 3 --ktot 4..5"
+    block = re.search(r"```\n\$ " + re.escape(command) + r"\n(.*?)```", readme, re.S)
+    assert block is not None
+    rc, out, _ = run_cli(capsys, *command.split()[1:])
+    assert rc == 0
+    assert out == block.group(1)
 
 
 def test_installed_entry_point():

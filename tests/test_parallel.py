@@ -9,7 +9,6 @@ import pytest
 from partial_search import (
     ConstraintError,
     SchemeResult,
-    SchemeSpec,
     bound_constants,
     compare_schemes,
     grk_parallel_expected,
@@ -25,7 +24,6 @@ from partial_search import (
     new_search_space,
     outer_expected,
     outer_min,
-    scheme_min,
     space_for_parallelism,
 )
 
@@ -254,13 +252,3 @@ def test_six_qubit_hybrid_vs_inner_non_vacuous():
     by_kind = {r.kind: r for r in results}
     assert by_kind["hybrid"].e_min < by_kind["inner"].e_min
 
-
-def test_scheme_min_dispatch():
-    n = 6
-    sp = space_for_parallelism(n, 2)
-    for kind in ("inner", "outer", "grk", "hybrid"):
-        res = scheme_min(SchemeSpec(kind=kind, l=2, space=sp))
-        assert res.kind == kind and res.l == 2
-    direct = hybrid_min(sp, 2, allow_k2=False)
-    via_spec = scheme_min(SchemeSpec(kind="hybrid", l=2, space=sp), allow_k2=False)
-    assert via_spec.e_min == direct.e_min

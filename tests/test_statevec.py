@@ -198,6 +198,13 @@ def test_verify_subspace_rejects_counts_below_one(counts):
         verify_subspace(6, 2, num_random_sequences=sequences, max_k=max_k)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_verify_subspace_rejects_tol_that_is_not_finite_and_nonnegative(tol):
+    # with tol = nan every `deviation > tol` is false and any report passes
+    with pytest.raises(ParameterError):
+        verify_subspace(6, 2, num_random_sequences=3, tol=tol)
+
+
 def test_verify_subspace_reports_failures_at_absurd_tol():
     report = verify_subspace(6, 2, num_random_sequences=10, max_k=20, tol=1e-18)
     assert report["passed"] is False
