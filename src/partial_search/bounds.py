@@ -15,18 +15,16 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import grk_max_block_probability, grk_scan_min, scan_shape
-from .space import SearchSpace, angles, new_search_space
+from .space import SearchSpace, angles, grover_angle, new_search_space
 
 BISECT_ITERS = 200
 
 
-def bisect_root(
-    f: Callable[[float], float], lo: float, hi: float, iters: int = BISECT_ITERS
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Plain bisection; requires a sign change on [lo, hi].
 
-    200 halvings put the bracket far below double resolution, so the
-    result is as exact as the function evaluation allows.
+    BISECT_ITERS halvings put the bracket far below double resolution, so
+    the result is as exact as the function evaluation allows.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -35,7 +33,7 @@ def bisect_root(
         return hi
     if (flo > 0) == (fhi > 0):
         raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(iters):
+    for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -101,8 +99,9 @@ def bound_constants() -> BoundConstants:
     # implicit-function slope of the perturbed stationarity in gamma
     ktot_block = epsilon * (s4 - 4.0 * a0 * c4) / (8.0 * a0 * c4)
 
-    # full-search optimum: tan(u) = 2u with u = (2k+1) theta1
-    u0 = bisect_root(lambda u: math.tan(u) - 2.0 * u, 0.8, 1.5)
+    # full-search optimum: tan(u) = 2u with u = (2k+1) theta1 is the
+    # stationarity above at u = 2a, so it needs no bisection of its own
+    u0 = 2.0 * a0
     pr0 = math.sin(u0) ** 2
 
     # expectation expansion around a0 (v = ktot_block)
@@ -145,7 +144,7 @@ def grover_kmin(N: int) -> tuple[float, float, float]:
     """
     if N < 4:
         raise ParameterError("N must be >= 4")
-    theta1 = math.asin(N**-0.5)
+    theta1 = grover_angle(N)
 
     def f(u: float) -> float:
         return math.tan(u) - 2.0 * (u - theta1)
@@ -157,14 +156,11 @@ def grover_kmin(N: int) -> tuple[float, float, float]:
         pr = math.sin(u) ** 2
         return k, pr, k / pr
 
-    best: tuple[float, int, float] | None = None
-    for k in range(1, math.ceil(math.pi * math.sqrt(N) / 4.0) + 2):
-        pr = math.sin((2 * k + 1) * theta1) ** 2
-        e = k / pr
-        if best is None or e < best[0]:
-            best = (e, k, pr)
-    assert best is not None
-    return float(best[1]), best[2], best[0]
+    # min keeps the first (fewest-query) minimum
+    ks = range(1, math.ceil(math.pi * math.sqrt(N) / 4.0) + 2)
+    k_int = min(ks, key=lambda k: k / math.sin((2 * k + 1) * theta1) ** 2)
+    pr_int = math.sin((2 * k_int + 1) * theta1) ** 2
+    return float(k_int), pr_int, k_int / pr_int
 
 
 # -- GRK closed-form parameters ------------------------------------------
@@ -235,18 +231,23 @@ def predicted_optimal_ktot(space: SearchSpace) -> float:
     return c.ktot_coeff * math.sqrt(space.N) + c.ktot_block_coeff * math.sqrt(space.b)
 
 
+def _min_expected_branches(space: SearchSpace) -> tuple[float, float, float]:
+    """(narrow, wide, selected): both analytic branches and the one that
+    applies, narrow for m <= n//2."""
+    c = bound_constants()
+    sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
+    narrow = c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b
+    wide = space.K - 8.0 * space.K**2 / space.N
+    return narrow, wide, narrow if space.m <= space.n // 2 else wide
+
+
 def min_expected_bound(space: SearchSpace) -> float:
     """Minimal expected queries, analytic branches.
 
     Narrow blocks (m <= n//2): 0.69 sqrt(N) - 0.4054 sqrt(b).
     Wide blocks (m > n//2): K - 8 K^2 / N (single-query regime).
     """
-    c = bound_constants()
-    if space.m <= space.n // 2:
-        return c.grover_emin_coeff * math.sqrt(space.N) + c.emin_block_coeff * math.sqrt(
-            space.b
-        )
-    return space.K - 8.0 * space.K**2 / space.N
+    return _min_expected_branches(space)[2]
 
 
 # -- numeric sweeps (plot-ready data) -------------------------------------
@@ -282,6 +283,7 @@ def min_expected_sweep(
     for space in spaces:
         e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
+        narrow, wide, selected = _min_expected_branches(space)
         out.append(
             MinExpectedRecord(
                 m=space.m,
@@ -289,9 +291,9 @@ def min_expected_sweep(
                 k1=k1,
                 k2=k2,
                 k_tot=1 + k1 + k2,
-                bound_narrow=c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b,
-                bound_wide=space.K - 8.0 * space.K**2 / space.N,
-                bound_selected=min_expected_bound(space),
+                bound_narrow=narrow,
+                bound_wide=wide,
+                bound_selected=selected,
                 unit_probability_reference=math.pi * sqrt_n / 4.0 - c.c_grk * sqrt_b,
             )
         )

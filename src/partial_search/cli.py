@@ -29,9 +29,9 @@ from .enumeration import (
     render_percent,
     table_sweep,
 )
-from .errors import ParameterError, PartialSearchError, UsageError
+from .errors import PartialSearchError, UsageError
 from .space import angles as space_angles
-from .space import new_search_space
+from .space import grover_sine, new_search_space
 from .statevec import verify_subspace
 
 SCHEMA_VERSION = "1"
@@ -251,19 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_angles(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
-    a = space_angles(space)
     row = {
-        "n": space.n,
-        "m": space.m,
-        "N": space.N,
-        "b": space.b,
-        "K": space.K,
-        "theta1": a.theta1,
-        "theta2": a.theta2,
-        "gamma": a.gamma,
-        "sin_theta1": 1.0 / math.sqrt(space.N),
-        "sin_theta2": 1.0 / math.sqrt(space.b),
-        "sin_gamma": 1.0 / math.sqrt(space.K),
+        **asdict(space),
+        **asdict(space_angles(space)),
+        "sin_theta1": grover_sine(space.N),
+        "sin_theta2": grover_sine(space.b),
+        "sin_gamma": grover_sine(space.K),
     }
     return OutputRecord("angles", {"n": args.n, "m": args.m}, [row])
 
@@ -356,7 +349,7 @@ def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
     params: dict[str, Any] = {"n": args.n}
     if args.ktot_range is not None:
         if args.m is None:
-            raise ParameterError("--ktot-range needs --m")
+            raise UsageError("--ktot-range needs --m")
         params.update({"m": args.m, "ktot_range": args.ktot_range})
         space = new_search_space(args.n, args.m)
         comparison = bounds_mod.pr_bound_comparison(space, parse_range(args.ktot_range))
@@ -408,7 +401,7 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
         return OutputRecord("parallel", params, rows)
 
     if args.l is None:
-        raise ParameterError("--l is required for a single scheme")
+        raise UsageError("--l is required for a single scheme")
     params["l"] = args.l
     if args.scheme == "inner":
         res = parallel_mod.inner_min(N, args.l)

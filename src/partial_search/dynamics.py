@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .space import SearchSpace, angles
+from .space import SearchSpace, angles, grover_angle
 
 # amplitudes may leave [0,1] by accumulated rounding; anything worse than
 # this is a real bug, not noise
@@ -262,7 +262,7 @@ def grover_full_search_probability(n: int, k: int) -> float:
     """Closed form sin^2((2k+1) theta1) for k global queries on 2^n items."""
     if k < 0:
         raise ParameterError("k must be >= 0")
-    theta1 = math.asin(math.exp(-0.5 * n * math.log(2.0)))
+    theta1 = grover_angle(1 << n)
     return _clamp_probability(math.sin((2 * k + 1) * theta1) ** 2)
 
 

@@ -202,12 +202,12 @@ def expected_iterations(space: SearchSpace, seq: OperatorSequence) -> float:
 def min_expected_over_budget(
     space: SearchSpace, k_range: Iterable[int], workers: int | None = None
 ) -> tuple[int, EnumerationResult]:
-    """Argmin of k / pr_max(k) over the budget range, ties to smaller k."""
-    best: tuple[int, EnumerationResult] | None = None
-    for k in k_range:
-        res = enumerate_max_probability(space, k, workers=workers)
-        if best is None or res.expected_iterations < best[1].expected_iterations:
-            best = (k, res)
+    """Argmin of k / pr_max(k) over the budget range, ties to the earlier k."""
+    best = min(
+        ((k, enumerate_max_probability(space, k, workers=workers)) for k in k_range),
+        key=lambda pair: pair[1].expected_iterations,
+        default=None,
+    )
     if best is None:
         raise ParameterError("empty k_tot range")
     return best

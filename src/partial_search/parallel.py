@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
+from .bounds import bound_constants
 from .dynamics import (
     Kind,
     OperatorSequence,
@@ -27,7 +28,7 @@ from .dynamics import (
 )
 from .errors import ConstraintError, ParameterError
 from .scans import grk_scan_min, scan_shape
-from .space import SearchSpace, new_search_space
+from .space import SearchSpace, grover_angle, new_search_space
 
 INNER = "inner"
 OUTER = "outer"
@@ -78,14 +79,11 @@ def _is_power_of_two(x: int) -> bool:
 
 
 def _inner_success(N: int, l: int, k: int) -> float:
-    theta = math.asin(math.sqrt(l / N))
-    return math.sin((2 * k + 1) * theta) ** 2
+    return math.sin((2 * k + 1) * grover_angle(N // l)) ** 2
 
 
 def _outer_success(N: int, l: int, k: int) -> float:
-    theta1 = math.asin(N**-0.5)
-    pr1 = math.sin((2 * k + 1) * theta1) ** 2
-    return 1.0 - (1.0 - pr1) ** l
+    return 1.0 - (1.0 - _inner_success(N, 1, k)) ** l
 
 
 def _check_inner(N: int, l: int) -> None:
@@ -224,7 +222,7 @@ class HybridL2Bound:
 def hybrid_l2_lower_bound(N: int) -> HybridL2Bound:
     """Analytic floor of the two-QPU hybrid expectation: (2 pi/13) sqrt(N),
     the curve value at phi = pi/4 (the near-minimum of the curve)."""
-    coeff = 2.0 * math.pi / 13.0
+    coeff = bound_constants().hybrid_l2_coeff
     return HybridL2Bound(coefficient=coeff, floor=coeff * math.sqrt(N))
 
 
@@ -243,8 +241,6 @@ def hybrid_large_l_asymptotic(n: int) -> tuple[float, float]:
     """Saturated parallelism l = n: optimal queries and expectation,
     k_min = 0.56045 sqrt(N/n), e_min = 0.7835 sqrt(N/n) (the outer
     scheme's coefficient; recomputed, not hard-coded)."""
-    from .bounds import bound_constants
-
     if n < 1:
         raise ParameterError("n must be >= 1")
     c = bound_constants()

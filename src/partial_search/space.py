@@ -64,15 +64,21 @@ def new_search_space(n: int, m: int) -> SearchSpace:
     return SearchSpace(n=n, m=m, N=1 << n, b=1 << m, K=1 << (n - m))
 
 
-def _arcsin_pow2(x: int) -> float:
-    # arcsin(2^(-x/2)) via exp keeps full precision for large x
-    return math.asin(math.exp(-0.5 * x * math.log(2.0)))
+def grover_sine(items: int) -> float:
+    """sqrt(1/items): the division is exact for a power of two, so only
+    the square root rounds and the result is correctly rounded."""
+    return math.sqrt(1.0 / items)
+
+
+def grover_angle(items: int) -> float:
+    """arcsin(sqrt(1/items)), the one place an item count becomes an angle."""
+    return math.asin(grover_sine(items))
 
 
 def angles(space: SearchSpace) -> Angles:
-    """Exact double-precision arcsines for the given geometry."""
+    """The geometry's three angles, each within 1 ulp of the exact arcsine."""
     return Angles(
-        theta1=_arcsin_pow2(space.n),
-        theta2=_arcsin_pow2(space.m),
-        gamma=_arcsin_pow2(space.n - space.m),
+        theta1=grover_angle(space.N),
+        theta2=grover_angle(space.b),
+        gamma=grover_angle(space.K),
     )

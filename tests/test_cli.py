@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from partial_search import (
@@ -93,7 +94,7 @@ def test_domain_errors_return_1(capsys):
     assert rc == 1
 
     rc, _, err = run_cli(capsys, "bounds", "--n", "8", "--ktot-range", "2..4")
-    assert rc == 1
+    assert rc == 2  # a missing companion flag is a usage error
     assert "--m" in err
 
 
@@ -253,6 +254,16 @@ def test_angles_csv_values(capsys):
     assert float(row["theta1"]) == math.asin(1 / 16)
 
 
+def test_angles_sines_are_correctly_rounded(capsys):
+    rc, out, _ = run_cli(capsys, "angles", "--n", "33", "--m", "12")
+    assert rc == 0
+    row = parse_csv(out)[1][0]
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    for col, x in (("sin_theta1", 33), ("sin_theta2", 12), ("sin_gamma", 21)):
+        assert float(row[col]) == float(ctx.power(2, ctx.mpf(-x) / 2)), col
+
+
 def test_simulate_reports_exact_amplitudes(capsys):
     rc, out, _ = run_cli(
         capsys, "simulate", "--n", "8", "--m", "2", "--seq", "l:1,g:1"
@@ -396,7 +407,7 @@ def test_parallel_single_scheme(capsys):
     assert err.startswith("error:")
 
     rc, _, err = run_cli(capsys, "parallel", "--scheme", "inner", "--n", "10")
-    assert rc == 1  # missing --l
+    assert rc == 2  # missing --l
 
     for scheme in ("inner", "outer"):
         rc, out, err = run_cli(

@@ -13,6 +13,7 @@ from partial_search import (
     compare_schemes,
     grk_parallel_expected,
     grk_parallel_min,
+    grover_full_search_probability,
     grover_kmin,
     hybrid_expected,
     hybrid_l2_curve,
@@ -86,6 +87,19 @@ def test_outer_matches_continuous_substitution():
     cont64 = bound_constants().outer_min_coeff * math.sqrt(N / 64)
     # saturation constant converges like 1/l; still 3.0% off at l=64
     assert abs(res64.e_min - cont64) / cont64 < 0.035
+
+
+@pytest.mark.parametrize("n", [6, 11])
+def test_inner_and_outer_share_the_full_search_law(n):
+    # bit for bit: one angle and one sin^2((2k+1) theta) for every scheme
+    N = 1 << n
+    for j in range(3):
+        res = inner_min(N, 1 << j)
+        assert res.pr_at_opt == grover_full_search_probability(n - j, res.k1)
+    for l in (1, 3, 5):
+        res = outer_min(N, l)
+        pr1 = grover_full_search_probability(n, res.k1)
+        assert res.pr_at_opt == 1.0 - (1.0 - pr1) ** l
 
 
 # -- block-scheme plumbing ----------------------------------------------------------

@@ -80,6 +80,17 @@ def test_grk_sequences_match_60_digit_oracle(n, m):
     assert worst <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "n, m, j", [(33, 16, 37073), (48, 24, 6710886), (55, 27, 75925012)]
+)
+def test_long_global_runs_match_60_digit_oracle(n, m, j):
+    # about pi*sqrt(N)/4 globals: the rounding error of theta1 is
+    # multiplied by 2j + 1, so these runs see the angle's last bits
+    state = apply_sequence(new_search_space(n, m), OperatorSequence([(G, j)]))
+    ref = oracle_state(n, m, [(G, j)])
+    assert abs(1.0 - state.amp_bbar**2 - float(1 - ref[2] ** 2)) <= 4e-16
+
+
 def test_oracle_reproduces_known_probability():
     # guards the oracle itself: one local then one global at (8, 2)
     ref = oracle_state(8, 2, [(L, 1), (G, 1)])

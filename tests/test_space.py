@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from partial_search import ParameterError, angles, new_search_space
@@ -73,6 +74,21 @@ def test_sine_squares_invert_sizes():
         assert math.sin(a.theta1) ** 2 * sp.N == pytest.approx(1.0, rel=1e-14)
         assert math.sin(a.theta2) ** 2 * sp.b == pytest.approx(1.0, rel=1e-14)
         assert math.sin(a.gamma) ** 2 * sp.K == pytest.approx(1.0, rel=1e-14)
+
+
+def test_angles_within_one_ulp_of_the_exact_arcsine():
+    # every exponent x in 0..62 of sin = 2^(-x/2), as theta1, theta2 or gamma
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    exact = {x: ctx.asin(ctx.power(2, ctx.mpf(-x) / 2)) for x in range(63)}
+    worst = 0.0
+    for n in range(1, 63):
+        for m in range(n):
+            a = angles(new_search_space(n, m))
+            for got, x in ((a.theta1, n), (a.theta2, m), (a.gamma, n - m)):
+                err = float(abs(ctx.mpf(got) - exact[x])) / math.ulp(got)
+                worst = max(worst, err)
+    assert worst <= 1.0
 
 
 def test_spaces_are_frozen_values():
