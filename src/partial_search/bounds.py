@@ -45,6 +45,44 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def continuous_kmin(theta: float, l: int) -> float:
+    """Continuous minimizer over k >= 1 of k / (1 - cos^(2l) u) with
+    u = (2k+1) theta: full search (l = 1) or l replicas of it.
+
+    The root of 1 - cos^(2l) u = 2l (u - theta) cos^(2l-1) u sin u on
+    (3 theta, pi/2); 1 if 3 theta >= pi/2 or the objective already rises
+    there. 1 - cos^(2l) u is -expm1(l log1p(-sin^2 u)): the plain form
+    loses every digit as sin^2 u nears an ulp of 1 (from n = 56). Unique for
+    l = 1: a stationary point has tan u = 4 theta k, so k >= 1 puts it at
+    u > pi/4 (tan u <= 4u/pi below), where the slope crosses upward. For
+    l > 1 only checked on a grid, not proved.
+    """
+
+    def slope(u: float) -> float:
+        s = math.sin(u)
+        if s == 1.0:  # log1p(-1.0) raises; cos u = 0 here
+            return 1.0
+        log_c2 = math.log1p(-s * s)
+        tail = 2.0 * l * (u - theta) * math.exp((l - 0.5) * log_c2) * s
+        return -math.expm1(l * log_c2) - tail
+
+    lo = 3.0 * theta
+    if lo >= 0.5 * math.pi or slope(lo) >= 0.0:
+        return 1.0
+    return 0.5 * (bisect_root(slope, lo, 0.5 * math.pi) / theta - 1.0)
+
+
+def grover_kmin(N: int) -> tuple[float, float, float]:
+    """Continuous minimizer of k / sin^2((2k+1) theta1) over k >= 1 (it is
+    1 for N < 16): (k_min, probability at k_min, expectation at k_min)."""
+    if N < 4:
+        raise ParameterError("N must be >= 4")
+    theta1 = grover_angle(N)
+    k = continuous_kmin(theta1, 1)
+    pr = math.sin((2 * k + 1) * theta1) ** 2
+    return k, pr, k / pr
+
+
 @dataclass(frozen=True)
 class BoundConstants:
     """Recomputed roots and coefficients used by the closed-form bounds.
@@ -130,39 +168,6 @@ def bound_constants() -> BoundConstants:
     )
 
 
-# -- full-search optimum -------------------------------------------------
-
-
-def grover_kmin(N: int) -> tuple[float, float, float]:
-    """Continuous minimizer of k / sin^2((2k+1) theta1).
-
-    Returns (k_min, probability at k_min, expectation at k_min). The
-    stationarity condition tan((2k+1)theta1) = 4 theta1 k has an interior
-    root bracketed by ((2k+1)theta1) in (pi/4, pi/2) only for N >= 16;
-    for smaller N the optimum sits on the integer grid and an integer
-    scan is returned instead.
-    """
-    if N < 4:
-        raise ParameterError("N must be >= 4")
-    theta1 = grover_angle(N)
-
-    def f(u: float) -> float:
-        return math.tan(u) - 2.0 * (u - theta1)
-
-    lo, hi = math.pi / 4.0, math.pi / 2.0 - 1e-9
-    if f(lo) < 0.0 < f(hi):
-        u = bisect_root(f, lo, hi)
-        k = 0.5 * (u / theta1 - 1.0)
-        pr = math.sin(u) ** 2
-        return k, pr, k / pr
-
-    # min keeps the first (fewest-query) minimum
-    ks = range(1, math.ceil(math.pi * math.sqrt(N) / 4.0) + 2)
-    k_int = min(ks, key=lambda k: k / math.sin((2 * k + 1) * theta1) ** 2)
-    pr_int = math.sin((2 * k_int + 1) * theta1) ** 2
-    return float(k_int), pr_int, k_int / pr_int
-
-
 # -- GRK closed-form parameters ------------------------------------------
 
 
@@ -196,9 +201,8 @@ def grk_optimal_parameters(space: SearchSpace) -> GrkParameters:
         )
     eta = 0.5 * math.sqrt(K) * math.atan(math.sqrt(3.0 * K - 4.0) / (K - 2.0))
     alpha = 0.5 * math.acos((K - 2.0) / (2.0 * (K - 1.0)))
-    sqrt_n = math.sqrt(space.N)
     sqrt_b = math.sqrt(space.b)
-    k1 = round(math.pi * sqrt_n / 4.0 - eta * sqrt_b)
+    k1 = round(math.pi * math.sqrt(space.N) / 4.0 - eta * sqrt_b)
     k2 = round(alpha * sqrt_b)
     return GrkParameters(eta=eta, alpha=alpha, k1=k1, k2=k2)
 

@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     shared.add_argument("--out", default=None, help="output file (default stdout)")
-    shared.add_argument(
+    enumeration = argparse.ArgumentParser(add_help=False)
+    enumeration.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[shared],
+        parents=[shared, enumeration],
         help=f"exhaustive optimum over all sequences (k_tot <= {K_TOT_CAP})",
     )
     p.add_argument("--n", type=int, required=True)
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tables",
-        parents=[shared],
+        parents=[shared, enumeration],
         help="optimum grid over (m, k_tot) at table precision",
     )
     p.add_argument("--n", type=int, default=8)

@@ -20,13 +20,9 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .bounds import bound_constants
-from .dynamics import (
-    Kind,
-    OperatorSequence,
-    apply_sequence,
-)
-from .errors import ConstraintError, ParameterError
+from .bounds import bound_constants, continuous_kmin
+from .dynamics import Kind, OperatorSequence, apply_sequence
+from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import grk_scan_min, scan_shape
 from .space import SearchSpace, grover_angle, new_search_space
 
@@ -40,6 +36,7 @@ SCHEME_KINDS = (INNER, OUTER, GRK, HYBRID)
 # floats and, inside the scans, on numpy arrays
 Prob = TypeVar("Prob", float, np.ndarray)
 BlockSuccess = Callable[[int, Prob, Prob], Prob]
+QuerySuccess = Callable[[int, int, int], float]  # inner/outer, from (N, l, k)
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,20 @@ def _check_inner(N: int, l: int) -> None:
         )
 
 
-def _query_scan_min(
-    kind: str, N: int, l: int, hi: int, success: Callable[[int, int, int], float]
+def _expectation(queries: int, pr: float) -> float:
+    if pr <= 0.0:
+        raise NumericalError("zero success probability, expectation diverges")
+    return queries / pr
+
+
+def _query_min(
+    kind: str, N: int, l: int, theta: float, replicas: int, success: QuerySuccess
 ) -> SchemeResult:
-    """Minimize k / success(N, l, k) over k = 1..hi; min keeps the first
+    """Minimize k / success(N, l, k) over k0 - 1..k0 + 1 (k >= 1), k0 the
+    floor of continuous_kmin(theta, replicas); min keeps the first
     (fewest-query) minimum."""
-    k = min(range(1, hi + 1), key=lambda k: k / success(N, l, k))
+    k0 = max(1, math.floor(continuous_kmin(theta, replicas)))
+    k = min(range(max(1, k0 - 1), k0 + 2), key=lambda k: k / success(N, l, k))
     pr = success(N, l, k)
     return SchemeResult(kind=kind, l=l, k1=k, k2=None, queries=k, e_min=k / pr, pr_at_opt=pr)
 
@@ -109,13 +114,12 @@ def inner_expected(N: int, l: int, k: int) -> float:
     _check_inner(N, l)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return k / _inner_success(N, l, k)
+    return _expectation(k, _inner_success(N, l, k))
 
 
 def inner_min(N: int, l: int) -> SchemeResult:
     _check_inner(N, l)
-    hi = math.ceil(math.pi * math.sqrt(N / l) / 4.0) + 2
-    return _query_scan_min(INNER, N, l, hi, _inner_success)
+    return _query_min(INNER, N, l, grover_angle(N // l), 1, _inner_success)
 
 
 def outer_expected(N: int, l: int, k: int) -> float:
@@ -123,13 +127,12 @@ def outer_expected(N: int, l: int, k: int) -> float:
     _require_parallelism(l)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    return k / _outer_success(N, l, k)
+    return _expectation(k, _outer_success(N, l, k))
 
 
 def outer_min(N: int, l: int) -> SchemeResult:
     _require_parallelism(l)
-    hi = math.ceil(math.pi * math.sqrt(N) / 4.0)
-    return _query_scan_min(OUTER, N, l, hi, _outer_success)
+    return _query_min(OUTER, N, l, grover_angle(N), l, _outer_success)
 
 
 # -- grk-based and hybrid --------------------------------------------------
@@ -170,7 +173,7 @@ def _block_expected(
         raise ParameterError("k1 and k2 must be >= 0")
     seq = OperatorSequence([(Kind.GLOBAL, k1), (Kind.LOCAL, k2), (Kind.GLOBAL, 1)])
     st = apply_sequence(space, seq)
-    return (1 + k1 + k2) / success(l, 1.0 - st.amp_bbar**2, st.amp_t**2)
+    return _expectation(1 + k1 + k2, success(l, 1.0 - st.amp_bbar**2, st.amp_t**2))
 
 
 def _block_scan_min(
@@ -180,14 +183,9 @@ def _block_scan_min(
     e, k1, k2, pr_b, pr_t = grk_scan_min(
         space, lambda q, prb, prt: q / success(l, prb, prt), allow_k2=allow_k2
     )
+    pr = success(l, pr_b, pr_t)
     return SchemeResult(
-        kind=kind,
-        l=l,
-        k1=k1,
-        k2=k2,
-        queries=1 + k1 + k2,
-        e_min=e,
-        pr_at_opt=success(l, pr_b, pr_t),
+        kind=kind, l=l, k1=k1, k2=k2, queries=1 + k1 + k2, e_min=e, pr_at_opt=pr
     )
 
 
@@ -272,17 +270,15 @@ def compare_schemes(
     for l in l_values:
         if _is_power_of_two(l) and l <= N:
             results.append(inner_min(N, l))
-        elif not _is_power_of_two(l):
-            skipped.append(SkippedScheme(INNER, l, "l is not a power of two"))
         else:
-            skipped.append(SkippedScheme(INNER, l, "l exceeds N"))
+            reason = "l exceeds N" if _is_power_of_two(l) else "l is not a power of two"
+            skipped.append(SkippedScheme(INNER, l, reason))
         results.append(outer_min(N, l))
         if n % l == 0:
             space = space_for_parallelism(n, l)
             results.append(grk_parallel_min(space, l))
             results.append(hybrid_min(space, l))
         else:
-            reason = "l does not divide n"
-            skipped.append(SkippedScheme(GRK, l, reason))
-            skipped.append(SkippedScheme(HYBRID, l, reason))
+            for kind in (GRK, HYBRID):
+                skipped.append(SkippedScheme(kind, l, "l does not divide n"))
     return results, skipped

@@ -23,7 +23,7 @@ from partial_search import (
     pr_max_bound,
     predicted_optimal_ktot,
 )
-from partial_search.bounds import bisect_root
+from partial_search.bounds import bisect_root, continuous_kmin
 
 G, L = Kind.GLOBAL, Kind.LOCAL
 
@@ -123,6 +123,14 @@ def test_grover_kmin_against_integer_scan():
         k_int = int(ks[np.argmin(es)])
         assert abs(k_cont - k_int) <= 1.0, n
         assert e_cont <= es.min() + 1e-9
+        # the same root serves l replicas: k / (1 - cos^(2l) u)
+        for l in (2, 3, 64):
+            k_cont = continuous_kmin(theta1, l)
+            e_cont = k_cont / (1.0 - math.cos((2 * k_cont + 1) * theta1) ** (2 * l))
+            es = ks / (1.0 - np.cos((2 * ks + 1) * theta1) ** (2 * l))
+            k_int = int(ks[np.argmin(es)])
+            assert abs(k_cont - k_int) <= 1.0, (n, l)
+            assert e_cont <= es.min() * (1.0 + 1e-12), (n, l)
 
 
 def test_grover_kmin_tiny_database():

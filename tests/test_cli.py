@@ -364,6 +364,22 @@ def test_workers_flag_and_env_agree(capsys, monkeypatch):
     assert out_flag == out_env
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("angles", "--n", "8", "--m", "2"),
+        ("simulate", "--n", "8", "--m", "2", "--seq", "g:1"),
+        ("bounds", "--n", "8"),
+        ("parallel", "--scheme", "outer", "--n", "8", "--l", "2"),
+        ("verify", "--n", "6", "--m", "2", "--sequences", "1"),
+    ],
+)
+def test_workers_belongs_to_the_enumeration_commands(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--workers", "0")
+    assert (rc, out) == (2, "")
+    assert "--workers" in err
+
+
 # -- bounds / parallel ---------------------------------------------------------
 
 
@@ -414,6 +430,24 @@ def test_parallel_single_scheme(capsys):
             capsys, "parallel", "--scheme", scheme, "--n", "20", "--l", "0"
         )
         assert (rc, out, err) == (1, "", "error: parallelism l must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "scheme, n, l",
+    [("inner", 62, 2), ("outer", 62, 1), ("outer", 58, 1)],
+)
+def test_inner_and_outer_reach_n_62(capsys, scheme, n, l):
+    # the optimum is one stationarity root, not a loop over ~1e9 k
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "parallel", "--scheme", scheme, "--n", str(n), "--l", str(l)
+    )
+    assert time.perf_counter() - t0 < 10.0
+    assert (rc, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert float(rows[0]["e_min"]) / math.sqrt(2**n / l) == pytest.approx(
+        0.690, abs=1e-3
+    )
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from partial_search import (
     ConstraintError,
+    NumericalError,
     SchemeResult,
     bound_constants,
     compare_schemes,
@@ -100,6 +101,60 @@ def test_inner_and_outer_share_the_full_search_law(n):
         res = outer_min(N, l)
         pr1 = grover_full_search_probability(n, res.k1)
         assert res.pr_at_opt == 1.0 - (1.0 - pr1) ** l
+
+
+def _scan_min(kind, n, l):
+    """The per-k scan the stationarity root replaced, caps included:
+    k = 1..ceil(pi sqrt(N/l)/4) + 2 for inner, 1..ceil(pi sqrt(N)/4) for
+    outer; min keeps the first (fewest-query) minimum."""
+    N = 1 << n
+    if kind == "inner":
+        hi = math.ceil(math.pi * math.sqrt(N / l) / 4.0) + 2
+
+        def success(k):
+            return grover_full_search_probability(n - l.bit_length() + 1, k)
+
+    else:
+        hi = math.ceil(math.pi * math.sqrt(N) / 4.0)
+
+        def success(k):
+            return 1.0 - (1.0 - grover_full_search_probability(n, k)) ** l
+
+    k = min(range(1, hi + 1), key=lambda k: k / success(k))
+    pr = success(k)
+    return SchemeResult(kind, l, k, None, k, k / pr, pr)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_inner_and_outer_match_the_per_k_scan(n):
+    N = 1 << n
+    for j in range(n + 1):
+        assert inner_min(N, 1 << j) == _scan_min("inner", n, 1 << j), j
+    for l in [*range(1, 65), 10**3, 10**6]:
+        assert outer_min(N, l) == _scan_min("outer", n, l), l
+
+
+def test_inner_and_outer_reach_the_full_range():
+    # the per-k scan ran about 1e9 steps here (and outer at k = 1, n >= 58,
+    # divided by a round success that rounds to 0); at n = 56, 1 - cos^2 u
+    # written plainly cancels near k = 1 and misplaces the root
+    cases = [(inner_min, 62, 2), (outer_min, 62, 1), (outer_min, 58, 1)]
+    for scheme_min, n, l in [*cases, (inner_min, 56, 1)]:
+        res = scheme_min(1 << n, l)
+        items = (1 << n) // l if scheme_min is inner_min else 1 << n
+        k_cont, _, e_cont = grover_kmin(items)
+        # k / pr varies by less than an ulp across the three candidates
+        # here, so rounding picks among them
+        assert abs(res.k1 - k_cont) < 2.0
+        assert res.e_min == pytest.approx(e_cont, rel=1e-12)
+
+
+def test_zero_success_probability_is_a_numerical_error():
+    # the round success rounds to 0: pr1 = 9/N is below half an ulp of 1
+    with pytest.raises(NumericalError, match="zero success probability"):
+        outer_expected(1 << 58, 1, 1)
+    with pytest.raises(NumericalError, match="zero success probability"):
+        hybrid_expected(space_for_parallelism(62, 2), 2, 0, 0)
 
 
 # -- block-scheme plumbing ----------------------------------------------------------
