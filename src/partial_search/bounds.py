@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstraintError, NumericalError, ParameterError
-from .scans import grk_max_block_probability, grk_scan_min, scan_shape
-from .space import SearchSpace, angles, grover_angle, new_search_space
+from .scans import check_splits, grk_max_block_probability, grk_scan_min, scan_shape
+from .space import SearchSpace, angles, check_qubits, grover_angle, new_search_space
 
 BISECT_ITERS = 200
 
@@ -277,6 +277,7 @@ def min_expected_sweep(
 ) -> list[MinExpectedRecord]:
     """Exact integer-scan minimum of the expectation for each m, with
     both analytic branch values and the unit-probability reference."""
+    check_qubits(n)
     if m_values is None:
         m_values = range(1, n)
     spaces = [new_search_space(n, m) for m in m_values]
@@ -324,9 +325,11 @@ def pr_bound_comparison(
 ) -> list[PrBoundRecord]:
     """Compare the exhaustive-over-(k1,k2) block probability against the
     first-order envelope for each budget."""
+    k_tots = list(k_tot_values)
+    check_splits(sum(k_tots))  # refuse an oversized range before any budget
     rule = math.pi * math.sqrt(space.b) / 6.0
     out = []
-    for k_tot in k_tot_values:
+    for k_tot in k_tots:
         pr, k1, k2 = grk_max_block_probability(space, k_tot)
         bound = pr_max_bound(space, k_tot)
         out.append(

@@ -31,7 +31,7 @@ from .enumeration import (
 )
 from .errors import PartialSearchError, UsageError
 from .space import angles as space_angles
-from .space import grover_sine, new_search_space
+from .space import check_qubits, grover_sine, new_search_space
 from .statevec import verify_subspace
 
 SCHEMA_VERSION = "1"
@@ -143,14 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     shared.add_argument("--out", default=None, help="output file (default stdout)")
-    enumeration = argparse.ArgumentParser(add_help=False)
-    enumeration.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker threads for enumeration (env PARTIAL_SEARCH_WORKERS; "
-        "results are identical for any count)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="partial-search",
@@ -177,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[shared, enumeration],
+        parents=[shared],
         help=f"exhaustive optimum over all sequences (k_tot <= {K_TOT_CAP})",
     )
     p.add_argument("--n", type=int, required=True)
@@ -189,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tables",
-        parents=[shared, enumeration],
+        parents=[shared],
         help="optimum grid over (m, k_tot) at table precision",
     )
     p.add_argument("--n", type=int, default=8)
@@ -287,7 +279,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
     rows = []
     for k in parse_range(args.ktot):
-        res = enumerate_max_probability(space, k, workers=args.workers)
+        res = enumerate_max_probability(space, k)
         if args.all_ties:
             for i, seq in enumerate(res.optimal_sequences):
                 rows.append(
@@ -325,7 +317,7 @@ def _cmd_tables(args: argparse.Namespace) -> OutputRecord:
     m_range = parse_range(args.m_range) if args.m_range else range(2, args.n)
     k_range = parse_range(args.k_range)
     rows_out = []
-    for row in table_sweep(args.n, list(m_range), list(k_range), workers=args.workers):
+    for row in table_sweep(args.n, list(m_range), list(k_range)):
         value = row.pr_percent if args.which == "pr" else row.e_rendered
         rows_out.append(
             {
@@ -384,6 +376,7 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
     if not compare and args.l_range is not None:
         raise UsageError("--l-range applies to --scheme compare only")
     n = args.n
+    check_qubits(n)
     N = 1 << n
     params: dict[str, Any] = {"scheme": args.scheme, "n": n}
     if args.no_k2:

@@ -34,7 +34,7 @@ from .dynamics import (
     local_grover_matrix,
 )
 from .errors import NumericalError, ParameterError, ResourceLimitError
-from .space import SearchSpace, new_search_space
+from .space import SearchSpace, check_qubits, new_search_space
 
 K_TOT_CAP = 30  # 2^30 leaves; beyond this the exhaustive contract is off
 TIE_TOL = 1e-9  # sequences this close to the maximum count as co-optimal
@@ -200,11 +200,11 @@ def expected_iterations(space: SearchSpace, seq: OperatorSequence) -> float:
 
 
 def min_expected_over_budget(
-    space: SearchSpace, k_range: Iterable[int], workers: int | None = None
+    space: SearchSpace, k_range: Iterable[int]
 ) -> tuple[int, EnumerationResult]:
     """Argmin of k / pr_max(k) over the budget range, ties to the earlier k."""
     best = min(
-        ((k, enumerate_max_probability(space, k, workers=workers)) for k in k_range),
+        ((k, enumerate_max_probability(space, k)) for k in k_range),
         key=lambda pair: pair[1].expected_iterations,
         default=None,
     )
@@ -235,9 +235,8 @@ def is_grk_form(seq: OperatorSequence) -> bool:
 _FOUR = Decimal("0.0001")
 
 
-def render_fixed(value: float, decimals: int = 4) -> str:
-    q = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(float(value))).quantize(q, rounding=ROUND_HALF_EVEN))
+def render_fixed(value: float) -> str:
+    return str(Decimal(repr(float(value))).quantize(_FOUR, rounding=ROUND_HALF_EVEN))
 
 
 def render_percent(pr: float) -> str:
@@ -250,18 +249,16 @@ def render_percent(pr: float) -> str:
 
 
 def table_sweep(
-    n: int,
-    m_values: Sequence[int],
-    k_values: Sequence[int],
-    workers: int | None = None,
+    n: int, m_values: Sequence[int], k_values: Sequence[int]
 ) -> list[TableRow]:
     """One row per (m, k_tot): the optimum sequence, its probability and
     expected iterations, rendered at table precision."""
+    check_qubits(n)
     rows = []
     for m in m_values:
         space = new_search_space(n, m)
         for k in k_values:
-            res = enumerate_max_probability(space, k, workers=workers)
+            res = enumerate_max_probability(space, k)
             seq = res.canonical
             rows.append(
                 TableRow(

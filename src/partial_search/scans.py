@@ -35,6 +35,9 @@ def default_k2_cap(space: SearchSpace) -> int:
 
 _CHUNK_CELLS = 4096  # cells per scan chunk; larger ones cost peak memory
 _SCAN_CELL_CAP = 1 << 29  # budget x k2 columns; about 16 s at ~33M cells/s
+# k_tot splits per grk_max_block_probability call or pr_bound_comparison range:
+# ~100 B and 0.18 us each; 2^23 took 1.3-1.8 s and +833 MB on a 2-vCPU host
+_SPLIT_CAP = 1 << 23
 
 
 def _final_rows(space: SearchSpace, k2s: np.ndarray, row: int) -> np.ndarray:
@@ -69,6 +72,12 @@ def scan_shape(
             f"scan of {budget} x {columns} cells exceeds the cap of 2^29 at this n"
         )
     return budget, columns
+
+
+def check_splits(splits: int) -> None:
+    """Refuse a sweep over more than _SPLIT_CAP k_tot splits before it starts."""
+    if splits > _SPLIT_CAP:
+        raise ResourceLimitError(f"{splits} budget splits exceed the cap of 2^23")
 
 
 def grk_scan_min(
@@ -122,6 +131,7 @@ def grk_max_block_probability(
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")
+    check_splits(k_tot)
     k2s = np.arange(k_tot)
     states = uniform_after_globals(space, k_tot - 1 - k2s)
     amp_bb = np.einsum("ij,ji->i", states, _final_rows(space, k2s, 2))

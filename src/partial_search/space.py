@@ -49,6 +49,12 @@ class Angles:
     gamma: float
 
 
+def check_qubits(n: int) -> None:
+    """Require 1 <= n <= 62, the domain of every geometry and sweep."""
+    if n < 1 or n > MAX_N_QUBITS:
+        raise ParameterError(f"n must be in [1, {MAX_N_QUBITS}], got {n}")
+
+
 def new_search_space(n: int, m: int) -> SearchSpace:
     """Validate (n, m) and derive N, b, K.
 
@@ -57,8 +63,7 @@ def new_search_space(n: int, m: int) -> SearchSpace:
     """
     if not isinstance(n, int) or not isinstance(m, int):
         raise ParameterError("n and m must be integers")
-    if n < 1 or n > MAX_N_QUBITS:
-        raise ParameterError(f"n must be in [1, {MAX_N_QUBITS}], got {n}")
+    check_qubits(n)
     if m < 0 or m >= n:
         raise ParameterError(f"m must satisfy 0 <= m < n, got m={m}, n={n}")
     return SearchSpace(n=n, m=m, N=1 << n, b=1 << m, K=1 << (n - m))

@@ -101,6 +101,27 @@ def test_domain_errors_return_1(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("parallel", "--scheme", "compare", "--n", "-1"),
+        ("parallel", "--scheme", "inner", "--n", "-1", "--l", "1"),
+        ("parallel", "--scheme", "outer", "--n", "1100", "--l", "1"),
+        ("parallel", "--scheme", "outer", "--n", "100", "--l", "1"),
+        ("parallel", "--scheme", "inner", "--n", "0", "--l", "1"),
+        ("bounds", "--n", "0"),
+        ("bounds", "--n", "-4"),
+        ("tables", "--n", "0", "--which", "pr"),
+        ("tables", "--n", "-3", "--which", "e"),
+    ],
+)
+def test_n_outside_1_to_62_is_a_domain_error(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "n must be in [1, 62]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "x"),
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "3..x"),
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "5..3"),
@@ -355,15 +376,6 @@ def test_csv_and_json_agree(capsys):
         assert jrow["is_grk"] is (crow["is_grk"] == "true")
 
 
-def test_workers_flag_and_env_agree(capsys, monkeypatch):
-    args = ("tables", "--n", "6", "--which", "e", "--m-range", "2..4")
-    rc, out_flag, _ = run_cli(capsys, *args, "--workers", "2")
-    monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "3")
-    rc2, out_env, _ = run_cli(capsys, *args)
-    assert rc == rc2 == 0
-    assert out_flag == out_env
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -372,12 +384,23 @@ def test_workers_flag_and_env_agree(capsys, monkeypatch):
         ("bounds", "--n", "8"),
         ("parallel", "--scheme", "outer", "--n", "8", "--l", "2"),
         ("verify", "--n", "6", "--m", "2", "--sequences", "1"),
+        ("enumerate", "--n", "8", "--m", "3", "--ktot", "4"),
+        ("tables", "--n", "6", "--which", "e", "--m-range", "2..4"),
     ],
 )
-def test_workers_belongs_to_the_enumeration_commands(capsys, argv):
-    rc, out, err = run_cli(capsys, *argv, "--workers", "0")
+def test_no_subcommand_takes_workers(capsys, argv):
+    # the worker count is set by PARTIAL_SEARCH_WORKERS alone
+    rc, out, err = run_cli(capsys, *argv, "--workers", "2")
     assert (rc, out) == (2, "")
     assert "--workers" in err
+
+
+def test_bad_workers_env_var_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "zero")
+    rc, out, err = run_cli(capsys, "enumerate", "--n", "8", "--m", "3", "--ktot", "4")
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "PARTIAL_SEARCH_WORKERS" in err
 
 
 # -- bounds / parallel ---------------------------------------------------------
@@ -458,6 +481,7 @@ def test_inner_and_outer_reach_n_62(capsys, scheme, n, l):
         ("bounds", "--n", "40"),
         ("bounds", "--n", "48"),
         ("parallel", "--scheme", "compare", "--n", "36", "--l-range", "1..3"),
+        ("bounds", "--n", "48", "--m", "24", "--ktot-range", "8400000..8400000"),
     ],
 )
 def test_oversized_scans_exit_1_promptly(capsys, argv):
@@ -465,7 +489,9 @@ def test_oversized_scans_exit_1_promptly(capsys, argv):
     # 1,610 k2 columns: 1.3e9 cells, more than twice the scan cap, so the
     # scan is refused before it starts; the sweeps hold smaller m (bounds,
     # every m from 1) or l (compare, l = 1, 2) that fit and would take
-    # tens of seconds, but they check every box before scanning any
+    # tens of seconds, but they check every box before scanning any. The
+    # budget of 8.4e6 splits is just over the 2^23 split cap: evaluating
+    # it takes about 2 s and 0.9 GB
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 10.0

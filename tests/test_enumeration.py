@@ -316,7 +316,6 @@ def test_render_fixed_half_even():
     assert render_fixed(10.41746) == "10.4175"
     assert render_fixed(10.41745) == "10.4174"  # exact half, ties to even
     assert render_fixed(0.00035) == "0.0004"  # odd last digit rounds away
-    assert render_fixed(2.5, 0) == "2"
     assert render_fixed(10.0) == "10.0000"
 
 

@@ -239,6 +239,27 @@ def test_sweeps_refuse_an_oversized_scan_before_scanning_any(monkeypatch):
     assert scanned == [1, 2, 0, 0, 4, 4]
 
 
+def test_budget_comparison_refuses_an_oversized_range_before_any_budget(monkeypatch):
+    monkeypatch.setattr(scans, "_SPLIT_CAP", 40)
+    space = new_search_space(8, 4)
+    grk_max_block_probability(space, 40)
+    with pytest.raises(ResourceLimitError, match="cap"):
+        grk_max_block_probability(space, 41)
+    swept = []
+
+    def record(space, k_tot):
+        swept.append(k_tot)
+        return grk_max_block_probability(space, k_tot)
+
+    monkeypatch.setattr(bounds, "grk_max_block_probability", record)
+    # 10 + 11 + 12 + 13 = 46 splits: each budget fits, the range does not
+    with pytest.raises(ResourceLimitError, match="cap"):
+        bounds.pr_bound_comparison(space, range(10, 14))
+    assert swept == []
+    bounds.pr_bound_comparison(space, range(10, 13))
+    assert swept == [10, 11, 12]
+
+
 def test_scan_min_prefers_fewer_queries_over_smaller_k2():
     # ties: every cell with k2 >= 1 and 6 queries or more, and every cell
     # with 7 or more; the fewest queries (6, k2 = 1) beat the smallest k2
