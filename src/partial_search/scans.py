@@ -6,9 +6,16 @@ into one 3 x k2 matrix per amplitude.
 These kernels back the bound comparisons and the parallel-scheme
 optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
 k2 <= ceil(pi sqrt(b)/2) covers every optimum seen at desk scale; widen
-the arguments if exploring elsewhere. A scan whose box holds more than
-_SCAN_CELL_CAP cells (rows x k2 columns) is refused rather than left to
-run for minutes.
+the arguments if exploring elsewhere.
+
+grk_scan_min does not visit the whole box. Along one k2 column each
+amplitude is R sin((2 k1 + 1) theta1 + phi), so over a k1 interval its
+square is extreme at an end or at a zero or peak of the sine; that
+bounds the objective on the whole interval, and bisection keeps only
+the intervals that can hold the optimum. Two caps keep a scan to
+seconds: a box of more than _SCAN_COLUMN_CAP k2 columns is refused
+before it starts, and a scan is stopped with ResourceLimitError once it
+would evaluate more than _SCAN_CELL_CAP cells.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import global_grover_matrix, uniform_after_globals
+from .dynamics import _uniform_complement, global_grover_matrix, uniform_after_globals
 from .errors import ParameterError, ResourceLimitError
 from .space import SearchSpace, angles
 
@@ -33,8 +40,16 @@ def default_k2_cap(space: SearchSpace) -> int:
     return math.ceil(math.pi * math.sqrt(space.b) / 2.0)
 
 
-_CHUNK_CELLS = 4096  # cells per scan chunk; larger ones cost peak memory
-_SCAN_CELL_CAP = 1 << 29  # budget x k2 columns; about 16 s at ~33M cells/s
+_LEAF = 32  # fewest k1 cells per leaf interval, where bisection stops
+_CHUNK_CELLS = 4096  # cells or intervals per chunk; larger ones cost peak memory
+_PROB_SLACK = 1e-12  # closed form and products agree to ~1e-15 in a probability
+# On a 2-vCPU host the bounds run at ~6M intervals/s (12M end cells/s) and
+# the leaves at 15-30M cells/s, so 2^25 evaluated cells is 1-4 s; the
+# largest scans of `bounds --n 40` and `parallel --scheme compare --n 40`
+# evaluate 3.6M and 25M. The first level bounds every column: 2^22 of
+# them (bounds up to n = 43) take about 1.3 s and 40 MB.
+_SCAN_CELL_CAP = 1 << 25
+_SCAN_COLUMN_CAP = 1 << 22
 # k_tot splits per grk_max_block_probability call or pr_bound_comparison range:
 # ~100 B and 0.18 us each; 2^23 took 1.3-1.8 s and +833 MB on a 2-vCPU host
 _SPLIT_CAP = 1 << 23
@@ -57,9 +72,9 @@ def scan_shape(
 ) -> tuple[int, int]:
     """(budget, k2 columns) of the grk_scan_min box with these arguments.
 
-    Raises ResourceLimitError when the box holds more than _SCAN_CELL_CAP
-    cells, so a caller about to run several scans can refuse before the
-    first one starts.
+    Raises ResourceLimitError when the box has more than _SCAN_COLUMN_CAP
+    k2 columns, each of which the scan bounds at least once, so a caller
+    about to run several scans can refuse before the first one starts.
     """
     if budget is None:
         budget = default_budget(space)
@@ -67,9 +82,9 @@ def scan_shape(
         raise ParameterError("scan budget must allow at least one query")
     k2_hi = (k2_cap if k2_cap is not None else default_k2_cap(space)) if allow_k2 else 0
     columns = min(k2_hi, budget - 1) + 1
-    if budget * columns > _SCAN_CELL_CAP:
+    if columns > _SCAN_COLUMN_CAP:
         raise ResourceLimitError(
-            f"scan of {budget} x {columns} cells exceeds the cap of 2^29 at this n"
+            f"scan of {columns} k2 columns exceeds the cap of {_SCAN_COLUMN_CAP} at this n"
         )
     return budget, columns
 
@@ -78,6 +93,90 @@ def check_splits(splits: int) -> None:
     """Refuse a sweep over more than _SPLIT_CAP k_tot splits before it starts."""
     if splits > _SPLIT_CAP:
         raise ResourceLimitError(f"{splits} budget splits exceed the cap of 2^23")
+
+
+def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a_t, b_t, a_b, b_b) per k2: after G_n (locals)^k2 G_n^k1 the
+    amplitude of |t> is a_t sin y + b_t cos y = R sin(y + phi), with
+    y = (2 k1 + 1) theta1 and R^2 = a_t^2 + b_t^2, and that of |b~> is
+    a_b sin y + b_b cos y."""
+    u_bt, u_bb = _uniform_complement(space)
+    w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
+    return w_t[0], u_bt * w_t[1] + u_bb * w_t[2], w_bb[0], u_bt * w_bb[1] + u_bb * w_bb[2]
+
+
+def _interval_bounds(
+    space: SearchSpace,
+    objective: Objective,
+    budget: int,
+    size: int,
+    blocks: np.ndarray,
+    k2s: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) per interval: k1 in block `blocks` of `size` cells,
+    cut at the budget, in column k2s.
+
+    Along the interval each amplitude is R sin(y + phi), so its square
+    is least and greatest at an end, unless the interval holds a zero
+    (a sign change of the amplitude) or a peak (one of its slope).
+    lower is the objective at the fewest queries and the largest
+    probabilities: at most its value on any cell of the interval. upper
+    is at least its value on one of the two end cells. Each probability
+    is widened by _PROB_SLACK, so both hold against the products'
+    rounding, also where the objective is 0.
+    """
+    lo = blocks * size
+    hi = np.minimum(lo + size, budget - k2s) - 1
+    theta1 = angles(space).theta1
+    y_lo, y_hi = (2.0 * lo + 1.0) * theta1, (2.0 * hi + 1.0) * theta1
+    s_lo, c_lo, s_hi, c_hi = np.sin(y_lo), np.cos(y_lo), np.sin(y_hi), np.cos(y_hi)
+    a_t, b_t, a_b, b_b = _sine_coefficients(space, k2s)
+    t_lo, t_hi = a_t * s_lo + b_t * c_lo, a_t * s_hi + b_t * c_hi
+    bb_lo, bb_hi = a_b * s_lo + b_b * c_lo, a_b * s_hi + b_b * c_hi
+    wide = y_hi - y_lo >= np.pi  # may hold two zeros or two peaks
+    zero = (bb_lo * bb_hi <= 0.0) | wide
+    peak = ((a_t * c_lo - b_t * s_lo) * (a_t * c_hi - b_t * s_hi) <= 0.0) | wide
+    t_lo, t_hi, bb_lo, bb_hi = t_lo * t_lo, t_hi * t_hi, bb_lo * bb_lo, bb_hi * bb_hi
+    pr_b_hi = 1.0 - np.where(zero, 0.0, np.minimum(bb_lo, bb_hi))
+    pr_t_hi = np.where(peak, a_t * a_t + b_t * b_t, np.maximum(t_lo, t_hi))
+    q_lo, q_hi = 1.0 + k2s + lo, 1.0 + k2s + hi
+    with np.errstate(divide="ignore"):  # a probability bound of 0 is worth inf, as in the cells
+        lower = objective(
+            q_lo,
+            np.minimum(pr_b_hi + _PROB_SLACK, 1.0),
+            np.minimum(pr_t_hi + _PROB_SLACK, 1.0),
+        )
+        upper = np.minimum(
+            objective(
+                q_lo,
+                np.maximum(1.0 - bb_lo - _PROB_SLACK, 0.0),
+                np.maximum(t_lo - _PROB_SLACK, 0.0),
+            ),
+            objective(
+                q_hi,
+                np.maximum(1.0 - bb_hi - _PROB_SLACK, 0.0),
+                np.maximum(t_hi - _PROB_SLACK, 0.0),
+            ),
+        )
+    return lower, upper
+
+
+def _chunk_min(
+    space: SearchSpace, objective: Objective, budget: int, k1s: np.ndarray, k2s: np.ndarray
+) -> tuple[float, int, int, float, float]:
+    """(value, queries, k2, pr_block, pr_target) at the minimum over the
+    in-budget cells of rows k1s x columns k2s: one (rows x 3)(3 x k2)
+    product per amplitude; ties go to fewer queries, then smaller k2."""
+    states = uniform_after_globals(space, k1s)
+    keep = k1s[:, None] + k2s[None, :] < budget
+    pr_b = 1.0 - (states @ _final_rows(space, k2s, 2))[keep] ** 2
+    pr_t = (states @ _final_rows(space, k2s, 0))[keep] ** 2
+    k2 = np.broadcast_to(k2s, keep.shape)[keep]
+    q = (k1s[:, None] + 1 + k2s)[keep]
+    vals = objective(q.astype(float), pr_b, pr_t)
+    ties = np.flatnonzero(vals == vals.min())
+    j = ties[np.lexsort((k2[ties], q[ties]))[0]]
+    return float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j])
 
 
 def grk_scan_min(
@@ -90,30 +189,71 @@ def grk_scan_min(
     """Minimize objective(queries, pr_block, pr_target) over the grid.
 
     queries = 1 + k1 + k2. Returns (value, k1, k2, pr_block, pr_target)
-    at the optimum; ties break toward smaller (queries, k2). Chunks of
-    whole k1 rows, _CHUNK_CELLS cells each, are one (rows x 3)(3 x k2)
-    product per amplitude; the objective sees their in-budget cells.
+    at the optimum; ties break toward smaller (queries, k2).
+
+    Precondition: the objective is non-decreasing in queries and
+    non-increasing in pr_block and pr_target on [0, 1], as every
+    objective in the package is. The scan relies on it to skip cells:
+    each k2 column is bisected into aligned k1 intervals, level by level
+    for all live intervals at once, and an interval is dropped when the
+    objective at (its fewest queries, the largest probabilities in it)
+    exceeds the incumbent, the best objective bounded at an interval end.
+    Surviving leaves, _LEAF rows or as many as fill a chunk across all
+    columns, are evaluated exactly in blocks of at most _CHUNK_CELLS
+    cells, so the result is that of a sweep over every cell.
     """
     budget, columns = scan_shape(space, allow_k2, budget, k2_cap)
-    k2s = np.arange(columns)
-    w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
-    rows = max(1, _CHUNK_CELLS // len(k2s))
+    evaluated = 0  # end cells of the intervals bounded so far
 
+    def check(cells: int) -> None:
+        # before the arrays for `cells` more (a level, or the leaves) are built
+        if evaluated + cells > _SCAN_CELL_CAP:
+            raise ResourceLimitError(
+                f"scan exceeds the cap of 2^{_SCAN_CELL_CAP.bit_length() - 1} "
+                "evaluated cells at this n"
+            )
+
+    # a leaf is _LEAF rows, or as many as fill a chunk across all columns;
+    # the first level is one chunk of intervals, or one interval per
+    # column, well inside the cap for at most _SCAN_COLUMN_CAP columns
+    leaf = max(_LEAF, _CHUNK_CELLS // columns)
+    size = leaf
+    while size < budget and columns * -(-budget // size) > _CHUNK_CELLS:
+        size *= 2
+    per_column = -(-budget // size)  # intervals per column at this level
+    keys = np.arange(columns * per_column)  # k2 * per_column + interval
+    incumbent = math.inf
+    while True:
+        keep = np.zeros(len(keys), dtype=bool)
+        for s in range(0, len(keys), _CHUNK_CELLS):
+            k2s, blocks = np.divmod(keys[s : s + _CHUNK_CELLS], per_column)
+            inside = blocks * size < budget - k2s  # the second half may start past the end
+            k2s, blocks = k2s[inside], blocks[inside]
+            evaluated += 2 * len(k2s)
+            lower, upper = _interval_bounds(space, objective, budget, size, blocks, k2s)
+            incumbent = min(incumbent, float(upper.min(initial=math.inf)))
+            keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
+        keys = keys[keep]
+        if size == leaf:
+            break
+        check(4 * len(keys))
+        keys = (2 * keys[:, None] + np.arange(2)).ravel()
+        size //= 2
+        per_column *= 2
+
+    k2s, blocks = np.divmod(keys, per_column)
+    order = np.argsort(blocks, kind="stable")
+    k2s, blocks = k2s[order], blocks[order]
+    check(int(np.minimum(leaf, budget - k2s - blocks * leaf).sum()))
+    starts = np.flatnonzero(np.diff(blocks, prepend=-1))
     best: tuple[float, int, int, float, float] | None = None
-    for start in range(0, budget, rows):
-        k1s = np.arange(start, min(start + rows, budget))
-        states = uniform_after_globals(space, k1s)
-        keep = k1s[:, None] + k2s[None, :] < budget
-        pr_b = 1.0 - (states @ w_bb)[keep] ** 2
-        pr_t = (states @ w_t)[keep] ** 2
-        k2 = np.broadcast_to(k2s, keep.shape)[keep]
-        q = (k1s[:, None] + 1 + k2s)[keep]
-        vals = objective(q.astype(float), pr_b, pr_t)
-        ties = np.flatnonzero(vals == vals.min())
-        j = ties[np.lexsort((k2[ties], q[ties]))[0]]
-        cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))
-        if best is None or cand[:3] < best[:3]:
-            best = cand
+    for block, cols in zip(blocks[starts], np.split(k2s, starts[1:])):
+        k1s = np.arange(block * leaf, min((block + 1) * leaf, budget))
+        width = max(1, _CHUNK_CELLS // len(k1s))
+        for s in range(0, len(cols), width):
+            cand = _chunk_min(space, objective, budget, k1s, cols[s : s + width])
+            if best is None or cand[:3] < best[:3]:
+                best = cand
     assert best is not None
     value, q_opt, k2_opt, pr_b_opt, pr_t_opt = best
     return value, q_opt - 1 - k2_opt, k2_opt, pr_b_opt, pr_t_opt

@@ -23,7 +23,9 @@ from partial_search import (
     OperatorSequence,
     ParameterError,
     apply_sequence,
+    block_success_probability,
     grk_parallel_min,
+    hybrid_expected,
     hybrid_min,
     inner_min,
     new_search_space,
@@ -476,28 +478,61 @@ def test_inner_and_outer_reach_n_62(capsys, scheme, n, l):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("bounds", "--n", "40", "--m", "20"),
-        ("parallel", "--scheme", "hybrid", "--n", "40", "--l", "2"),
-        ("bounds", "--n", "40"),
-        ("bounds", "--n", "48"),
-        ("parallel", "--scheme", "compare", "--n", "36", "--l-range", "1..3"),
+        ("bounds", "--n", "62", "--m", "61"),
+        ("parallel", "--scheme", "hybrid", "--n", "62", "--l", "62"),
+        ("bounds", "--n", "62"),
+        ("parallel", "--scheme", "compare", "--n", "48", "--l-range", "1..24"),
+        ("parallel", "--scheme", "compare", "--n", "62", "--l-range", "1..8"),
         ("bounds", "--n", "48", "--m", "24", "--ktot-range", "8400000..8400000"),
     ],
 )
 def test_oversized_scans_exit_1_promptly(capsys, argv):
-    # at n = 40, m = 20 (hybrid l = 2) the box is 824,574 budget rows x
-    # 1,610 k2 columns: 1.3e9 cells, more than twice the scan cap, so the
-    # scan is refused before it starts; the sweeps hold smaller m (bounds,
-    # every m from 1) or l (compare, l = 1, 2) that fit and would take
-    # tens of seconds, but they check every box before scanning any. The
-    # budget of 8.4e6 splits is just over the 2^23 split cap: evaluating
-    # it takes about 2 s and 0.9 GB
+    # at n = 62, m = 61 a scan has 2.4e9 k2 columns, over the column cap,
+    # so it is refused before it starts; the sweeps check every m (bounds,
+    # from m = 41 at n = 62) or l (compare, l = 24 at n = 48) before
+    # scanning any. compare at n = 62 passes that check (72,794 columns at
+    # l = 2) and finishes l = 1; its l = 2 grk scan then reaches the cap on
+    # evaluated cells within seconds, as the columns stay nearly tied. The
+    # budget of 8.4e6 splits is just over the 2^23 split cap: evaluating it
+    # takes about 2 s and 0.9 GB
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 10.0
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv, m, l",
+    [
+        (("bounds", "--n", "30", "--m", "29"), 29, None),
+        (("bounds", "--n", "40", "--m", "20"), 20, None),
+        (("parallel", "--scheme", "hybrid", "--n", "40", "--l", "2"), 20, 2),
+    ],
+)
+def test_scans_reach_n_40(capsys, argv, m, l):
+    # boxes of 1.8e9 (30, 29) and 1.3e9 (40, 20) cells: the pruned scan
+    # evaluates a few million of them. Its argmin is the best k1 of a
+    # window checked one apply_sequence call per cell: the expectation of
+    # the block (bounds) or of the hybrid round (parallel)
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 20.0
+    assert (rc, err) == (0, "")
+    _, (row,) = parse_csv(out)
+    k1, k2 = int(row["k1"]), int(row["k2"])
+    space = new_search_space(int(argv[argv.index("--n") + 1]), m)
+
+    def expectation(j):
+        if l is not None:
+            return hybrid_expected(space, l, j, k2)
+        seq = OperatorSequence.from_token_spec(f"g:{j},l:{k2},g:1")
+        return (1 + j + k2) / block_success_probability(space, seq)
+
+    window = {j: expectation(j) for j in range(max(0, k1 - 4), k1 + 5)}
+    assert min(window, key=window.get) == k1
+    assert float(row["e_min"]) == pytest.approx(window[k1], rel=1e-12)
 
 
 def test_parallel_compare_lists_skips(capsys):

@@ -19,6 +19,8 @@ from partial_search import (
 )
 from partial_search import bounds, parallel, scans
 from partial_search.cli import run
+from partial_search.dynamics import uniform_after_globals
+from full_box_scan import final_rows, full_box_scan_min
 from partial_search.scans import (
     default_budget,
     default_k2_cap,
@@ -182,15 +184,36 @@ def test_scan_min_matches_cell_loop(name, allow_k2):
         assert_same_optimum(grk_scan_min(space, objective, allow_k2=allow_k2), cells)
 
 
+def first_cell_reaching(space, budget, k2_cap, tau):
+    """(k1, k2) of the cell with the fewest queries, then the smallest k2,
+    whose block probability reaches tau."""
+    for q in range(1, budget + 1):
+        for k2 in range(min(k2_cap, q - 1) + 1):
+            if _grk_probabilities(space, q - 1 - k2, k2)[0] >= tau:
+                return q - 1 - k2, k2
+    raise AssertionError("no cell reaches tau")
+
+
 def test_scan_min_tie_order_across_chunks():
-    # budget 4097 with k2 <= 1 spans three chunks of 2048 rows; every cell
-    # with at least `floor` queries ties, so the pick is the fewest queries,
-    # then the smallest k2, wherever the chunk boundary falls
+    # every cell whose block probability reaches tau is worth floor(q / step),
+    # the rest 1e9: with step 4098 all of them tie at 0, with step 64 each
+    # run of 64 query counts ties. The peaks of pr_block drift, so a higher
+    # tau is first reached later: at 11, 539 and 3453 queries with k2 <= 1
+    # (leaves of 2048 rows, one level), at 12 (k2 = 0 and 2 tie) and 82
+    # with k2 <= 127 (leaves of 32 rows under three levels of bisection).
+    # The pick is the fewest queries, then the smallest k2, wherever the
+    # leaf and level boundaries fall. No tau is within 1e-10 of any cell.
     space = new_search_space(8, 3)
-    for floor in (1, 2, 5, 2049, 2050, 4097):
-        objective = lambda q, prb, prt: np.where(q >= floor, 0.0, 1.0)  # noqa: E731
-        got = grk_scan_min(space, objective, budget=4097, k2_cap=1)
-        assert got[:3] == (0.0, floor - 1, 0)
+    cases = [(1, 0.99), (1, 0.9999999), (1, 0.99999999), (127, 0.999), (127, 0.99999999)]
+    for k2_cap, tau in cases:
+        k1, k2 = first_cell_reaching(space, 4097, k2_cap, tau)
+        for step in (64, 4098):
+
+            def objective(q, prb, prt):
+                return np.where(prb >= tau, np.floor(q / step), 1e9)
+
+            got = grk_scan_min(space, objective, budget=4097, k2_cap=k2_cap)
+            assert got[:3] == ((1 + k1 + k2) // step, k1, k2)
     for budget in (1, 2, 3, 2049, 4097):
         objective = OBJECTIVES["expectation"]
         cells = scan_cells(space, objective, budget, 1)
@@ -199,25 +222,33 @@ def test_scan_min_tie_order_across_chunks():
 
 
 def test_scan_min_refuses_more_cells_than_the_cap(monkeypatch):
-    # the cap counts budget rows x k2 columns, the box before the budget
-    # mask; 4 x 3 fits a cap of 12 exactly, 4 x 4 does not
+    # the cap counts cells evaluated: each interval's two end cells, then
+    # every cell of the surviving leaves. A constant objective prunes
+    # nothing: the 4 x 3 box is one interval per column (6 end cells) and
+    # 9 in-budget cells, so a cap of 15 admits it and 14 does not
     space = new_search_space(8, 3)
-    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 12)
-    objective = OBJECTIVES["expectation"]
-    grk_scan_min(space, objective, budget=4, k2_cap=2)
-    with pytest.raises(ResourceLimitError, match="4 x 4 cells"):
-        grk_scan_min(space, objective, budget=4, k2_cap=3)
+    flat = lambda q, prb, prt: np.zeros_like(q)  # noqa: E731
+    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 15)
+    assert grk_scan_min(space, flat, budget=4, k2_cap=2)[:3] == (0.0, 0, 0)
+    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 14)
+    with pytest.raises(ResourceLimitError, match="cap of 2\\^3 evaluated cells"):
+        grk_scan_min(space, flat, budget=4, k2_cap=2)
     monkeypatch.undo()
-    with pytest.raises(ResourceLimitError):  # 2^20 x 513 cells
-        grk_scan_min(space, objective, budget=1 << 20, k2_cap=512)
+    # a box of 2^20 x 513 cells, four times the old box cap, costs only
+    # the cells that can beat the optimum: none past 16 queries can, as
+    # the expectation exceeds the query count
+    objective = OBJECTIVES["expectation"]
+    got = grk_scan_min(space, objective, budget=1 << 20, k2_cap=512)
+    want = full_box_scan_min(space, objective, budget=16, k2_cap=512)
+    assert want[0] < 16 and got == want
 
 
 def test_sweeps_refuse_an_oversized_scan_before_scanning_any(monkeypatch):
-    # at n = 8 the boxes grow with m, from 15 x 4 cells at m = 1 to
-    # 25 x 19 at m = 7; a cap of 140 admits the first and not the last
-    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 140)
+    # the up-front cap counts k2 columns; at n = 8 they grow with m, from
+    # 4 at m = 1 to 19 at m = 7; a cap of 13 admits the first and not the last
+    monkeypatch.setattr(scans, "_SCAN_COLUMN_CAP", 13)
     assert scan_shape(new_search_space(8, 1)) == (15, 4)
-    with pytest.raises(ResourceLimitError, match="25 x 19 cells"):
+    with pytest.raises(ResourceLimitError, match="19 k2 columns"):
         scan_shape(new_search_space(8, 7))
     scanned = []
 
@@ -229,9 +260,9 @@ def test_sweeps_refuse_an_oversized_scan_before_scanning_any(monkeypatch):
     monkeypatch.setattr(parallel, "grk_scan_min", record)
     with pytest.raises(ResourceLimitError):
         bounds.min_expected_sweep(8)
-    # l = 1, 2 fit (m = 0, 4: 14 x 3 and 17 x 8 cells); l = 4 (m = 6,
-    # 21 x 14 cells) does not
-    with pytest.raises(ResourceLimitError, match="21 x 14 cells"):
+    # l = 1, 2 fit (m = 0, 4: 3 and 8 columns); l = 4 (m = 6, 14
+    # columns) does not
+    with pytest.raises(ResourceLimitError, match="14 k2 columns"):
         parallel.compare_schemes(256, [1, 2, 4])
     assert scanned == []
     bounds.min_expected_sweep(8, [1, 2])
@@ -261,23 +292,91 @@ def test_budget_comparison_refuses_an_oversized_range_before_any_budget(monkeypa
 
 
 def test_scan_min_prefers_fewer_queries_over_smaller_k2():
-    # ties: every cell with k2 >= 1 and 6 queries or more, and every cell
-    # with 7 or more; the fewest queries (6, k2 = 1) beat the smallest k2
+    # cells whose block probability reaches tau are worth floor(q / 8): 0
+    # up to 7 queries. At tau = 0.55 they start with (q, k2) = (6, 1) and
+    # (7, 0), which tie: the fewest queries beat the smaller k2. At
+    # tau = 0.305 they start with (4, 1) and (4, 2): at equal queries the
+    # smaller k2 wins. No tau is within 5e-4 of a cell's probability
     space = new_search_space(8, 3)
-    budget, k2_cap = 10, 3
-    by_q = {}
-    for k1 in range(budget):
-        for k2 in range(min(k2_cap, budget - 1 - k1) + 1):
-            _, pr_t = _grk_probabilities(space, k1, k2)
-            by_q.setdefault(1 + k1 + k2, []).append((float(pr_t), k2))
+    for tau, want in ((0.55, (0.0, 4, 1)), (0.305, (0.0, 2, 1))):
+        objective = lambda q, prb, prt: np.where(prb >= tau, np.floor(q / 8), 1e9)  # noqa: E731
+        assert grk_scan_min(space, objective, budget=10, k2_cap=3)[:3] == want
 
-    def objective(q, prb, prt):
-        # recover each cell's k2 from its target probability
-        k2 = [min(by_q[int(a)], key=lambda c: abs(c[0] - b))[1] for a, b in zip(q, prt)]
-        return np.where(((q >= 6) & (np.array(k2) >= 1)) | (q >= 7), 0.0, 1.0)
 
-    got = grk_scan_min(space, objective, budget=budget, k2_cap=k2_cap)
-    assert got[:3] == (0.0, 4, 1)
+BLOCK_OBJECTIVES = {
+    "expectation": lambda q, prb, prt: q / prb,
+    "target": lambda q, prb, prt: q / prt,
+    **{f"grk-{l}": lambda q, prb, prt, l=l: q / prb**l for l in (2, 3, 4)},
+    **{
+        f"hybrid-{l}": lambda q, prb, prt, l=l: q / (1.0 - (1.0 - prb**l) * (1.0 - prt) ** l)
+        for l in (2, 3, 4)
+    },
+}
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_scan_min_matches_full_box(n):
+    # the pruned scan against the sweep over every cell, for every m, the
+    # expectation (of the block, and of the target itself) and the grk
+    # and hybrid objectives at l = 2..4, with and without k2: the same
+    # cell, and the same value up to the rounding of the products. Far
+    # cells where a success rounds to 0 are worth inf; the pruned scan
+    # evaluates them too where a leaf spans the whole budget (few columns)
+    for m in range(n):
+        space = new_search_space(n, m)
+        for name, objective in BLOCK_OBJECTIVES.items():
+            for allow_k2 in (True, False):
+                with np.errstate(divide="ignore"):
+                    want = full_box_scan_min(space, objective, allow_k2)
+                    got = grk_scan_min(space, objective, allow_k2)
+                assert got[1:3] == want[1:3], (m, name, allow_k2)
+                assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("size", [1, 5, 32])
+@pytest.mark.parametrize("n, m", [(6, 2), (8, 7), (12, 6), (16, 3)])
+def test_interval_bounds_hold_against_the_products(n, m, size):
+    # an interval's lower bound, from the closed form R sin(y + phi), lies
+    # below the objective on every cell as the products compute it, and
+    # its upper bound above the objective on one of its two end cells. Intervals of one
+    # cell show that the slack covers the rounding of the closed form;
+    # longer ones (past a zero of amp_b~ or a peak of amp_t) that the
+    # extremes inside are found. The budget of 3 pi sqrt(N) / 4 covers
+    # more than one period of y
+    space = new_search_space(n, m)
+    budget = 3 * default_budget(space)
+    k2s = np.arange(min(default_k2_cap(space), budget - 1) + 1)
+    states = uniform_after_globals(space, np.arange(budget))
+    pr_b = 1.0 - (states @ final_rows(space, k2s, 2)) ** 2
+    pr_t = (states @ final_rows(space, k2s, 0)) ** 2
+    blocks, cols = np.divmod(np.arange(-(-budget // size) * len(k2s)), len(k2s))
+    inside = blocks * size < budget - cols
+    blocks, cols = blocks[inside], cols[inside]
+    lo = blocks * size
+    hi = np.minimum(lo + size, budget - cols) - 1
+    for probability in (pr_b, pr_t):
+        in_block = probability is pr_b
+        objective = lambda q, prb, prt: -(prb if in_block else prt)  # noqa: E731
+        lower, upper = scans._interval_bounds(space, objective, budget, size, blocks, cols)
+        for i in range(len(cols)):
+            cells = -probability[lo[i] : hi[i] + 1, cols[i]]
+            assert lower[i] <= cells.min()
+            assert upper[i] >= min(cells[0], cells[-1])
+
+
+def test_scan_bound_is_quiet_where_a_probability_bound_is_0():
+    # at n = 44, m = 0 the first k1 interval starts at pr_block = 9/2^44,
+    # below the bound's slack, so that end's probability is lowered to 0
+    # and its objective is inf, with no divide warning (Tier-1 turns one
+    # into an error)
+    space = new_search_space(44, 0)
+    value, k1, k2, _, _ = grk_scan_min(space, OBJECTIVES["expectation"], allow_k2=False)
+    near = {
+        j: (1 + j + k2) / float(_grk_probabilities(space, j, k2)[0])
+        for j in range(max(0, k1 - 3), k1 + 4)
+    }
+    assert min(near, key=near.get) == k1
+    assert value == pytest.approx(near[k1], rel=1e-12)
 
 
 def test_max_block_probability_matches_cell_loop():
