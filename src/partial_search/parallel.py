@@ -80,7 +80,12 @@ def _inner_success(N: int, l: int, k: int) -> float:
 
 
 def _outer_success(N: int, l: int, k: int) -> float:
-    return 1.0 - (1.0 - _inner_success(N, 1, k)) ** l
+    """1 - (1 - pr1)^l as -expm1(l log1p(-pr1)): the plain form is 0 once
+    pr1 = sin^2((2k+1) theta1) drops below half an ulp of 1 (n >= 58)."""
+    pr1 = _inner_success(N, 1, k)
+    if pr1 == 1.0:  # log1p(-1.0) raises; pr1 is 1.0 at N = 4, k = 1
+        return 1.0
+    return -math.expm1(l * math.log1p(-pr1))
 
 
 def _check_inner(N: int, l: int) -> None:

@@ -7,6 +7,14 @@ FullState and the apply_* functions are the one-vector reference; the
 simulation itself runs many sequences at once as rows of one array,
 doing each query for the whole batch with the same arithmetic.
 
+A batch step negates each running row's marked item through one flat
+index, then reflects each row about its own mean (global) or about its
+blocks' means (local), computing the row means only if a row is global and
+the block means only if a row is local. Every mean, in the kernel and in
+the one-vector reference alike, comes from _mean, which sums in numpy's
+own order (strided column adds up to 8 entries, numpy's pairwise
+reduction above), so the batch reproduces the reference bit for bit.
+
 Blocks are contiguous index ranges [j*b, (j+1)*b); the marked item's block
 is target_index // b.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -25,15 +34,36 @@ from .space import new_search_space
 
 # 2^14 doubles keeps every verification call well under a second
 MAX_STATEVEC_QUBITS = 14
-# amplitudes per batch of sequences run in lockstep: 2^13 doubles (64 KiB);
-# larger batches run faster but raise the peak memory of a verify call
+# amplitudes per batch of sequences run in lockstep: 2^13 doubles (64 KiB).
+# A step makes the same few numpy calls whatever the batch holds, so larger
+# batches pay less per query: 2^16 ran the n <= 10 and (14, 7) verify calls
+# about 15 % faster but raised the peak memory of the run by 2 MB.
 _BATCH_DOUBLES = 1 << 13
+
+# amplitude updates one call may ask for: queries x 2^n, where verify's
+# queries are sequences x max_k (its longest draw) and a query counts at
+# least 2^11 amplitudes, for the draw and the reduced side. On a 2-vCPU host
+# a query took 2.6 us at n = 1 in 20-query sequences (20 us in 1-query ones)
+# and an amplitude 2.3 ns at n = 14. The default verify at n = 14 asks for
+# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.6 s (n = 14, 800 x 40),
+# 1.4 s (n = 10, 6400 x 40) and, the worst, 7 s and 185 MB (n = 1, 2^18 x 1).
+_WORK_CAP = 1 << 29
+_QUERY_MIN_DOUBLES = 1 << 11
 
 
 def _check_size(n: int) -> None:
     if n < 1 or n > MAX_STATEVEC_QUBITS:
         raise ResourceLimitError(
             f"statevector simulation capped at n <= {MAX_STATEVEC_QUBITS}"
+        )
+
+
+def _check_work(n: int, queries: int) -> None:
+    """Refuse more than _WORK_CAP amplitude updates before drawing anything."""
+    if queries * max(1 << n, _QUERY_MIN_DOUBLES) > _WORK_CAP:
+        raise ResourceLimitError(
+            f"up to {queries} queries at n = {n} exceed the statevector work cap of "
+            f"2^{_WORK_CAP.bit_length() - 1} amplitude updates"
         )
 
 
@@ -62,9 +92,34 @@ def apply_oracle(state: FullState) -> FullState:
     return FullState(amp, state.n, state.target_index)
 
 
+def _mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1) bit for bit, for a last axis of 2^j >= 2 entries:
+    the one mean of every diffusion, row or block, kernel or reference.
+
+    numpy sums fewer than 8 entries left to right and 8 as the pairwise
+    tree ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)). Up to 8 the
+    strided columns are added in that order as whole-array adds, so a short
+    row or block costs no reduction call of its own; from 16 numpy reduces.
+    The sum is scaled by 1/width, a power of two: the same bits as dividing.
+    """
+    width = a.shape[-1]
+    if width > 8:
+        total = np.add.reduce(a, axis=-1)
+    elif width == 8:
+        pairs = a[..., 0::2] + a[..., 1::2]
+        quads = pairs[..., 0::2] + pairs[..., 1::2]
+        total = quads[..., 0] + quads[..., 1]
+    else:
+        total = a[..., 0] + a[..., 1]
+        for j in range(2, width):
+            total += a[..., j]
+    total *= 1.0 / width
+    return total
+
+
 def apply_global_diffusion(state: FullState) -> FullState:
     """Reflect about the uniform superposition: v -> 2*mean(v) - v."""
-    amp = 2.0 * state.amplitudes.mean() - state.amplitudes
+    amp = 2.0 * _mean(state.amplitudes) - state.amplitudes
     return FullState(amp, state.n, state.target_index)
 
 
@@ -72,9 +127,8 @@ def apply_local_diffusion(state: FullState, m: int) -> FullState:
     """Reflect about the per-block mean inside each block of 2^m items."""
     if not 0 < m < state.n:
         raise ParameterError("local diffusion requires 0 < m < n")
-    b = 1 << m
-    blocks = state.amplitudes.reshape(-1, b)
-    amp = (2.0 * blocks.mean(axis=1, keepdims=True) - blocks).ravel()
+    blocks = state.amplitudes.reshape(-1, 1 << m)
+    amp = (2.0 * _mean(blocks)[:, None] - blocks).ravel()
     return FullState(amp, state.n, state.target_index)
 
 
@@ -88,29 +142,44 @@ def _run_rows(
     rows still running at each step are a prefix. A query is the oracle
     sign flip, then v -> 2*mean - v about the row mean (global) or about
     each block's mean (local; the identity when m = 0): the arithmetic of
-    apply_oracle and apply_global_diffusion/apply_local_diffusion.
+    apply_oracle and apply_global_diffusion/apply_local_diffusion. A step
+    takes the row means only if one of its rows is global and the block
+    means only if one is local.
     """
-    rows, size = len(targets), 1 << n
+    rows, size, b = len(targets), 1 << n, 1 << m
     lengths = np.array([len(bits) for bits in local])
-    kinds = np.zeros((rows, lengths[0]), dtype=bool)
+    kinds = np.zeros((lengths[0], rows), dtype=bool)  # step-major
     for r, bits in enumerate(local):
-        kinds[r, : len(bits)] = bits
+        kinds[: len(bits), r] = bits
+    # rows still running at each step: lengths fall, so a sorted search
+    active_rows = np.searchsorted(-lengths, -np.arange(lengths[0])).tolist()
+    local_rows = kinds.sum(axis=1).tolist()
     amp = np.full((rows, size), size**-0.5)
-    index = np.arange(rows)
-    steps = np.arange(lengths[0])
-    for step, active in enumerate((lengths[:, None] > steps).sum(axis=0).tolist()):
+    flat = amp.reshape(-1)
+    marked = np.arange(rows) * size + targets
+    for step, (active, locals_) in enumerate(zip(active_rows, local_rows)):
         x = amp[:active]
-        x[index[:active], targets[:active]] *= -1.0
-        mean = x.mean(axis=1, keepdims=True)
-        is_local = kinds[:active, step, None]
-        if m:
-            block_mean = x.reshape(active, -1, 1 << m).mean(axis=2)
-            mean = np.where(is_local, block_mean, mean)
-            reflect = True
+        index = marked[:active]
+        flat[index] = -flat[index]
+        if locals_ < active:  # a global row
+            twice_mean = 2.0 * _mean(x)[:, None]
+        if not locals_:
+            np.subtract(twice_mean, x, out=x)
+        elif not m:  # single-item blocks: a local query is the oracle alone
+            if locals_ < active:
+                np.subtract(twice_mean, x, out=x, where=~kinds[step, :active, None])
         else:
-            reflect = ~is_local[:, :, None]
-        blocks = x.reshape(active, mean.shape[1], -1)
-        np.subtract(2.0 * mean[:, :, None], blocks, out=blocks, where=reflect)
+            blocks = x.reshape(active, -1, b)
+            twice_block = 2.0 * _mean(blocks)
+            if locals_ < active:
+                is_local = kinds[step, :active, None]
+                twice_block = np.where(is_local, twice_block, twice_mean)
+            if b <= 4:  # b strided subtracts beat a broadcast with b-long inner loops
+                for j in range(b):
+                    col = blocks[:, :, j]
+                    np.subtract(twice_block, col, out=col)
+            else:
+                np.subtract(twice_block[:, :, None], blocks, out=blocks)
     return amp
 
 
@@ -128,6 +197,7 @@ def simulate_sequence(
     new_search_space(n, m)  # validates m
     if not 0 <= target_index < 1 << n:
         raise ParameterError("target_index out of range")
+    _check_work(n, seq.total_queries)
     targets = np.array([target_index])
     local = np.array([kind is Kind.LOCAL for kind in seq.kinds()], dtype=bool)
     amp = _run_rows(n, m, targets, [local])
@@ -211,6 +281,7 @@ def verify_subspace(
     if not 0.0 <= tol < math.inf:
         raise ParameterError("tol must be finite and >= 0")
     _check_size(n)
+    _check_work(n, num_random_sequences * max_k)
     rng = np.random.default_rng(seed)
     draws, targets = [], []
     for _ in range(num_random_sequences):
@@ -220,17 +291,16 @@ def verify_subspace(
     targets = np.array(targets)
 
     def sequence(i: int) -> OperatorSequence:
-        return OperatorSequence.from_kinds(
-            Kind.LOCAL if bit else Kind.GLOBAL for bit in draws[i]
+        return OperatorSequence(
+            (Kind.LOCAL if bit else Kind.GLOBAL, len(list(run)))
+            for bit, run in groupby(draws[i].tolist())
         )
 
-    reduced = np.empty((num_random_sequences, 3))
-    expected = np.empty((num_random_sequences, 2))  # block, target probability
-    for i in range(num_random_sequences):
-        state = apply_sequence(space, sequence(i)).as_array()
-        reduced[i] = state
-        # scalar ** 2 is libm pow, which an array square can miss by an ulp
-        expected[i] = 1.0 - state[2] ** 2, state[0] ** 2
+    states = [apply_sequence(space, sequence(i)) for i in range(num_random_sequences)]
+    reduced = np.array([(st.amp_t, st.amp_bt, st.amp_bbar) for st in states])
+    # block, target probability; scalar ** 2 is libm pow, which an array
+    # square can miss by an ulp
+    expected = np.array([(1.0 - st.amp_bbar**2, st.amp_t**2) for st in states])
 
     dev = np.empty(num_random_sequences)
     for rows, amp in _simulate_batches(n, m, targets, draws):

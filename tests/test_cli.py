@@ -620,6 +620,21 @@ def test_verify_above_the_statevector_cap_exits_1(capsys):
     assert err == "error: statevector simulation capped at n <= 14\n"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "14", "--m", "7", "--sequences", "10000"),
+        ("--n", "1", "--m", "0", "--max-k", "300000"),
+    ],
+)
+def test_verify_above_the_work_cap_exits_1(capsys, flags):
+    rc, out, err = run_cli(capsys, "verify", *flags)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: up to ") and err.count("\n") == 1
+    assert err.endswith("exceed the statevector work cap of 2^29 amplitude updates\n")
+
+
 def test_verify_is_seed_deterministic(capsys):
     args = ("verify", "--n", "5", "--m", "3", "--sequences", "8", "--seed", "7")
     rc, out1, _ = run_cli(capsys, *args)

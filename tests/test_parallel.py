@@ -3,6 +3,7 @@ optima, and the cross-scheme orderings."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -100,7 +101,7 @@ def test_inner_and_outer_share_the_full_search_law(n):
     for l in (1, 3, 5):
         res = outer_min(N, l)
         pr1 = grover_full_search_probability(n, res.k1)
-        assert res.pr_at_opt == 1.0 - (1.0 - pr1) ** l
+        assert res.pr_at_opt == -math.expm1(l * math.log1p(-pr1))
 
 
 def _scan_min(kind, n, l):
@@ -118,7 +119,8 @@ def _scan_min(kind, n, l):
         hi = math.ceil(math.pi * math.sqrt(N) / 4.0)
 
         def success(k):
-            return 1.0 - (1.0 - grover_full_search_probability(n, k)) ** l
+            pr1 = grover_full_search_probability(n, k)
+            return 1.0 if pr1 == 1.0 else -math.expm1(l * math.log1p(-pr1))
 
     k = min(range(1, hi + 1), key=lambda k: k / success(k))
     pr = success(k)
@@ -150,11 +152,21 @@ def test_inner_and_outer_reach_the_full_range():
 
 
 def test_zero_success_probability_is_a_numerical_error():
-    # the round success rounds to 0: pr1 = 9/N is below half an ulp of 1
-    with pytest.raises(NumericalError, match="zero success probability"):
-        outer_expected(1 << 58, 1, 1)
+    # the round success rounds to 0: pr_t = 1/N is below half an ulp of 1
     with pytest.raises(NumericalError, match="zero success probability"):
         hybrid_expected(space_for_parallelism(62, 2), 2, 0, 0)
+
+
+@pytest.mark.parametrize("n", [56, 58, 62])
+@pytest.mark.parametrize("l, k", [(1, 1), (3, 1), (1, 5), (64, 2)])
+def test_outer_expected_is_relatively_exact_at_large_n(n, l, k):
+    # 1 - (1 - pr1)^l written plainly kept few digits of pr1 ~ 9/N here and
+    # was 0 from n = 58; N/9 (k = 1, l = 1) is about 8.0e15 at n = 56
+    mp = mpmath.MPContext()
+    mp.dps = 60
+    pr1 = mp.sin((2 * k + 1) * mp.asin(1 / mp.sqrt(mp.mpf(2) ** n))) ** 2
+    exact = k / (1 - (1 - pr1) ** l)
+    assert outer_expected(1 << n, l, k) == pytest.approx(float(exact), rel=1e-14)
 
 
 # -- block-scheme plumbing ----------------------------------------------------------

@@ -229,7 +229,13 @@ def reference_run(n, m, target, kinds):
 
 
 @pytest.mark.parametrize(
-    "n, m, max_k", [(1, 0, 6), (4, 0, 9), (6, 2, 12), (7, 6, 9), (9, 4, 1)]
+    "n, m, max_k",
+    [
+        (1, 0, 6), (4, 0, 9), (6, 2, 12), (7, 6, 9), (9, 4, 1),
+        # row means and blocks of 2, 4 and 8, summed as strided columns
+        (2, 1, 9), (3, 2, 9), (8, 1, 12), (9, 2, 12), (10, 3, 12),
+        (12, 3, 9),  # one-row batches
+    ],
 )
 def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
     # bit for bit: the same arithmetic, one row or one vector at a time
@@ -239,15 +245,29 @@ def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
     local[0][:] = False  # an all-global and an all-local row, whatever the draw
     local[1][:] = True
     targets = rng.permutation(np.arange(count) % (1 << n))  # distinct where 2^n >= 17
-    # five rows per batch: the 17 sequences span four batches
-    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", 5 << n)
+    # five rows per batch, so the 17 sequences span four batches; from
+    # n = 12 one row, as verify runs every n >= 13
+    per_batch = 1 if n >= 12 else 5
+    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", per_batch << n)
     batches = list(statevec._simulate_batches(n, m, targets, local))
-    assert [len(rows) for rows, _ in batches] == [5, 5, 5, 2]
+    sizes = [min(per_batch, count - start) for start in range(0, count, per_batch)]
+    assert [len(rows) for rows, _ in batches] == sizes
     for rows, amp in batches:
         for row, r in zip(amp, rows):
             kinds = [L if bit else G for bit in local[r]]
             assert np.array_equal(row, reference_run(n, m, int(targets[r]), kinds))
     assert sorted(r for rows, _ in batches for r in rows) == list(range(count))
+
+
+@pytest.mark.parametrize("shape", [(1 << 14,), (3, 1 << 13), (5, 2, 1 << 12)])
+def test_shared_mean_is_numpy_mean_bit_for_bit(shape):
+    # the kernel and the one-vector primitives take every mean from _mean;
+    # here it meets numpy's own mean over every power-of-two width
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    for width in (1 << j for j in range(1, shape[-1].bit_length())):
+        a = x.reshape(*shape[:-1], -1, width)
+        assert np.array_equal(statevec._mean(a), a.mean(axis=-1)), width
+    assert np.array_equal(statevec._mean(x), x.mean(axis=-1))
 
 
 @pytest.mark.parametrize("n, m", [(1, 0), (5, 0), (6, 3), (9, 8)])
@@ -364,3 +384,30 @@ def test_verify_refuses_n_above_cap_before_drawing(monkeypatch):
     monkeypatch.setattr(statevec, "apply_sequence", boom)
     with pytest.raises(ResourceLimitError):
         verify_subspace(15, 7)
+
+
+@pytest.mark.parametrize(
+    "n, sequences, max_k",
+    [(14, 10**4, 40), (14, 1, 10**10), (1, 1, 10**9), (10, 6554, 40), (1, 2**18 + 1, 1)],
+)
+def test_verify_refuses_work_above_cap_before_drawing(monkeypatch, n, sequences, max_k):
+    def boom(*args, **kwargs):
+        raise AssertionError("drew or simulated before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", boom)
+    monkeypatch.setattr(statevec, "_run_rows", boom)
+    monkeypatch.setattr(statevec, "apply_sequence", boom)
+    with pytest.raises(ResourceLimitError, match="work cap of 2\\^29"):
+        verify_subspace(n, n // 2, num_random_sequences=sequences, max_k=max_k)
+
+
+def test_simulate_sequence_refuses_work_above_cap_before_running(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr(statevec, "_run_rows", boom)
+    seq = OperatorSequence([(G, 10**12), (L, 1)])  # never expanded to kinds
+    with pytest.raises(ResourceLimitError, match="work cap"):
+        simulate_sequence(14, 7, 0, seq)
+    with pytest.raises(ResourceLimitError, match="work cap"):
+        simulate_sequence(3, 1, 0, OperatorSequence([(G, (2**29 >> 11) + 1)]))
