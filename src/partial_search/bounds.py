@@ -104,7 +104,8 @@ class BoundConstants:
     outer_min_coeff: min over x of x / (2(1 - exp(-x^2))), about 0.7835.
     saturated_root: root u of (1 + 2u) e^-u = 1, about 1.25643.
     saturated_kmin_coeff: sqrt(u)/2, about 0.56045.
-    hybrid_l2_coeff: 2*pi/13, about 0.4833.
+    hybrid_l2_coeff: 2*pi/13, about 0.4833, the paper's two-QPU hybrid
+        coefficient: the curve at phi = pi/4, above its minimum 0.4832015.
     """
 
     f_min: float

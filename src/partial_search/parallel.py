@@ -107,7 +107,9 @@ def _query_min(
 ) -> SchemeResult:
     """Minimize k / success(N, l, k) over k0 - 1..k0 + 1 (k >= 1), k0 the
     floor of continuous_kmin(theta, replicas); min keeps the first
-    (fewest-query) minimum."""
+    (fewest-query) minimum. From n of about 53 the three give k / pr
+    within about 1e-15 relative: the reported k is then one of several
+    optimal up to rounding, and "fewest queries" breaks only exact ties."""
     k0 = max(1, math.floor(continuous_kmin(theta, replicas)))
     k = min(range(max(1, k0 - 1), k0 + 2), key=lambda k: k / success(N, l, k))
     pr = success(N, l, k)
@@ -218,13 +220,17 @@ def hybrid_min(space: SearchSpace, l: int, allow_k2: bool = True) -> SchemeResul
 
 @dataclass(frozen=True)
 class HybridL2Bound:
+    """The paper's two-QPU hybrid closed form; not a lower bound."""
+
     coefficient: float  # 2*pi/13
-    floor: float  # coefficient * sqrt(N)
+    floor: float  # coefficient * sqrt(N), the curve at phi = pi/4
 
 
 def hybrid_l2_lower_bound(N: int) -> HybridL2Bound:
-    """Analytic floor of the two-QPU hybrid expectation: (2 pi/13) sqrt(N),
-    the curve value at phi = pi/4 (the near-minimum of the curve)."""
+    """The paper's closed form (2 pi/13) sqrt(N) for the two-QPU hybrid
+    expectation, hybrid_l2_curve at phi = pi/4. Not a lower bound: the
+    curve's minimum, 0.4832015 sqrt(N) at phi = 0.7737, and hybrid_min
+    at n = 62, l = 2 lie 2.5e-4 relative below it."""
     coeff = bound_constants().hybrid_l2_coeff
     return HybridL2Bound(coefficient=coeff, floor=coeff * math.sqrt(N))
 

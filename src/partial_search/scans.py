@@ -1,7 +1,7 @@
 """Vectorized integer scans over the three-parameter family
-G^k1 (locals)^k2 (one final global), with no stepping: the states after
-k1 globals are closed-form, and k2 locals plus the final global fold
-into one 3 x k2 matrix per amplitude.
+G^k1 (locals)^k2 (one final global), with no stepping: each amplitude
+is a sin y + b cos y, y = (2 k1 + 1) theta1, with (a, b) closed-form in
+k2. Bounds, cells and the k_tot diagonal all use it, with no matrix product.
 
 These kernels back the bound comparisons and the parallel-scheme
 optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import _uniform_complement, global_grover_matrix, uniform_after_globals
+from .dynamics import _uniform_complement, global_grover_matrix
 from .errors import ParameterError, ResourceLimitError
 from .space import SearchSpace, angles
 
@@ -40,28 +40,19 @@ def default_k2_cap(space: SearchSpace) -> int:
     return math.ceil(math.pi * math.sqrt(space.b) / 2.0)
 
 
-_LEAF = 32  # fewest k1 cells per leaf interval, where bisection stops
-_CHUNK_CELLS = 4096  # cells or intervals per chunk; larger ones cost peak memory
-_PROB_SLACK = 1e-12  # closed form and products agree to ~1e-15 in a probability
+_LEAF = 32  # k1 cells per leaf interval, where bisection stops
+_CHUNK_CELLS = 4096  # intervals, or leaf cells, per chunk; larger ones cost peak memory
+_PROB_SLACK = 1e-12  # the closed form is within ~1e-15 of exact in a probability
 # On a 2-vCPU host the bounds run at ~6M intervals/s (12M end cells/s) and
-# the leaves at 15-30M cells/s, so 2^25 evaluated cells is 1-4 s; the
+# the leaves at 12-15M cells/s, so 2^25 evaluated cells is about 3 s; the
 # largest scans of `bounds --n 40` and `parallel --scheme compare --n 40`
 # evaluate 3.6M and 25M. The first level bounds every column: 2^22 of
 # them (bounds up to n = 43) take about 1.3 s and 40 MB.
 _SCAN_CELL_CAP = 1 << 25
 _SCAN_COLUMN_CAP = 1 << 22
 # k_tot splits per grk_max_block_probability call or pr_bound_comparison range:
-# ~100 B and 0.18 us each; 2^23 took 1.3-1.8 s and +833 MB on a 2-vCPU host
+# ~72 B and 0.1 us each on a 2-vCPU host, so 2^23 is about 1 s and 600 MB
 _SPLIT_CAP = 1 << 23
-
-
-def _final_rows(space: SearchSpace, k2s: np.ndarray, row: int) -> np.ndarray:
-    """3 x len(k2s) matrix W: (state @ W)[j] is the amplitude `row` of
-    G_n (locals)^k2s[j] applied to the state."""
-    r = global_grover_matrix(space)[row]
-    ang = (2.0 * angles(space).theta2) * k2s
-    c, s = np.cos(ang), np.sin(ang)
-    return np.stack([r[0] * c - r[1] * s, r[0] * s + r[1] * c, np.full(len(k2s), r[2])])
 
 
 def scan_shape(
@@ -101,8 +92,13 @@ def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> tuple[np.ndarray,
     y = (2 k1 + 1) theta1 and R^2 = a_t^2 + b_t^2, and that of |b~> is
     a_b sin y + b_b cos y."""
     u_bt, u_bb = _uniform_complement(space)
-    w_t, w_bb = _final_rows(space, k2s, 0), _final_rows(space, k2s, 2)
-    return w_t[0], u_bt * w_t[1] + u_bb * w_t[2], w_bb[0], u_bt * w_bb[1] + u_bb * w_bb[2]
+    g = global_grover_matrix(space)
+    ang = (2.0 * angles(space).theta2) * k2s
+    c, s = np.cos(ang), np.sin(ang)
+    out: list[np.ndarray] = []
+    for r in (g[0], g[2]):
+        out += [r[0] * c - r[1] * s, u_bt * (r[0] * s + r[1] * c) + u_bb * r[2]]
+    return tuple(out)
 
 
 def _interval_bounds(
@@ -122,8 +118,8 @@ def _interval_bounds(
     lower is the objective at the fewest queries and the largest
     probabilities: at most its value on any cell of the interval. upper
     is at least its value on one of the two end cells. Each probability
-    is widened by _PROB_SLACK, so both hold against the products'
-    rounding, also where the objective is 0.
+    is widened by _PROB_SLACK, so both hold against rounding, also where
+    the objective is 0.
     """
     lo = blocks * size
     hi = np.minimum(lo + size, budget - k2s) - 1
@@ -161,24 +157,6 @@ def _interval_bounds(
     return lower, upper
 
 
-def _chunk_min(
-    space: SearchSpace, objective: Objective, budget: int, k1s: np.ndarray, k2s: np.ndarray
-) -> tuple[float, int, int, float, float]:
-    """(value, queries, k2, pr_block, pr_target) at the minimum over the
-    in-budget cells of rows k1s x columns k2s: one (rows x 3)(3 x k2)
-    product per amplitude; ties go to fewer queries, then smaller k2."""
-    states = uniform_after_globals(space, k1s)
-    keep = k1s[:, None] + k2s[None, :] < budget
-    pr_b = 1.0 - (states @ _final_rows(space, k2s, 2))[keep] ** 2
-    pr_t = (states @ _final_rows(space, k2s, 0))[keep] ** 2
-    k2 = np.broadcast_to(k2s, keep.shape)[keep]
-    q = (k1s[:, None] + 1 + k2s)[keep]
-    vals = objective(q.astype(float), pr_b, pr_t)
-    ties = np.flatnonzero(vals == vals.min())
-    j = ties[np.lexsort((k2[ties], q[ties]))[0]]
-    return float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j])
-
-
 def grk_scan_min(
     space: SearchSpace,
     objective: Objective,
@@ -198,9 +176,11 @@ def grk_scan_min(
     for all live intervals at once, and an interval is dropped when the
     objective at (its fewest queries, the largest probabilities in it)
     exceeds the incumbent, the best objective bounded at an interval end.
-    Surviving leaves, _LEAF rows or as many as fill a chunk across all
-    columns, are evaluated exactly in blocks of at most _CHUNK_CELLS
-    cells, so the result is that of a sweep over every cell.
+    Surviving leaves of _LEAF rows are swept flat with the same closed
+    form, _CHUNK_CELLS cells at a time, so the result is that of a sweep
+    over every cell. From n of about 53, neighbouring k1 give values
+    within about 1e-15 relative: the reported k1 is then one of several
+    optimal up to rounding, and "fewer queries" breaks only exact ties.
     """
     budget, columns = scan_shape(space, allow_k2, budget, k2_cap)
     evaluated = 0  # end cells of the intervals bounded so far
@@ -213,11 +193,9 @@ def grk_scan_min(
                 "evaluated cells at this n"
             )
 
-    # a leaf is _LEAF rows, or as many as fill a chunk across all columns;
     # the first level is one chunk of intervals, or one interval per
     # column, well inside the cap for at most _SCAN_COLUMN_CAP columns
-    leaf = max(_LEAF, _CHUNK_CELLS // columns)
-    size = leaf
+    size = _LEAF
     while size < budget and columns * -(-budget // size) > _CHUNK_CELLS:
         size *= 2
     per_column = -(-budget // size)  # intervals per column at this level
@@ -234,7 +212,7 @@ def grk_scan_min(
             incumbent = min(incumbent, float(upper.min(initial=math.inf)))
             keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
         keys = keys[keep]
-        if size == leaf:
+        if size == _LEAF:
             break
         check(4 * len(keys))
         keys = (2 * keys[:, None] + np.arange(2)).ravel()
@@ -242,18 +220,27 @@ def grk_scan_min(
         per_column *= 2
 
     k2s, blocks = np.divmod(keys, per_column)
-    order = np.argsort(blocks, kind="stable")
-    k2s, blocks = k2s[order], blocks[order]
-    check(int(np.minimum(leaf, budget - k2s - blocks * leaf).sum()))
-    starts = np.flatnonzero(np.diff(blocks, prepend=-1))
+    check(int(np.minimum(_LEAF, budget - k2s - blocks * _LEAF).sum()))
+    theta1 = angles(space).theta1
+    coefficients = _sine_coefficients(space, k2s)
     best: tuple[float, int, int, float, float] | None = None
-    for block, cols in zip(blocks[starts], np.split(k2s, starts[1:])):
-        k1s = np.arange(block * leaf, min((block + 1) * leaf, budget))
-        width = max(1, _CHUNK_CELLS // len(k1s))
-        for s in range(0, len(cols), width):
-            cand = _chunk_min(space, objective, budget, k1s, cols[s : s + width])
-            if best is None or cand[:3] < best[:3]:
-                best = cand
+    for s in range(0, len(keys), _CHUNK_CELLS // _LEAF):
+        cut = slice(s, s + _CHUNK_CELLS // _LEAF)  # whole leaves, one per row
+        k1 = blocks[cut, None] * _LEAF + np.arange(_LEAF)
+        k2 = np.broadcast_to(k2s[cut, None], k1.shape)
+        keep = k1 + k2 < budget
+        a_t, b_t, a_b, b_b = (x[cut, None] for x in coefficients)
+        y = (2.0 * k1 + 1.0) * theta1
+        sin_y, cos_y = np.sin(y), np.cos(y)
+        pr_b = 1.0 - (a_b * sin_y + b_b * cos_y)[keep] ** 2
+        pr_t = (a_t * sin_y + b_t * cos_y)[keep] ** 2
+        k2, q = k2[keep], (1 + k1 + k2)[keep]
+        vals = objective(q.astype(float), pr_b, pr_t)
+        ties = np.flatnonzero(vals == vals.min())
+        j = ties[np.lexsort((k2[ties], q[ties]))[0]]
+        cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))
+        if best is None or cand[:3] < best[:3]:
+            best = cand
     assert best is not None
     value, q_opt, k2_opt, pr_b_opt, pr_t_opt = best
     return value, q_opt - 1 - k2_opt, k2_opt, pr_b_opt, pr_t_opt
@@ -264,8 +251,8 @@ def grk_max_block_probability(
 ) -> tuple[float, int, int]:
     """Maximum block probability over k1 + k2 = k_tot - 1 (full k2 range).
 
-    Returns (pr, k1, k2). All splits are one vectorized sweep over the
-    closed-form states after k1 globals, and the argmax is taken in
+    Returns (pr, k1, k2). All splits are one vectorized sweep of the
+    closed-form amplitude of |b~>, and the argmax is taken in
     floating point: splits that tie exactly in exact arithmetic (as at
     m = 1) are settled by rounding, not by a rule on k2.
     """
@@ -273,8 +260,8 @@ def grk_max_block_probability(
         raise ParameterError("k_tot must be >= 1")
     check_splits(k_tot)
     k2s = np.arange(k_tot)
-    states = uniform_after_globals(space, k_tot - 1 - k2s)
-    amp_bb = np.einsum("ij,ji->i", states, _final_rows(space, k2s, 2))
-    pr = 1.0 - amp_bb**2
+    _, _, a_b, b_b = _sine_coefficients(space, k2s)
+    y = (2.0 * (k_tot - 1 - k2s) + 1.0) * angles(space).theta1
+    pr = 1.0 - (a_b * np.sin(y) + b_b * np.cos(y)) ** 2
     j = int(np.argmax(pr))
     return float(pr[j]), k_tot - 1 - j, j

@@ -24,6 +24,7 @@ from partial_search import (
     ParameterError,
     apply_sequence,
     block_success_probability,
+    grk_parallel_expected,
     grk_parallel_min,
     hybrid_expected,
     hybrid_min,
@@ -476,6 +477,25 @@ def test_inner_and_outer_reach_n_62(capsys, scheme, n, l):
 
 
 @pytest.mark.parametrize(
+    "scheme, expected", [("hybrid", hybrid_expected), ("grk", grk_parallel_expected)]
+)
+def test_block_schemes_reach_n_62(capsys, scheme, expected):
+    # at l = 1 (m = 0) the pruned scan runs to completion at n = 62. Its
+    # e_min is the least expectation of a window checked one
+    # apply_sequence call per cell. The window's argmin is not asserted:
+    # its nine cells agree to about 4e-16 relative, so rounding decides it
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "parallel", "--scheme", scheme, "--n", "62", "--l", "1")
+    assert time.perf_counter() - t0 < 10.0
+    assert (rc, err) == (0, "")
+    _, (row,) = parse_csv(out)
+    k1, k2 = int(row["k1"]), int(row["k2"])
+    space = new_search_space(62, 0)
+    window = [expected(space, 1, j, k2) for j in range(k1 - 4, k1 + 5)]
+    assert float(row["e_min"]) == pytest.approx(min(window), rel=1e-15)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("bounds", "--n", "62", "--m", "61"),
@@ -494,7 +514,7 @@ def test_oversized_scans_exit_1_promptly(capsys, argv):
     # l = 2) and finishes l = 1; its l = 2 grk scan then reaches the cap on
     # evaluated cells within seconds, as the columns stay nearly tied. The
     # budget of 8.4e6 splits is just over the 2^23 split cap: evaluating it
-    # takes about 2 s and 0.9 GB
+    # takes about 1 s and 0.6 GB
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 10.0

@@ -269,6 +269,18 @@ def test_hybrid_l2_floor_and_curve():
     assert bound.coefficient < 0.69 / math.sqrt(2)
 
 
+def test_hybrid_l2_closed_form_is_not_a_lower_bound():
+    # 2 pi / 13 is the curve at phi = pi / 4, not its minimum: the curve
+    # dips to 0.4832015 sqrt(N) at phi = 0.7737, 2.5e-4 relative below
+    N = 2**62
+    coefficient = hybrid_l2_lower_bound(N).coefficient
+    phis = np.linspace(0.7, 0.85, 1501)
+    low = min(v for _, v in hybrid_l2_curve(N, phis)) / math.sqrt(N)
+    assert low < coefficient
+    assert low == pytest.approx(0.4832015, abs=1e-7)
+    assert 1.0 - low / coefficient == pytest.approx(2.5e-4, rel=0.01)
+
+
 def test_hybrid_beats_inner_at_two_qpus():
     for n in (6, 12, 20):
         sp = space_for_parallelism(n, 2)
