@@ -7,6 +7,12 @@ FullState and the apply_* functions are the one-vector reference; the
 simulation itself runs many sequences at once as rows of one array,
 doing each query for the whole batch with the same arithmetic.
 
+verify_subspace keeps its draws in one flat bool array (True: a local
+query) with one length per sequence. Both sides read that array: the
+reduced side is one call to dynamics.apply_sequences, bit for bit
+apply_sequence on every row, and the full side scatters it step-major
+once and runs it in lockstep batches.
+
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
 blocks' means (local), computing the row means only if a row is global and
@@ -28,25 +34,27 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import Kind, OperatorSequence, State3, apply_sequence
+from .dynamics import Kind, OperatorSequence, State3, apply_sequences
 from .errors import ParameterError, ResourceLimitError
 from .space import new_search_space
 
 # 2^14 doubles keeps every verification call well under a second
 MAX_STATEVEC_QUBITS = 14
-# amplitudes per batch of sequences run in lockstep: 2^13 doubles (64 KiB).
+# amplitudes per batch of sequences run in lockstep: 2^14 doubles (128 KiB).
 # A step makes the same few numpy calls whatever the batch holds, so larger
-# batches pay less per query: 2^16 ran the n <= 10 and (14, 7) verify calls
-# about 15 % faster but raised the peak memory of the run by 2 MB.
-_BATCH_DOUBLES = 1 << 13
+# batches pay less per query. On a 2-vCPU host the n <= 10 and (14, 7)
+# verify calls took 0.69 s at 2^13, 0.57 s at 2^14 and 0.56 s at 2^15 (best
+# of 12); 2^15 raised the peak memory by 0.6 MB over 2^14.
+_BATCH_DOUBLES = 1 << 14
 
 # amplitude updates one call may ask for: queries x 2^n, where verify's
 # queries are sequences x max_k (its longest draw) and a query counts at
 # least 2^11 amplitudes, for the draw and the reduced side. On a 2-vCPU host
-# a query took 2.6 us at n = 1 in 20-query sequences (20 us in 1-query ones)
-# and an amplitude 2.3 ns at n = 14. The default verify at n = 14 asks for
-# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.6 s (n = 14, 800 x 40),
-# 1.4 s (n = 10, 6400 x 40) and, the worst, 7 s and 185 MB (n = 1, 2^18 x 1).
+# a query took 1.7 us at n = 1 in 1..20-query sequences (8 us in 1-query
+# ones, nearly all of it the draw's three rng.integers calls) and an
+# amplitude 1.5 ns at n = 14. The default verify at n = 14 asks for
+# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.4 s (n = 14, 800 x 40),
+# 0.7 s (n = 10, 6400 x 40) and, the worst, 2.2 s and 93 MB (n = 1, 2^18 x 1).
 _WORK_CAP = 1 << 29
 _QUERY_MIN_DOUBLES = 1 << 11
 
@@ -133,27 +141,25 @@ def apply_local_diffusion(state: FullState, m: int) -> FullState:
 
 
 def _run_rows(
-    n: int, m: int, targets: np.ndarray, local: list[np.ndarray]
+    n: int, m: int, targets: np.ndarray, kinds: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """Full vectors of a batch of sequences run in lockstep from |s>.
 
-    Row r makes len(local[r]) queries on marked item targets[r]; its
-    query j is local where local[r][j]. Rows come longest first, so the
-    rows still running at each step are a prefix. A query is the oracle
-    sign flip, then v -> 2*mean - v about the row mean (global) or about
-    each block's mean (local; the identity when m = 0): the arithmetic of
-    apply_oracle and apply_global_diffusion/apply_local_diffusion. A step
-    takes the row means only if one of its rows is global and the block
-    means only if one is local.
+    Row r makes lengths[r] queries on marked item targets[r]; its query j
+    is local where kinds[j, r] (step-major, False past a row's end). Rows
+    come longest first, so the rows still running at each step are a
+    prefix. A query is the oracle sign flip, then v -> 2*mean - v about the
+    row mean (global) or about each block's mean (local; the identity when
+    m = 0): the arithmetic of apply_oracle and
+    apply_global_diffusion/apply_local_diffusion. A step takes the row
+    means only if one of its rows is global and the block means only if
+    one is local.
     """
     rows, size, b = len(targets), 1 << n, 1 << m
-    lengths = np.array([len(bits) for bits in local])
-    kinds = np.zeros((lengths[0], rows), dtype=bool)  # step-major
-    for r, bits in enumerate(local):
-        kinds[: len(bits), r] = bits
+    steps = int(lengths[0])
     # rows still running at each step: lengths fall, so a sorted search
-    active_rows = np.searchsorted(-lengths, -np.arange(lengths[0])).tolist()
-    local_rows = kinds.sum(axis=1).tolist()
+    active_rows = np.searchsorted(-lengths, -np.arange(steps)).tolist()
+    local_rows = kinds[:steps].sum(axis=1).tolist()
     amp = np.full((rows, size), size**-0.5)
     flat = amp.reshape(-1)
     marked = np.arange(rows) * size + targets
@@ -200,7 +206,7 @@ def simulate_sequence(
     _check_work(n, seq.total_queries)
     targets = np.array([target_index])
     local = np.array([kind is Kind.LOCAL for kind in seq.kinds()], dtype=bool)
-    amp = _run_rows(n, m, targets, [local])
+    amp = _run_rows(n, m, targets, local[:, None], np.array([len(local)]))
     block_prob, proj, _ = _project(amp, targets, m)
     amp_t, amp_bt, amp_bbar = proj[0].tolist()
     return float(block_prob[0]), amp_t**2, State3(amp_t, amp_bt, amp_bbar)
@@ -239,17 +245,29 @@ def _project(
 
 
 def _simulate_batches(
-    n: int, m: int, targets: np.ndarray, local: list[np.ndarray]
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Run sequence i (local[i][j]: query j is local) on marked item
-    targets[i] for every i, in lockstep batches of at most _BATCH_DOUBLES
-    amplitudes (one row at least), longest sequences first. Yields each
-    batch's sequence indices and its (rows, 2^n) final amplitudes."""
-    order = sorted(range(len(local)), key=lambda i: -len(local[i]))
+    n: int, m: int, targets: np.ndarray, local: np.ndarray, lengths: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run sequence i, the next lengths[i] queries of the flat bool array
+    local (True: a local query), on marked item targets[i] for every i, in
+    lockstep batches of at most _BATCH_DOUBLES amplitudes (one row at
+    least), longest sequences first. Yields each batch's sequence indices
+    and its (rows, 2^n) final amplitudes."""
+    rows = len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.empty(rows, dtype=np.int64)
+    slot[order] = np.arange(rows)
+    # every row's queries step-major in batch order, in one scatter
+    ends = np.cumsum(lengths)
+    step = np.arange(len(local)) - np.repeat(ends - lengths, lengths)
+    kinds = np.zeros((int(lengths.max()), rows), dtype=bool)
+    kinds[step, np.repeat(slot, lengths)] = local
+    lengths = lengths[order]
     per_batch = max(1, _BATCH_DOUBLES >> n)
-    for start in range(0, len(order), per_batch):
-        rows = order[start : start + per_batch]
-        yield rows, _run_rows(n, m, targets[rows], [local[r] for r in rows])
+    for start in range(0, rows, per_batch):
+        batch = slice(start, start + per_batch)
+        yield order[batch], _run_rows(
+            n, m, targets[order[batch]], kinds[:, batch], lengths[batch]
+        )
 
 
 def verify_subspace(
@@ -268,9 +286,10 @@ def verify_subspace(
     target-independence check: the reduced dynamics cannot depend on the
     index, so every target must match the same 3-vector.
 
-    The reduced side runs one sequence at a time through apply_sequence;
-    the full vectors run in lockstep batches of about _BATCH_DOUBLES
-    amplitudes, longest sequences first.
+    The draws are kept in one flat bool array. The reduced side runs every
+    sequence at once through apply_sequences; the full vectors run in
+    lockstep batches of about _BATCH_DOUBLES amplitudes, longest sequences
+    first. Only the worst case and the failures become OperatorSequences.
 
     Returns a JSON-ready report; report['passed'] is False iff any
     deviation exceeds tol, and failing sequences are listed.
@@ -283,35 +302,45 @@ def verify_subspace(
     _check_size(n)
     _check_work(n, num_random_sequences * max_k)
     rng = np.random.default_rng(seed)
-    draws, targets = [], []
-    for _ in range(num_random_sequences):
+    # draw by draw, so every seed keeps its sequences and targets; one
+    # query is drawn as a scalar, the same value without the sized call's
+    # np.prod (about 5 us, most of a one-query draw)
+    local = np.empty(num_random_sequences * max_k, dtype=bool)
+    lengths = np.empty(num_random_sequences, dtype=np.int64)
+    targets = np.empty(num_random_sequences, dtype=np.int64)
+    end = 0
+    for i in range(num_random_sequences):
         k_tot = int(rng.integers(1, max_k + 1))
-        draws.append(rng.integers(0, 2, k_tot).astype(bool))
-        targets.append(int(rng.integers(0, space.N)))
-    targets = np.array(targets)
+        local[end : end + k_tot] = rng.integers(0, 2, k_tot if k_tot > 1 else None)
+        end += k_tot
+        lengths[i] = k_tot
+        targets[i] = rng.integers(0, space.N)
+    local = local[:end]
+    starts = (np.cumsum(lengths) - lengths).tolist()
 
     def sequence(i: int) -> OperatorSequence:
+        bits = local[starts[i] : starts[i] + lengths[i]].tolist()
         return OperatorSequence(
             (Kind.LOCAL if bit else Kind.GLOBAL, len(list(run)))
-            for bit, run in groupby(draws[i].tolist())
+            for bit, run in groupby(bits)
         )
 
-    states = [apply_sequence(space, sequence(i)) for i in range(num_random_sequences)]
-    reduced = np.array([(st.amp_t, st.amp_bt, st.amp_bbar) for st in states])
+    reduced = apply_sequences(space, local, lengths)
     # block, target probability; scalar ** 2 is libm pow, which an array
     # square can miss by an ulp
-    expected = np.array([(1.0 - st.amp_bbar**2, st.amp_t**2) for st in states])
+    block_expected = np.array([1.0 - a**2 for a in reduced[:, 2].tolist()])
+    target_expected = np.array([a**2 for a in reduced[:, 0].tolist()])
 
     dev = np.empty(num_random_sequences)
-    for rows, amp in _simulate_batches(n, m, targets, draws):
+    for rows, amp in _simulate_batches(n, m, targets, local, lengths):
         block_prob, proj, residual = _project(amp, targets[rows], m)
         target_prob = np.array([a**2 for a in proj[:, 0].tolist()])  # pow, as above
         dev[rows] = np.maximum.reduce(
             [
                 np.abs(reduced[rows] - proj).max(axis=1),
                 residual,
-                np.abs(block_prob - expected[rows, 0]),
-                np.abs(target_prob - expected[rows, 1]),
+                np.abs(block_prob - block_expected[rows]),
+                np.abs(target_prob - target_expected[rows]),
             ]
         )
 

@@ -14,6 +14,7 @@ from partial_search import (
     OperatorSequence,
     ResourceLimitError,
     apply_sequence,
+    apply_sequences,
     grk_optimal_parameters,
     new_search_space,
 )
@@ -126,6 +127,45 @@ def test_random_runs_match_oracle(data):
     runs = data.draw(st.lists(one_run, min_size=1, max_size=4))
     got = apply_sequence(new_search_space(n, m), OperatorSequence(runs)).as_array()
     assert max_error(got, oracle_state(n, m, runs)) <= 1e-13
+
+
+# -- the batched propagator against one apply_sequence per row --------------------
+
+
+def assert_rows_are_apply_sequence(space, rows):
+    """apply_sequences on the flat draws of rows (lists of bools, True for
+    a local query) equals apply_sequence row by row, bit for bit."""
+    local = np.array([bit for bits in rows for bit in bits], dtype=bool)
+    got = apply_sequences(space, local, np.array([len(bits) for bits in rows]))
+    assert got.shape == (len(rows), 3)
+    for row, bits in zip(got, rows):
+        seq = OperatorSequence.from_kinds(L if bit else G for bit in bits)
+        assert np.array_equal(row, apply_sequence(space, seq).as_array()), bits
+
+
+@pytest.mark.parametrize(
+    "n, m", [(1, 0), (8, 3), (10, 9), (40, 20), (62, 31), (8, 0), (62, 61)]
+)
+@pytest.mark.parametrize("max_k", [1, 7, 40])
+def test_batched_runs_are_apply_sequence(n, m, max_k):
+    rng = np.random.default_rng(64 * n + m + max_k)
+    lengths = rng.integers(1, max_k + 1, 50)
+    rows = [rng.integers(0, 2, k).astype(bool).tolist() for k in lengths]
+    # counts up to max_k in both kinds, one-query rows, and run counts
+    # from 1 to max_k (alternating kinds) side by side in one batch
+    rows += [[True] * max_k, [False] * max_k, [True], [False]]
+    rows += [[j % 2 == 0 for j in range(max_k)], [j % 2 == 1 for j in range(max_k)]]
+    assert_rows_are_apply_sequence(new_search_space(n, m), rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_batches_are_apply_sequence(data):
+    n = data.draw(st.integers(1, 62))
+    m = data.draw(st.integers(0, n - 1))
+    bits = st.lists(st.booleans(), min_size=0, max_size=30)
+    rows = data.draw(st.lists(bits, min_size=1, max_size=12))
+    assert_rows_are_apply_sequence(new_search_space(n, m), rows)
 
 
 # -- vectorized scans against one apply_sequence per cell ------------------------

@@ -19,6 +19,7 @@ from partial_search import (
     apply_local_diffusion,
     apply_oracle,
     apply_sequence,
+    apply_sequences,
     block_success_probability,
     grk_optimal_parameters,
     grover_full_search_probability,
@@ -249,7 +250,8 @@ def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
     # n = 12 one row, as verify runs every n >= 13
     per_batch = 1 if n >= 12 else 5
     monkeypatch.setattr(statevec, "_BATCH_DOUBLES", per_batch << n)
-    batches = list(statevec._simulate_batches(n, m, targets, local))
+    flat, lengths = np.concatenate(local), np.array([len(bits) for bits in local])
+    batches = list(statevec._simulate_batches(n, m, targets, flat, lengths))
     sizes = [min(per_batch, count - start) for start in range(0, count, per_batch)]
     assert [len(rows) for rows, _ in batches] == sizes
     for rows, amp in batches:
@@ -340,7 +342,10 @@ def reference_verify(n, m, num_random_sequences=200, max_k=40, tol=1e-10, seed=4
 @pytest.mark.parametrize(
     "n, m, seed",
     [(1, 0, 3), (2, 1, 42), (5, 0, 3), (6, 3, 42), (8, 2, 3), (10, 0, 42), (10, 0, 3),
-     (10, 4, 42), (10, 9, 3), (12, 6, 42), (14, 7, 3)],
+     (10, 4, 42), (10, 9, 3), (12, 6, 42), (14, 7, 3),
+     # 16-row batches at n = 10: strided subtracts (b <= 4), the strided
+     # 8-entry mean and np.add.reduce block means (b >= 16)
+     (10, 1, 3), (10, 2, 42), (10, 3, 3), (10, 5, 42), (10, 7, 3)],
 )
 def test_verify_report_equals_per_query_loop(n, m, seed):
     assert verify_subspace(n, m, seed=seed) == reference_verify(n, m, seed=seed)
@@ -361,11 +366,12 @@ def test_verify_failure_listing_equals_per_query_loop():
 
 
 def test_verify_flags_every_sequence_when_the_reduced_side_is_off(monkeypatch):
-    def shifted(space, seq):
-        st = apply_sequence(space, seq)
-        return State3(st.amp_t + 1e-8, st.amp_bt, st.amp_bbar)
+    def shifted(space, local, lengths):
+        states = apply_sequences(space, local, lengths)
+        states[:, 0] += 1e-8
+        return states
 
-    monkeypatch.setattr(statevec, "apply_sequence", shifted)
+    monkeypatch.setattr(statevec, "apply_sequences", shifted)
     report = verify_subspace(8, 3, num_random_sequences=25, max_k=15, seed=11)
     assert report["passed"] is False
     every = reference_verify(8, 3, num_random_sequences=25, max_k=15, tol=-1.0, seed=11)
@@ -381,7 +387,7 @@ def test_verify_refuses_n_above_cap_before_drawing(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", boom)
     monkeypatch.setattr(statevec, "_run_rows", boom)
-    monkeypatch.setattr(statevec, "apply_sequence", boom)
+    monkeypatch.setattr(statevec, "apply_sequences", boom)
     with pytest.raises(ResourceLimitError):
         verify_subspace(15, 7)
 
@@ -396,7 +402,7 @@ def test_verify_refuses_work_above_cap_before_drawing(monkeypatch, n, sequences,
 
     monkeypatch.setattr(np.random, "default_rng", boom)
     monkeypatch.setattr(statevec, "_run_rows", boom)
-    monkeypatch.setattr(statevec, "apply_sequence", boom)
+    monkeypatch.setattr(statevec, "apply_sequences", boom)
     with pytest.raises(ResourceLimitError, match="work cap of 2\\^29"):
         verify_subspace(n, n // 2, num_random_sequences=sequences, max_k=max_k)
 
