@@ -20,7 +20,6 @@ from .dynamics import (
     OperatorSequence,
     State3,
     apply_sequence,
-    apply_sequences,
     block_success_probability,
     full_target_probability,
     global_grover_matrix,

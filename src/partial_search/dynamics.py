@@ -27,12 +27,6 @@ from .space import SearchSpace, angles, grover_angle
 # amplitudes may leave [0,1] by accumulated rounding; anything worse than
 # this is a real bug, not noise
 PROB_CLAMP_TOL = 1e-9
-# apply_sequences runs a level of runs as numpy calls while at least this
-# many rows are running, and the rest of each row's runs as floats. On a
-# 2-vCPU host a level cost about 25 us whatever its rows and a run as
-# floats about 0.5 us; 40 rows of up to 1024 queries took 17 ms at 8 and
-# 5 ms at 32, and one row of 2^14 queries 219 ms at 1 and 4 ms at 32.
-_BATCH_ROWS = 32
 
 
 class Kind(enum.Enum):
@@ -205,14 +199,14 @@ def local_grover_matrix(space: SearchSpace) -> np.ndarray:
 
 def _local_run(t, bt, c, s):
     """A local run: (|t>, |bt~>) rotated by the angle with cosine c and
-    sine s. Floats or arrays alike, so one sequence and a batch share it."""
+    sine s. apply_sequence and _apply_sequences share it."""
     return c * t + s * bt, -s * t + c * bt
 
 
 def _global_run(t, bt, bb, c, s, sign, u_bt, u_bb):
     """A global run: (|t>, |u>) rotated as in _local_run (inlined: this is
     apply_sequence's inner loop) and the |w> part scaled by sign, which is
-    (-1)^count. Floats or arrays alike."""
+    (-1)^count."""
     u = u_bt * bt + u_bb * bb
     d = (u_bb * bt - u_bt * bb) * sign
     x = -s * t + c * u
@@ -259,56 +253,29 @@ def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
     return State3(t, bt, bb)
 
 
-def apply_sequences(
+def _apply_sequences(
     space: SearchSpace, local: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
     """apply_sequence for many sequences at once, bit for bit.
 
     Sequence r is the next lengths[r] queries of the flat bool array local
-    (True: a local query), in application order. Returns the final
-    (amp_t, amp_bt, amp_bbar) of every sequence as a (rows, 3) array.
+    (True: a local query), in application order; the lengths sum to
+    len(local). Returns the final (amp_t, amp_bt, amp_bbar) of every
+    sequence as a (rows, 3) array.
 
-    The queries are cut into runs, and level j applies every row's j-th
-    run with apply_sequence's own _local_run/_global_run and the same
-    math.cos/math.sin of 2.0*count*theta, tabulated once per count. Runs
-    alternate in kind, so rows are grouped by the kind of their first run,
-    each group by falling run count: at every level the running rows of
-    each group are a prefix, and one group's runs are all local and the
-    other's all global. Once fewer than _BATCH_ROWS rows are running, each
-    finishes its runs on its own, as floats.
+    numpy cuts the queries into runs; each row then applies its runs with
+    apply_sequence's _local_run/_global_run and the same math.cos/math.sin
+    of 2.0*count*theta, tabulated once per count.
     """
     a = angles(space)
     u_bt, u_bb = _uniform_complement(space)
-    local = np.asarray(local, dtype=bool)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    rows = len(lengths)
-    row = np.repeat(np.arange(rows), lengths)  # row of every query
     # a run starts at each change of kind and at each row's first query
     is_start = np.ones(len(local), dtype=bool)
     np.not_equal(local[1:], local[:-1], out=is_start[1:])
-    is_start[1:] |= row[1:] != row[:-1]
+    is_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
     starts = np.flatnonzero(is_start)
     counts = np.diff(starts, append=len(local))
-    run_row = row[starts]
-    runs = np.bincount(run_row, minlength=rows)
-    first_run = np.cumsum(runs) - runs
-    level = np.arange(len(starts)) - first_run[run_row]
-    first = starts[level == 0]  # every nonempty row's first query
-    first_local = np.zeros(rows, dtype=bool)
-    first_local[row[first]] = local[first]
-
-    # slots: local-first rows, then global-first rows, each by falling runs
-    order = np.lexsort((-runs, ~first_local))
-    slot = np.empty(rows, dtype=np.int64)
-    slot[order] = np.arange(rows)
-    n_local = int(first_local.sum())
-    levels = np.arange(int(runs.max(initial=0)))
-    sorted_runs = -runs[order]  # ascending in each group: a sorted search
-    in_local = np.searchsorted(sorted_runs[:n_local], -levels)
-    in_global = np.searchsorted(sorted_runs[n_local:], -levels)
-    batched = int(np.count_nonzero(in_local + in_global >= _BATCH_ROWS))
-    # every run's count, level by level and by slot within a level
-    by_level = counts[np.lexsort((slot[run_row], level))]
+    row_ends = np.searchsorted(starts, np.cumsum(lengths)).tolist()
 
     twice = [2.0 * k for k in range(int(counts.max(initial=0)) + 1)]
     cos1 = [math.cos(x * a.theta1) for x in twice]
@@ -316,37 +283,22 @@ def apply_sequences(
     cos2 = [math.cos(x * a.theta2) for x in twice]
     sin2 = [math.sin(x * a.theta2) for x in twice]
     sign = [-1.0 if k % 2 else 1.0 for k in range(len(twice))]
-    c1, s1, c2, s2, sg = (np.array(x) for x in (cos1, sin1, cos2, sin2, sign))
 
     st = initial_state(space)
-    t, bt, bb = (np.full(rows, x) for x in (st.amp_t, st.amp_bt, st.amp_bbar))
-    end = 0
-    for j in range(batched):
-        n_lead, n_rest = int(in_local[j]), int(in_global[j])
-        k = by_level[end : end + n_lead + n_rest]
-        end += n_lead + n_rest
-        lead = (slice(0, n_lead), k[:n_lead])  # local-first rows
-        rest = (slice(n_local, n_local + n_rest), k[n_lead:])
-        (loc, kl), (glob, kg) = (lead, rest) if j % 2 == 0 else (rest, lead)
-        t[loc], bt[loc] = _local_run(t[loc], bt[loc], c2[kl], s2[kl])
-        t[glob], bt[glob], bb[glob] = _global_run(
-            t[glob], bt[glob], bb[glob], c1[kg], s1[kg], sg[kg], u_bt, u_bb
-        )
-    out = np.stack([t, bt, bb], axis=1)[slot]
-
-    counts = counts.tolist()
-    for r in np.flatnonzero(runs > batched).tolist():
-        x, y, z = out[r].tolist()
-        is_local = bool(first_local[r]) == (batched % 2 == 0)  # its next run
-        begin = int(first_run[r])
-        for k in counts[begin + batched : begin + int(runs[r])]:
+    counts, kinds = counts.tolist(), local[starts].tolist()
+    out, begin = [], 0
+    for end in row_ends:
+        t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
+        for k, is_local in zip(counts[begin:end], kinds[begin:end]):
             if is_local:
-                x, y = _local_run(x, y, cos2[k], sin2[k])
+                t, bt = _local_run(t, bt, cos2[k], sin2[k])
             else:
-                x, y, z = _global_run(x, y, z, cos1[k], sin1[k], sign[k], u_bt, u_bb)
-            is_local = not is_local
-        out[r] = x, y, z
-    return out
+                t, bt, bb = _global_run(
+                    t, bt, bb, cos1[k], sin1[k], sign[k], u_bt, u_bb
+                )
+        out.append((t, bt, bb))
+        begin = end
+    return np.array(out).reshape(len(row_ends), 3)
 
 
 def _clamp_probability(p: float) -> float:

@@ -9,9 +9,10 @@ doing each query for the whole batch with the same arithmetic.
 
 verify_subspace keeps its draws in one flat bool array (True: a local
 query) with one length per sequence. Both sides read that array: the
-reduced side is one call to dynamics.apply_sequences, bit for bit
-apply_sequence on every row, and the full side scatters it step-major
-once and runs it in lockstep batches.
+reduced side is one call to dynamics._apply_sequences, bit for bit
+apply_sequence on every row without an OperatorSequence per draw, and
+the full side scatters it step-major once and runs it in lockstep
+batches.
 
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import Kind, OperatorSequence, State3, apply_sequences
+from .dynamics import Kind, OperatorSequence, State3, _apply_sequences
 from .errors import ParameterError, ResourceLimitError
 from .space import new_search_space
 
@@ -50,11 +51,11 @@ _BATCH_DOUBLES = 1 << 14
 # amplitude updates one call may ask for: queries x 2^n, where verify's
 # queries are sequences x max_k (its longest draw) and a query counts at
 # least 2^11 amplitudes, for the draw and the reduced side. On a 2-vCPU host
-# a query took 1.7 us at n = 1 in 1..20-query sequences (8 us in 1-query
-# ones, nearly all of it the draw's three rng.integers calls) and an
-# amplitude 1.5 ns at n = 14. The default verify at n = 14 asks for
+# a query took 1.9 us at n = 1 in 1..20-query sequences (14 us in 1-query
+# ones, most of it the draw's three rng.integers calls) and an amplitude
+# 1.5 ns at n = 14. The default verify at n = 14 asks for
 # 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.4 s (n = 14, 800 x 40),
-# 0.7 s (n = 10, 6400 x 40) and, the worst, 2.2 s and 93 MB (n = 1, 2^18 x 1).
+# 0.7 s (n = 10, 6400 x 40) and, the worst, 3.5 s and 118 MB (n = 1, 2^18 x 1).
 _WORK_CAP = 1 << 29
 _QUERY_MIN_DOUBLES = 1 << 11
 
@@ -287,7 +288,7 @@ def verify_subspace(
     index, so every target must match the same 3-vector.
 
     The draws are kept in one flat bool array. The reduced side runs every
-    sequence at once through apply_sequences; the full vectors run in
+    sequence at once through _apply_sequences; the full vectors run in
     lockstep batches of about _BATCH_DOUBLES amplitudes, longest sequences
     first. Only the worst case and the failures become OperatorSequences.
 
@@ -302,16 +303,14 @@ def verify_subspace(
     _check_size(n)
     _check_work(n, num_random_sequences * max_k)
     rng = np.random.default_rng(seed)
-    # draw by draw, so every seed keeps its sequences and targets; one
-    # query is drawn as a scalar, the same value without the sized call's
-    # np.prod (about 5 us, most of a one-query draw)
+    # draw by draw, so every seed keeps its sequences and targets
     local = np.empty(num_random_sequences * max_k, dtype=bool)
     lengths = np.empty(num_random_sequences, dtype=np.int64)
     targets = np.empty(num_random_sequences, dtype=np.int64)
     end = 0
     for i in range(num_random_sequences):
         k_tot = int(rng.integers(1, max_k + 1))
-        local[end : end + k_tot] = rng.integers(0, 2, k_tot if k_tot > 1 else None)
+        local[end : end + k_tot] = rng.integers(0, 2, k_tot)
         end += k_tot
         lengths[i] = k_tot
         targets[i] = rng.integers(0, space.N)
@@ -325,7 +324,7 @@ def verify_subspace(
             for bit, run in groupby(bits)
         )
 
-    reduced = apply_sequences(space, local, lengths)
+    reduced = _apply_sequences(space, local, lengths)
     # block, target probability; scalar ** 2 is libm pow, which an array
     # square can miss by an ulp
     block_expected = np.array([1.0 - a**2 for a in reduced[:, 2].tolist()])

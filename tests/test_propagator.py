@@ -14,13 +14,12 @@ from partial_search import (
     OperatorSequence,
     ResourceLimitError,
     apply_sequence,
-    apply_sequences,
     grk_optimal_parameters,
     new_search_space,
 )
 from partial_search import bounds, parallel, scans
 from partial_search.cli import run
-from partial_search.dynamics import uniform_after_globals
+from partial_search.dynamics import _apply_sequences, uniform_after_globals
 from full_box_scan import final_rows, full_box_scan_min
 from partial_search.scans import (
     default_budget,
@@ -133,10 +132,10 @@ def test_random_runs_match_oracle(data):
 
 
 def assert_rows_are_apply_sequence(space, rows):
-    """apply_sequences on the flat draws of rows (lists of bools, True for
+    """_apply_sequences on the flat draws of rows (lists of bools, True for
     a local query) equals apply_sequence row by row, bit for bit."""
     local = np.array([bit for bits in rows for bit in bits], dtype=bool)
-    got = apply_sequences(space, local, np.array([len(bits) for bits in rows]))
+    got = _apply_sequences(space, local, np.array([len(bits) for bits in rows]))
     assert got.shape == (len(rows), 3)
     for row, bits in zip(got, rows):
         seq = OperatorSequence.from_kinds(L if bit else G for bit in bits)

@@ -19,7 +19,6 @@ from partial_search import (
     apply_local_diffusion,
     apply_oracle,
     apply_sequence,
-    apply_sequences,
     block_success_probability,
     grk_optimal_parameters,
     grover_full_search_probability,
@@ -29,6 +28,7 @@ from partial_search import (
     verify_subspace,
 )
 from partial_search.cli import OutputRecord, render_json, run
+from partial_search.dynamics import _apply_sequences
 
 G, L = Kind.GLOBAL, Kind.LOCAL
 
@@ -367,11 +367,11 @@ def test_verify_failure_listing_equals_per_query_loop():
 
 def test_verify_flags_every_sequence_when_the_reduced_side_is_off(monkeypatch):
     def shifted(space, local, lengths):
-        states = apply_sequences(space, local, lengths)
+        states = _apply_sequences(space, local, lengths)
         states[:, 0] += 1e-8
         return states
 
-    monkeypatch.setattr(statevec, "apply_sequences", shifted)
+    monkeypatch.setattr(statevec, "_apply_sequences", shifted)
     report = verify_subspace(8, 3, num_random_sequences=25, max_k=15, seed=11)
     assert report["passed"] is False
     every = reference_verify(8, 3, num_random_sequences=25, max_k=15, tol=-1.0, seed=11)
@@ -387,7 +387,7 @@ def test_verify_refuses_n_above_cap_before_drawing(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", boom)
     monkeypatch.setattr(statevec, "_run_rows", boom)
-    monkeypatch.setattr(statevec, "apply_sequences", boom)
+    monkeypatch.setattr(statevec, "_apply_sequences", boom)
     with pytest.raises(ResourceLimitError):
         verify_subspace(15, 7)
 
@@ -402,7 +402,7 @@ def test_verify_refuses_work_above_cap_before_drawing(monkeypatch, n, sequences,
 
     monkeypatch.setattr(np.random, "default_rng", boom)
     monkeypatch.setattr(statevec, "_run_rows", boom)
-    monkeypatch.setattr(statevec, "apply_sequences", boom)
+    monkeypatch.setattr(statevec, "_apply_sequences", boom)
     with pytest.raises(ResourceLimitError, match="work cap of 2\\^29"):
         verify_subspace(n, n // 2, num_random_sequences=sequences, max_k=max_k)
 
