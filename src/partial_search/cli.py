@@ -306,7 +306,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> OutputRecord:
                     "sequence": seq.product_string(space),
                     "tokens": seq.token_spec(),
                     "is_grk": is_grk_form(seq),
-                    "num_ties": len(res.optimal_sequences),
+                    "num_ties": len(res.tie_masks),
                 }
             )
     params = {"n": args.n, "m": args.m, "ktot": args.ktot, "all_ties": args.all_ties}

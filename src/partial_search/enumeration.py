@@ -6,12 +6,23 @@ lexicographic order). The sweep splits each mask after p = k_tot // 2
 queries: mask (P << s) | S, s = k_tot - p, has the outside-block
 amplitude u_S . v_P, where v_P is the state after prefix P and
 u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
-covectors are each built by doubling, and the amplitude grid is
-evaluated in chunks of whole prefix rows, _CHUNK_CELLS cells each.
+covectors are each built by doubling.
 
-The chunk grid depends only on k_tot, never on the worker count, and
-every amplitude is the same three-term sum outside BLAS, so results are
-bit-identical for any number of workers or BLAS threads.
+A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is evaluated whole.
+A larger one is a branch and bound over tiles of prefix rows x suffix
+columns. States and covectors are each ordered once so that every
+aligned block of them is a k-d cell, and the componentwise boxes of a
+tile's rows and columns bound u . v over the tile. The best GRK leaf
+bounds the least amp^2 from above, so a tile whose amplitudes all lie
+farther from 0 holds neither the maximum nor a tie and is dropped. The
+rest are bisected down to _LEAF_ROWS rows, or, once a level keeps more
+than _DENSE_SHARE of the tiles it bounds, swept whole. Surviving cells
+are evaluated by row block, in chunks of at most _CHUNK_CELLS cells.
+
+Dropped tiles hold no tie, chunks only gather the ties and their order
+is undone by the final sort, and every amplitude is the same three-term
+sum outside BLAS: results are bit-identical to a sweep of every leaf,
+for any number of workers or BLAS threads.
 """
 
 from __future__ import annotations
@@ -21,6 +32,8 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,11 +47,17 @@ from .dynamics import (
     local_grover_matrix,
 )
 from .errors import NumericalError, ParameterError, ResourceLimitError
+from .scans import grk_max_block_probability
 from .space import SearchSpace, check_qubits, new_search_space
 
 K_TOT_CAP = 30  # 2^30 leaves; beyond this the exhaustive contract is off
 TIE_TOL = 1e-9  # sequences this close to the maximum count as co-optimal
-_CHUNK_CELLS = 1 << 16  # amplitude-grid cells per chunk of prefix rows
+_CHUNK_CELLS = 1 << 16  # amplitude-grid cells per chunk
+_LEAF_ROWS = 16  # prefix rows per tile where bisection stops
+_TOP_LEVEL = 4  # bisection starts from 2^4 x 2^4 tiles
+_DENSE_SHARE = 0.9  # a level that keeps more of the tiles it bounds stops there
+_BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
+_BOUND_SLACK = 1e-12  # covers the rounding of 1 - amp^2 in the tie test
 
 WORKERS_ENV_VAR = "PARTIAL_SEARCH_WORKERS"
 
@@ -47,19 +66,25 @@ WORKERS_ENV_VAR = "PARTIAL_SEARCH_WORKERS"
 class EnumerationResult:
     """Outcome of one exhaustive sweep at fixed k_tot.
 
-    optimal_sequences holds every tie-class sequence (within TIE_TOL of
-    pr_max, trailing-local representatives pruned), canonical first:
-    fewest runs, then lexicographically smallest with global=0.
+    tie_masks holds the k_tot-bit mask of every tie-class sequence
+    (within TIE_TOL of pr_max, trailing-local representatives pruned),
+    canonical first: fewest runs, then lexicographically smallest with
+    global=0. canonical builds the first sequence only;
+    optimal_sequences builds them all on first use.
     """
 
     k_tot: int
     pr_max: float
-    optimal_sequences: tuple[OperatorSequence, ...]
+    tie_masks: tuple[int, ...]
     expected_iterations: float
 
     @property
     def canonical(self) -> OperatorSequence:
-        return self.optimal_sequences[0]
+        return _mask_to_sequence(self.tie_masks[0], self.k_tot)
+
+    @cached_property
+    def optimal_sequences(self) -> tuple[OperatorSequence, ...]:
+        return tuple(_mask_to_sequence(mask, self.k_tot) for mask in self.tie_masks)
 
 
 @dataclass(frozen=True)
@@ -104,16 +129,19 @@ def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
 
 def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
     """Runs in each k_tot-bit mask: one more than its adjacent bit changes
-    (popcount by unpacking bytes; k_tot <= K_TOT_CAP fits in 32 bits)."""
-    changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint32)
-    bits = np.unpackbits(changes.view(np.uint8)).reshape(len(masks), 32)
+    (popcount by unpacking bytes; masks of up to 63 bits)."""
+    changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint64)
+    bits = np.unpackbits(changes.view(np.uint8)).reshape(len(masks), 64)
     return 1 + bits.sum(axis=1)
 
 
-def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def _times(rows: np.ndarray, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rows @ mat by numpy's own sum-of-products loop, each entry the sum
-    r0 m0 + r1 m1 + r2 m2: no BLAS kernel or thread count touches the bits."""
-    return np.einsum("ij,jk->ik", rows, mat)
+    (r0 m0 + r1 m1) + r2 m2: no BLAS kernel or thread count touches the
+    bits. Which loop numpy runs depends on the layout, so every amplitude
+    of the grid comes from C-contiguous rows and at least two columns of
+    unit stride."""
+    return np.einsum("ij,jk->ik", rows, mat, out=out)
 
 
 def _doubled(
@@ -126,6 +154,199 @@ def _doubled(
     for _ in range(depth):
         rows = np.stack([_times(rows, mat) for mat in mats], axis=axis).reshape(-1, 3)
     return rows
+
+
+def _grid(space: SearchSpace, k_tot: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u_t): the 2^p prefix states as rows and the 2^s suffix
+    covectors as columns, so leaf (P << s) | S has amplitude (v @ u_t)[P, S]."""
+    gn, lm = global_grover_matrix(space), local_grover_matrix(space)
+    p, s = k_tot // 2, k_tot - k_tot // 2
+    v = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
+    u_t = np.ascontiguousarray(_doubled(np.eye(3)[2], (gn, lm), s, axis=0).T)
+    return v, u_t
+
+
+def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
+    """Order of the 2^q points, the columns of `coords`, in which every
+    aligned block of leaf * 2^j points is a k-d cell: each block is split
+    at its median along one coordinate, the widest-spread coordinate
+    first and then the three in turn."""
+    axes = np.argsort(coords.min(axis=1) - coords.max(axis=1))
+    order = np.arange(coords.shape[1])
+    size, depth = len(order), 0
+    while size > leaf:
+        keys = coords[axes[depth % 3], order].reshape(-1, size)
+        halves = np.argpartition(keys, size // 2 - 1, axis=1)
+        order = np.take_along_axis(order.reshape(-1, size), halves, axis=1).ravel()
+        size, depth = size // 2, depth + 1
+    return order
+
+
+def _boxes(
+    coords: np.ndarray, order: np.ndarray, leaf: int, levels: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per level j = 0..levels, the componentwise (min, max) of each of
+    the 2^j aligned blocks of points in `order`, as two 3 x 2^j arrays."""
+    blocks = np.take(coords, order, axis=1).reshape(3, -1, leaf)
+    lo, hi = blocks.min(axis=2), blocks.max(axis=2)
+    out = [(lo, hi)]
+    for _ in range(levels):
+        lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
+        hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
+        out.append((lo, hi))
+    return out[::-1]
+
+
+def _amp_interval(
+    v_lo: np.ndarray, v_hi: np.ndarray, u_lo: np.ndarray, u_hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per tile, bounds on u . v for v in the box [v_lo, v_hi]
+    and u in [u_lo, u_hi] (3 x tiles arrays). Each term is bounded by its
+    extreme corner products and the terms are summed in the order of
+    _times, so, rounding being monotone, they bound the computed
+    amplitudes too."""
+    ends = (v_lo * u_lo, v_lo * u_hi, v_hi * u_lo, v_hi * u_hi)
+    lo = np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
+    hi = np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
+    return (lo[0] + lo[1]) + lo[2], (hi[0] + hi[1]) + hi[2]
+
+
+def _reference_sq(space: SearchSpace, k_tot: int, v: np.ndarray, u_t: np.ndarray) -> float:
+    """amp^2 of the best GRK leaf G^k1 L^k2 G, evaluated as the grid
+    evaluates it (two columns keep _times on the grid's loop): the least
+    amp^2 of the grid is at most this."""
+    _, _, k2 = grk_max_block_probability(space, k_tot)
+    mask = ((1 << k2) - 1) << 1
+    s = u_t.shape[1].bit_length() - 1
+    prefix, suffix = mask >> s, mask & ((1 << s) - 1)
+    amp = _times(v[prefix : prefix + 1], np.take(u_t, [suffix, suffix ^ 1], axis=1))
+    return float(amp[0, 0]) ** 2
+
+
+def _tiles(
+    v: np.ndarray, u_t: np.ndarray, sq_ref: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Branch and bound over tiles of prefix rows x suffix columns.
+
+    Returns (prefixes, suffixes) per row block: the cells of its
+    surviving tiles. sq_ref is amp^2 of a leaf of the grid. A tile is
+    dropped when every amplitude it can hold squares to more than
+    sq_ref + 2 TIE_TOL: none of its leaves is then the least amp^2 or
+    within TIE_TOL of it.
+    """
+    bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
+    rows_leaf = _LEAF_ROWS
+    cols_leaf = _LEAF_ROWS * u_t.shape[1] // len(v)
+    levels = (len(v) // rows_leaf).bit_length() - 1
+    row_order, col_order = _kd_order(v.T, rows_leaf), _kd_order(u_t, cols_leaf)
+    row_boxes = _boxes(v.T, row_order, rows_leaf, levels)
+    col_boxes = _boxes(u_t, col_order, cols_leaf, levels)
+
+    top = level = min(_TOP_LEVEL, levels)
+    rows, cols = np.divmod(np.arange(1 << 2 * level), 1 << level)
+    while True:
+        keep = np.empty(len(rows), dtype=bool)
+        for start in range(0, len(rows), _BOUND_TILES):
+            cut = slice(start, start + _BOUND_TILES)
+            lo, hi = _amp_interval(
+                *(np.take(box, rows[cut], axis=1) for box in row_boxes[level]),
+                *(np.take(box, cols[cut], axis=1) for box in col_boxes[level]),
+            )
+            gap = np.maximum(np.maximum(lo, -hi), 0.0)  # distance of [lo, hi] from 0
+            keep[cut] = gap * gap <= bound
+        rows, cols = rows[keep], cols[keep]
+        if level == levels or (level > top and keep.mean() > _DENSE_SHARE):
+            break
+        rows = (2 * rows[:, None] + np.array([0, 0, 1, 1])).ravel()
+        cols = (2 * cols[:, None] + np.array([0, 1, 0, 1])).ravel()
+        level += 1
+
+    height, width = len(v) >> level, u_t.shape[1] >> level
+    occupied = np.zeros((1 << level, 1 << level), dtype=bool)
+    occupied[rows, cols] = True
+    counts = occupied.sum(axis=1)
+    blocks = np.flatnonzero(counts)
+    ends = (np.cumsum(counts[blocks]) * width).tolist()
+    suffixes = col_order.reshape(-1, width)[np.nonzero(occupied)[1]].ravel()
+    return [
+        (row_order[block * height : (block + 1) * height], suffixes[start:end])
+        for block, start, end in zip(blocks.tolist(), [0] + ends, ends)
+    ]
+
+
+def _chunks(
+    pieces: list[tuple[np.ndarray, np.ndarray]],
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """The (prefixes, suffixes) pieces, cut into column slices of at most
+    _CHUNK_CELLS cells, so that each column of a piece is gathered once,
+    and packed in order into chunks of at most _CHUNK_CELLS cells. Slice
+    and piece widths are multiples of 16 (or the whole grid), so no
+    slice has a single column."""
+    chunks: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
+    cells = 0
+    for prefixes, suffixes in pieces:
+        step = _CHUNK_CELLS // len(prefixes)
+        for start in range(0, len(suffixes), step):
+            part = (prefixes, suffixes[start : start + step])
+            if cells + len(prefixes) * len(part[1]) > _CHUNK_CELLS:
+                chunks.append([])
+                cells = 0
+            chunks[-1].append(part)
+            cells += len(prefixes) * len(part[1])
+    return chunks
+
+
+def _plan(
+    space: SearchSpace, k_tot: int
+) -> tuple[np.ndarray, np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """(v, u_t, chunks): the grid and the chunks of its cells that may
+    hold the maximum or a tie, all of them for a grid of one chunk."""
+    v, u_t = _grid(space, k_tot)
+    if len(v) * u_t.shape[1] <= _CHUNK_CELLS:
+        pieces = [(np.arange(len(v)), np.arange(u_t.shape[1]))]
+    else:
+        pieces = _tiles(v, u_t, _reference_sq(space, k_tot, v, u_t))
+    return v, u_t, _chunks(pieces)
+
+
+def _sweep(
+    v: np.ndarray,
+    u_t: np.ndarray,
+    chunks: list[list[tuple[np.ndarray, np.ndarray]]],
+    nworkers: int,
+) -> tuple[float, np.ndarray]:
+    """(top, ties): the largest 1 - amp^2 over the chunks' cells and the
+    masks of every cell within TIE_TOL of it, in no particular order."""
+    s = u_t.shape[1].bit_length() - 1
+
+    def scan(chunk: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, np.ndarray, np.ndarray]:
+        # the chunk maximum and the masks and pr that may lie within TIE_TOL
+        # of it (a superset); max(1 - sq) = 1 - min(sq), rounding is monotone
+        ends = list(accumulate(len(prefixes) * len(suffixes) for prefixes, suffixes in chunk))
+        sq = np.empty(ends[-1])
+        for (prefixes, suffixes), start, end in zip(chunk, [0] + ends, ends):
+            block = sq[start:end].reshape(len(prefixes), len(suffixes))
+            _times(v[prefixes], np.take(u_t, suffixes, axis=1), out=block)
+        np.square(sq, out=sq)
+        low = float(sq.min())
+        idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+        cuts = np.searchsorted(idx, ends).tolist()
+        masks = []
+        for (prefixes, suffixes), start, a, b in zip(chunk, [0] + ends, [0] + cuts, cuts):
+            if a < b:  # the piece holds candidates
+                i, j = np.divmod(idx[a:b] - start, len(suffixes))
+                masks.append((prefixes[i] << s) | suffixes[j])
+        return 1.0 - low, np.concatenate(masks), 1.0 - sq[idx]
+
+    if nworkers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            scanned = list(pool.map(scan, chunks))
+    else:
+        scanned = [scan(chunk) for chunk in chunks]
+
+    top = max(cm for cm, _, _ in scanned)
+    masks = np.concatenate([mk for _, mk, _ in scanned])
+    return top, masks[np.concatenate([pr for _, _, pr in scanned]) >= top - TIE_TOL]
 
 
 def enumerate_max_probability(
@@ -147,46 +368,21 @@ def enumerate_max_probability(
     if k_tot > K_TOT_CAP:
         raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
     nworkers = resolve_workers(workers)
-
-    gn, lm = global_grover_matrix(space), local_grover_matrix(space)
-    p, s = k_tot // 2, k_tot - k_tot // 2
-    v = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
-    u_t = np.ascontiguousarray(_doubled(np.eye(3)[2], (gn, lm), s, axis=0).T)
-    rows = max(1, _CHUNK_CELLS >> s)
-    starts = range(0, 1 << p, rows)
-
-    def scan(start: int) -> tuple[float, np.ndarray, np.ndarray]:
-        # the chunk maximum and the masks and pr that may lie within TIE_TOL
-        # of it (a superset); max(1 - sq) = 1 - min(sq), rounding is monotone
-        amp = _times(v[start : start + rows], u_t)
-        sq = np.square(amp, out=amp).ravel()
-        low = float(sq.min())
-        idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
-        return 1.0 - low, (start << s) + idx, 1.0 - sq[idx]
-
-    if nworkers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(pool.map(scan, starts))
-    else:
-        chunks = [scan(start) for start in starts]
-
-    top = max(cm for cm, _, _ in chunks)
-    masks = np.concatenate([mk for _, mk, _ in chunks])
-    ties = masks[np.concatenate([pr for _, _, pr in chunks]) >= top - TIE_TOL]
+    _, ties = _sweep(*_plan(space, k_tot), nworkers)
 
     kept = ties[(ties & 1) == 0]
     if not len(kept):  # every tie ends in a local query
         kept = ties
     kept = kept[np.lexsort((kept, _run_counts(kept, k_tot)))]
-    seqs = tuple(_mask_to_sequence(mask, k_tot) for mask in kept.tolist())
+    masks = tuple(kept.tolist())
 
-    pr_max = block_success_probability(space, seqs[0])
+    pr_max = block_success_probability(space, _mask_to_sequence(masks[0], k_tot))
     if pr_max <= 0.0:
         raise NumericalError("maximum probability is zero; cannot happen for k>=1")
     return EnumerationResult(
         k_tot=k_tot,
         pr_max=pr_max,
-        optimal_sequences=seqs,
+        tie_masks=masks,
         expected_iterations=k_tot / pr_max,
     )
 

@@ -26,8 +26,25 @@ from partial_search import (
     render_percent,
     table_sweep,
 )
-from partial_search.enumeration import TIE_TOL, _mask_to_sequence, _run_counts
+from partial_search.bounds import min_expected_sweep
+from partial_search.cli import run
+from partial_search.enumeration import (
+    _BOUND_SLACK,
+    _LEAF_ROWS,
+    TIE_TOL,
+    _amp_interval,
+    _boxes,
+    _grid,
+    _kd_order,
+    _mask_to_sequence,
+    _plan,
+    _run_counts,
+    _sweep,
+    _tiles,
+    _times,
+)
 
+from full_enumeration import full_enumeration
 from reference_tables import (
     REFERENCE_E,
     REFERENCE_E_MIN_K,
@@ -165,6 +182,10 @@ def test_tie_keys_and_sequences_match_the_per_query_bits():
     cases = [(k, np.arange(1 << k)) for k in range(1, 13)]
     wide = [0, 1, 2**29, 2**30 - 1, 0x2AAAAAAA, 0x15555555, 123456789]
     cases.append((30, np.array(wide)))
+    wide = [0, 1, 2**39, 2**40 - 1, 0xAAAAAAAAAA, 0x5555555555, 987654321012]
+    cases.append((40, np.array(wide)))
+    wide = [0, 1, 2**61, 2**62 - 1, 0x2AAAAAAAAAAAAAAA, 0x1555555555555555]
+    cases.append((62, np.array(wide + [1234567890123456789, 2**62 - 2, 2**61 + 1])))
     for k, masks in cases:
         counts = _run_counts(masks, k)
         for mask, count in zip(masks.tolist(), counts.tolist()):
@@ -230,13 +251,15 @@ def test_trailing_local_kept_only_when_unavoidable():
 
 
 def test_worker_count_does_not_change_results():
-    # k_tot = 20 splits into 2^10 prefix rows x 2^10 suffix columns, 16
-    # chunks of 64 rows, so the workers really share the grid
-    sp = new_search_space(16, 8)
+    # at (4, 2, 20) pr_max is 1 and the bound keeps nearly every leaf, so
+    # the survivors fill many chunks and the workers really share them
+    sp = new_search_space(4, 2)
+    assert len(_plan(sp, 20)[2]) > 1
     a, *others = [enumerate_max_probability(sp, 20, workers=w) for w in (1, 2, 3, 16)]
+    assert a.pr_max == 1.0
     for b in others:
         assert b.pr_max == a.pr_max
-        assert b.optimal_sequences == a.optimal_sequences
+        assert b.tie_masks == a.tie_masks
 
 
 def test_workers_env_var(monkeypatch):
@@ -245,7 +268,7 @@ def test_workers_env_var(monkeypatch):
     monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "4")
     via_env = enumerate_max_probability(sp, 10)
     assert via_env.pr_max == base.pr_max
-    assert via_env.optimal_sequences == base.optimal_sequences
+    assert via_env.tie_masks == base.tie_masks
     monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "zero")
     with pytest.raises(ParameterError):
         enumerate_max_probability(sp, 10)
@@ -257,6 +280,126 @@ def test_budget_validation():
         enumerate_max_probability(sp, 31)
     with pytest.raises(ParameterError):
         enumerate_max_probability(sp, 0)
+
+
+# -- the pruned sweep against the full grid ------------------------------------
+
+# (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20) and (1, 0, 20) stop
+# bisecting early and sweep nearly the whole grid
+REFERENCE_CASES = (
+    [(8, m, k) for m in range(8) for k in range(1, 21)]
+    + [(6, 2, 20), (10, 5, 20), (16, 8, 20), (4, 2, 20), (1, 0, 20)]
+    + [(2, m, k) for m in (0, 1) for k in range(1, 9)]
+)
+
+
+def test_pruned_sweep_matches_the_full_grid():
+    # the maximum leaf, pr_max and the ordered tie masks, bit for bit
+    for n, m, k in REFERENCE_CASES:
+        sp = new_search_space(n, m)
+        top, masks = full_enumeration(sp, k)
+        assert _sweep(*_plan(sp, k), 1)[0] == top, (n, m, k)
+        res = enumerate_max_probability(sp, k)
+        assert res.tie_masks == masks, (n, m, k)
+        assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
+
+
+def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
+    def swept(n, m, k):
+        pieces = [piece for chunk in _plan(new_search_space(n, m), k)[2] for piece in chunk]
+        rows = {len(prefixes) for prefixes, _ in pieces}
+        return sum(len(p) * len(q) for p, q in pieces) / 2**k, rows
+
+    share, rows = swept(16, 8, 20)
+    assert share < 0.1 and rows == {_LEAF_ROWS}
+    share, rows = swept(1, 0, 20)  # every leaf ties: no tile can be dropped
+    assert share == 1.0 and min(rows) > _LEAF_ROWS
+
+
+def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
+    # 16 copies of each of 4 states and of 4 covectors: every leaf tile is
+    # one point, so its interval is its amplitude
+    rng = np.random.default_rng(3)
+    states, covectors = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
+    sq = _times(states, covectors) ** 2
+    v, u_t = np.repeat(states, 16, axis=0), np.repeat(covectors, 16, axis=1)
+    for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
+        sq_ref = float(sq[1, 2]) - margin
+        pieces = _tiles(v, u_t, sq_ref)
+        kept = {(int(p[0]) // 16, int(c) // 16) for p, q in pieces for c in q}
+        assert kept == set(zip(*np.nonzero(sq <= sq_ref + 2 * TIE_TOL + _BOUND_SLACK)))
+        assert ((1, 2) in kept) == (margin < 2 * TIE_TOL)
+
+
+def test_tile_intervals_hold_every_computed_amplitude():
+    rng = np.random.default_rng(7)
+    for n, m, k in [(16, 8, 20), (8, 3, 18), (6, 2, 17), (2, 0, 20), (40, 20, 22), (62, 31, 16)]:
+        v, u_t = _grid(new_search_space(n, m), k)
+        # random sets of rows and columns
+        for _ in range(40):
+            rows = rng.choice(len(v), size=int(rng.integers(1, 40)), replace=False)
+            cols = rng.choice(u_t.shape[1], size=int(rng.integers(2, 40)), replace=False)
+            pts_v, pts_u = v[rows].T, u_t[:, cols]
+            lo, hi = _amp_interval(
+                pts_v.min(axis=1, keepdims=True),
+                pts_v.max(axis=1, keepdims=True),
+                pts_u.min(axis=1, keepdims=True),
+                pts_u.max(axis=1, keepdims=True),
+            )
+            amp = _times(v[rows], np.take(u_t, cols, axis=1))
+            assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k)
+        # the aligned k-d blocks the sweep bounds, at every level
+        width = _LEAF_ROWS * u_t.shape[1] // len(v)
+        levels = (len(v) // _LEAF_ROWS).bit_length() - 1
+        row_order, col_order = _kd_order(v.T, _LEAF_ROWS), _kd_order(u_t, width)
+        row_boxes = _boxes(v.T, row_order, _LEAF_ROWS, levels)
+        col_boxes = _boxes(u_t, col_order, width, levels)
+        for level in range(levels + 1):
+            r, c = rng.integers(1 << level, size=2)
+            height, wide = len(v) >> level, u_t.shape[1] >> level
+            rows = row_order[r * height : (r + 1) * height]
+            cols = col_order[c * wide : (c + 1) * wide]
+            lo, hi = _amp_interval(
+                row_boxes[level][0][:, r], row_boxes[level][1][:, r],
+                col_boxes[level][0][:, c], col_boxes[level][1][:, c],
+            )
+            amp = _times(v[rows], np.take(u_t, cols, axis=1))
+            assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k, level)
+
+
+def test_ties_build_sequences_only_when_asked(monkeypatch, capsys):
+    from partial_search import enumeration
+
+    sp = new_search_space(8, 0)
+    res = enumerate_max_probability(sp, 20)
+    assert len(res.tie_masks) > 1000
+    built = []
+    monkeypatch.setattr(
+        enumeration, "_mask_to_sequence", lambda *a: built.append(a) or _mask_to_sequence(*a)
+    )
+    assert res.canonical == _mask_to_sequence(res.tie_masks[0], 20)
+    assert len(built) == 1
+    seqs = res.optimal_sequences
+    assert len(built) == 1 + len(res.tie_masks)
+    assert res.optimal_sequences is seqs  # built once
+    assert seqs == tuple(_mask_to_sequence(mask, 20) for mask in res.tie_masks)
+    # the CLI row without --all-ties: pr_max's sequence and the canonical
+    built.clear()
+    assert run(["enumerate", "--n", "8", "--m", "0", "--ktot", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",3876")
+    assert len(built) == 2
+
+
+def test_grk_is_optimal_at_the_expectation_optimal_budget():
+    # at k* = k1 + k2 + 1 of the scan's minimum the exhaustive optimum is
+    # that one GRK sequence, with the scan's expected iterations
+    for rec in min_expected_sweep(10):
+        sp = new_search_space(10, rec.m)
+        res = enumerate_max_probability(sp, rec.k_tot)
+        assert len(res.tie_masks) == 1, rec.m
+        assert is_grk_form(res.canonical), rec.m
+        assert res.canonical == OperatorSequence([(G, rec.k1), (L, rec.k2), (G, 1)])
+        assert res.expected_iterations == pytest.approx(rec.e_min, rel=1e-13, abs=0)
 
 
 # -- expected iterations --------------------------------------------------------
