@@ -258,14 +258,15 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
     seq = OperatorSequence.from_token_spec(args.seq)
     st = apply_sequence(space, seq)
+    block, target = st.probabilities()
     row = {
         "n": space.n,
         "m": space.m,
         "tokens": seq.token_spec(),
         "product": seq.product_string(space),
         "queries": seq.total_queries,
-        "block_probability": 1.0 - st.amp_bbar**2,
-        "target_probability": st.amp_t**2,
+        "block_probability": block,
+        "target_probability": target,
         "amp_t": st.amp_t,
         "amp_bt": st.amp_bt,
         "amp_bbar": st.amp_bbar,

@@ -48,6 +48,10 @@ class State3:
     def norm_sq(self) -> float:
         return self.amp_t**2 + self.amp_bt**2 + self.amp_bbar**2
 
+    def probabilities(self) -> tuple[float, float]:
+        """(block, target): 1 - amp_bbar^2 and amp_t^2, each clamped to [0, 1]."""
+        return _clamp_probability(1.0 - self.amp_bbar**2), _clamp_probability(self.amp_t**2)
+
 
 class OperatorSequence:
     """Ordered runs of global/local Grover applications.
@@ -310,14 +314,12 @@ def _clamp_probability(p: float) -> float:
 def block_success_probability(space: SearchSpace, seq: OperatorSequence) -> float:
     """Chance a measurement lands anywhere in the marked item's block:
     1 - amp_bbar^2 after the sequence."""
-    st = apply_sequence(space, seq)
-    return _clamp_probability(1.0 - st.amp_bbar**2)
+    return apply_sequence(space, seq).probabilities()[0]
 
 
 def full_target_probability(space: SearchSpace, seq: OperatorSequence) -> float:
     """Chance a measurement hits the marked item itself: amp_t^2."""
-    st = apply_sequence(space, seq)
-    return _clamp_probability(st.amp_t**2)
+    return apply_sequence(space, seq).probabilities()[1]
 
 
 def grover_full_search_probability(n: int, k: int) -> float:

@@ -17,19 +17,19 @@ bounds the least amp^2 from above, so a tile whose amplitudes all lie
 farther from 0 holds neither the maximum nor a tie and is dropped. The
 rest are bisected down to _LEAF_ROWS rows, or, once a level keeps more
 than _DENSE_SHARE of the tiles it bounds, swept whole. Surviving cells
-are evaluated by row block, in chunks of at most _CHUNK_CELLS cells.
+are evaluated by row block, in chunks of at most _CHUNK_CELLS cells,
+one after another on the calling thread.
 
 Dropped tiles hold no tie, chunks only gather the ties and their order
 is undone by the final sort, and every amplitude is the same three-term
 sum outside BLAS: results are bit-identical to a sweep of every leaf,
-for any number of workers or BLAS threads.
+for any number of BLAS threads. A call whose candidate ties exceed
+_TIE_CAP is refused before they are gathered.
 """
 
 from __future__ import annotations
 
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import cached_property
@@ -58,8 +58,7 @@ _TOP_LEVEL = 4  # bisection starts from 2^4 x 2^4 tiles
 _DENSE_SHARE = 0.9  # a level that keeps more of the tiles it bounds stops there
 _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
 _BOUND_SLACK = 1e-12  # covers the rounding of 1 - amp^2 in the tie test
-
-WORKERS_ENV_VAR = "PARTIAL_SEARCH_WORKERS"
+_TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 24)
 
 
 @dataclass(frozen=True)
@@ -98,23 +97,6 @@ class TableRow:
     expected_iterations: float
     e_rendered: str  # 4-decimal rendering
     is_grk: bool
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ParameterError("workers must be >= 1")
-        return workers
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParameterError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}")
-        if value < 1:
-            raise ParameterError(f"{WORKERS_ENV_VAR} must be >= 1")
-        return value
-    return os.cpu_count() or 1
 
 
 _RUNS = re.compile("0+|1+")
@@ -310,43 +292,37 @@ def _plan(
 
 
 def _sweep(
-    v: np.ndarray,
-    u_t: np.ndarray,
-    chunks: list[list[tuple[np.ndarray, np.ndarray]]],
-    nworkers: int,
+    v: np.ndarray, u_t: np.ndarray, chunks: list[list[tuple[np.ndarray, np.ndarray]]]
 ) -> tuple[float, np.ndarray]:
     """(top, ties): the largest 1 - amp^2 over the chunks' cells and the
-    masks of every cell within TIE_TOL of it, in no particular order."""
-    s = u_t.shape[1].bit_length() - 1
+    masks of every cell within TIE_TOL of it, in no particular order.
 
-    def scan(chunk: list[tuple[np.ndarray, np.ndarray]]) -> tuple[float, np.ndarray, np.ndarray]:
-        # the chunk maximum and the masks and pr that may lie within TIE_TOL
-        # of it (a superset); max(1 - sq) = 1 - min(sq), rounding is monotone
+    Each chunk keeps the cells within 2 TIE_TOL of the least amp^2 seen
+    so far (a superset of the ties; max(1 - sq) = 1 - min(sq), rounding
+    is monotone), so later chunks keep fewer."""
+    s = u_t.shape[1].bit_length() - 1
+    low, masks, prs, held = np.inf, [], [], 0
+    for chunk in chunks:
         ends = list(accumulate(len(prefixes) * len(suffixes) for prefixes, suffixes in chunk))
         sq = np.empty(ends[-1])
         for (prefixes, suffixes), start, end in zip(chunk, [0] + ends, ends):
             block = sq[start:end].reshape(len(prefixes), len(suffixes))
             _times(v[prefixes], np.take(u_t, suffixes, axis=1), out=block)
         np.square(sq, out=sq)
-        low = float(sq.min())
+        low = min(low, float(sq.min()))
         idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+        held += len(idx)
+        if held > _TIE_CAP:
+            raise ResourceLimitError(f"more than {_TIE_CAP} candidate ties; the tie set is capped")
         cuts = np.searchsorted(idx, ends).tolist()
-        masks = []
         for (prefixes, suffixes), start, a, b in zip(chunk, [0] + ends, [0] + cuts, cuts):
             if a < b:  # the piece holds candidates
                 i, j = np.divmod(idx[a:b] - start, len(suffixes))
                 masks.append((prefixes[i] << s) | suffixes[j])
-        return 1.0 - low, np.concatenate(masks), 1.0 - sq[idx]
+        prs.append(1.0 - sq[idx])
 
-    if nworkers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            scanned = list(pool.map(scan, chunks))
-    else:
-        scanned = [scan(chunk) for chunk in chunks]
-
-    top = max(cm for cm, _, _ in scanned)
-    masks = np.concatenate([mk for _, mk, _ in scanned])
-    return top, masks[np.concatenate([pr for _, _, pr in scanned]) >= top - TIE_TOL]
+    top = 1.0 - low
+    return top, np.concatenate(masks)[np.concatenate(prs) >= top - TIE_TOL]
 
 
 def enumerate_max_probability(
@@ -362,13 +338,15 @@ def enumerate_max_probability(
     reaches 1 and g:2 only 0.5. Local-ending ties are dropped from the
     reported optima unless every tie ends locally. The sweep only picks
     the ties: pr_max is `block_success_probability` of the canonical.
+    More than 2^24 candidate ties (every sequence ties at n = 1, m = 0)
+    raise ResourceLimitError. workers is accepted and ignored: the sweep
+    is serial.
     """
     if k_tot < 1:
         raise ParameterError("k_tot must be >= 1")
     if k_tot > K_TOT_CAP:
         raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
-    nworkers = resolve_workers(workers)
-    _, ties = _sweep(*_plan(space, k_tot), nworkers)
+    _, ties = _sweep(*_plan(space, k_tot))
 
     kept = ties[(ties & 1) == 0]
     if not len(kept):  # every tie ends in a local query

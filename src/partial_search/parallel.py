@@ -179,8 +179,7 @@ def _block_expected(
     if k1 < 0 or k2 < 0:
         raise ParameterError("k1 and k2 must be >= 0")
     seq = OperatorSequence([(Kind.GLOBAL, k1), (Kind.LOCAL, k2), (Kind.GLOBAL, 1)])
-    st = apply_sequence(space, seq)
-    return _expectation(1 + k1 + k2, success(l, 1.0 - st.amp_bbar**2, st.amp_t**2))
+    return _expectation(1 + k1 + k2, success(l, *apply_sequence(space, seq).probabilities()))
 
 
 def _block_scan_min(

@@ -24,6 +24,7 @@ from partial_search import (
     ParameterError,
     apply_sequence,
     block_success_probability,
+    full_target_probability,
     grk_parallel_expected,
     grk_parallel_min,
     hybrid_expected,
@@ -307,6 +308,18 @@ def test_simulate_reports_exact_amplitudes(capsys):
     assert float(row["amp_bbar"]) == st.amp_bbar
 
 
+def test_simulate_clamps_probabilities(capsys):
+    # amp_t rounds to 1.0000000000000002, whose square exceeds 1
+    seq = "g:5316501,l:3439,g:60149"
+    rc, out, _ = run_cli(capsys, "simulate", "--n", "2", "--m", "1", "--seq", seq)
+    assert rc == 0
+    row = parse_csv(out)[1][0]
+    assert float(row["amp_t"]) > 1.0
+    assert row["target_probability"] == "1" and row["block_probability"] == "1"
+    space = new_search_space(2, 1)
+    assert full_target_probability(space, OperatorSequence.from_token_spec(seq)) == 1.0
+
+
 def test_simulate_token_normalization(capsys):
     # adjacent same-type tokens merge in the echoed spec
     rc, out, _ = run_cli(
@@ -392,18 +405,20 @@ def test_csv_and_json_agree(capsys):
     ],
 )
 def test_no_subcommand_takes_workers(capsys, argv):
-    # the worker count is set by PARTIAL_SEARCH_WORKERS alone
+    # the enumeration is serial: no subcommand has a worker setting
     rc, out, err = run_cli(capsys, *argv, "--workers", "2")
     assert (rc, out) == (2, "")
     assert "--workers" in err
 
 
-def test_bad_workers_env_var_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "zero")
-    rc, out, err = run_cli(capsys, "enumerate", "--n", "8", "--m", "3", "--ktot", "4")
+def test_tie_cap_exits_1(capsys, monkeypatch):
+    from partial_search import enumeration
+
+    monkeypatch.setattr(enumeration, "_TIE_CAP", 1000)
+    rc, out, err = run_cli(capsys, "enumerate", "--n", "1", "--m", "0", "--ktot", "12")
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "PARTIAL_SEARCH_WORKERS" in err
+    assert "candidate ties" in err
 
 
 # -- bounds / parallel ---------------------------------------------------------

@@ -250,28 +250,31 @@ def test_trailing_local_kept_only_when_unavoidable():
     assert all(s.runs[-1][0] is G for s in res3.optimal_sequences)
 
 
-def test_worker_count_does_not_change_results():
+def test_sweep_starts_no_thread(monkeypatch):
     # at (4, 2, 20) pr_max is 1 and the bound keeps nearly every leaf, so
-    # the survivors fill many chunks and the workers really share them
+    # the survivors fill many chunks; they are all swept on this thread
+    import threading
+
+    def refuse(self):
+        raise AssertionError("the enumeration started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     sp = new_search_space(4, 2)
     assert len(_plan(sp, 20)[2]) > 1
-    a, *others = [enumerate_max_probability(sp, 20, workers=w) for w in (1, 2, 3, 16)]
-    assert a.pr_max == 1.0
-    for b in others:
-        assert b.pr_max == a.pr_max
-        assert b.tie_masks == a.tie_masks
+    assert enumerate_max_probability(sp, 20).pr_max == 1.0
 
 
-def test_workers_env_var(monkeypatch):
-    sp = new_search_space(6, 3)
-    base = enumerate_max_probability(sp, 10, workers=1)
-    monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "4")
-    via_env = enumerate_max_probability(sp, 10)
-    assert via_env.pr_max == base.pr_max
-    assert via_env.tie_masks == base.tie_masks
-    monkeypatch.setenv("PARTIAL_SEARCH_WORKERS", "zero")
-    with pytest.raises(ParameterError):
-        enumerate_max_probability(sp, 10)
+def test_tie_cap_refuses_before_gathering(monkeypatch):
+    # every leaf of (1, 0, k) ties: 4096 candidates at k = 12, half of
+    # them kept (the local-ending twins are dropped)
+    from partial_search import enumeration
+
+    sp = new_search_space(1, 0)
+    monkeypatch.setattr(enumeration, "_TIE_CAP", 4095)
+    with pytest.raises(ResourceLimitError, match="candidate ties"):
+        enumerate_max_probability(sp, 12)
+    monkeypatch.setattr(enumeration, "_TIE_CAP", 4096)
+    assert len(enumerate_max_probability(sp, 12).tie_masks) == 2048
 
 
 def test_budget_validation():
@@ -298,7 +301,7 @@ def test_pruned_sweep_matches_the_full_grid():
     for n, m, k in REFERENCE_CASES:
         sp = new_search_space(n, m)
         top, masks = full_enumeration(sp, k)
-        assert _sweep(*_plan(sp, k), 1)[0] == top, (n, m, k)
+        assert _sweep(*_plan(sp, k))[0] == top, (n, m, k)
         res = enumerate_max_probability(sp, k)
         assert res.tie_masks == masks, (n, m, k)
         assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
