@@ -224,15 +224,6 @@ def _uniform_complement(space: SearchSpace) -> tuple[float, float]:
     return math.sqrt((space.b - 1) / rest), math.sqrt((space.N - space.b) / rest)
 
 
-def uniform_after_globals(space: SearchSpace, k: np.ndarray) -> np.ndarray:
-    """G_n^k applied to the initial state for every k in the array, as
-    rows of 3-vectors: sin((2k+1) theta1)|t> + cos((2k+1) theta1)|u>."""
-    u_bt, u_bb = _uniform_complement(space)
-    phase = (2.0 * k + 1.0) * angles(space).theta1
-    c = np.cos(phase)
-    return np.stack([np.sin(phase), u_bt * c, u_bb * c], axis=-1)
-
-
 def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
     """Apply the runs in order to the initial state, each run in O(1).
 

@@ -8,19 +8,21 @@ amplitude u_S . v_P, where v_P is the state after prefix P and
 u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
 covectors are each built by doubling.
 
-A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is evaluated whole.
-A larger one is a branch and bound over tiles of prefix rows x suffix
+A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A
+larger one is a branch and bound over tiles of prefix rows x suffix
 columns. States and covectors are each ordered once so that every
 aligned block of them is a k-d cell, and the componentwise boxes of a
 tile's rows and columns bound u . v over the tile. The best GRK leaf
 bounds the least amp^2 from above, so a tile whose amplitudes all lie
 farther from 0 holds neither the maximum nor a tie and is dropped. The
-rest are bisected down to _LEAF_ROWS rows, or, once a level keeps more
-than _DENSE_SHARE of the tiles it bounds, swept whole. Surviving cells
-are evaluated by row block, in chunks of at most _CHUNK_CELLS cells,
-one after another on the calling thread.
+rest are bisected down to _LEAF_ROWS rows. Once a level keeps more than
+_DENSE_SHARE of the tiles it bounds, the survivors of the level above
+are swept instead: tiles 4x larger and at most 1/_DENSE_SHARE as many
+cells. The tiles are evaluated in batches of at most _CHUNK_CELLS
+cells, a tile larger than that in slices of whole rows, one after
+another on the calling thread.
 
-Dropped tiles hold no tie, chunks only gather the ties and their order
+Dropped tiles hold no tie, batches only gather the ties and their order
 is undone by the final sort, and every amplitude is the same three-term
 sum outside BLAS: results are bit-identical to a sweep of every leaf,
 for any number of BLAS threads. A call whose candidate ties exceed
@@ -29,11 +31,10 @@ _TIE_CAP is refused before they are gathered.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import cached_property
-from itertools import accumulate
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,7 +53,7 @@ from .space import SearchSpace, check_qubits, new_search_space
 
 K_TOT_CAP = 30  # 2^30 leaves; beyond this the exhaustive contract is off
 TIE_TOL = 1e-9  # sequences this close to the maximum count as co-optimal
-_CHUNK_CELLS = 1 << 16  # amplitude-grid cells per chunk
+_CHUNK_CELLS = 1 << 16  # amplitude-grid cells per batch
 _LEAF_ROWS = 16  # prefix rows per tile where bisection stops
 _TOP_LEVEL = 4  # bisection starts from 2^4 x 2^4 tiles
 _DENSE_SHARE = 0.9  # a level that keeps more of the tiles it bounds stops there
@@ -65,25 +66,25 @@ _TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 
 class EnumerationResult:
     """Outcome of one exhaustive sweep at fixed k_tot.
 
-    tie_masks holds the k_tot-bit mask of every tie-class sequence
-    (within TIE_TOL of pr_max, trailing-local representatives pruned),
-    canonical first: fewest runs, then lexicographically smallest with
-    global=0. canonical builds the first sequence only;
-    optimal_sequences builds them all on first use.
+    tie_masks holds, as a read-only int64 array, the k_tot-bit mask of
+    every tie-class sequence (within TIE_TOL of pr_max, trailing-local
+    representatives pruned), canonical first: fewest runs, then
+    lexicographically smallest with global=0. canonical builds the first
+    sequence only; optimal_sequences builds them all on first use.
     """
 
     k_tot: int
     pr_max: float
-    tie_masks: tuple[int, ...]
+    tie_masks: np.ndarray
     expected_iterations: float
 
     @property
     def canonical(self) -> OperatorSequence:
-        return _mask_to_sequence(self.tie_masks[0], self.k_tot)
+        return _mask_to_sequence(int(self.tie_masks[0]), self.k_tot)
 
     @cached_property
     def optimal_sequences(self) -> tuple[OperatorSequence, ...]:
-        return tuple(_mask_to_sequence(mask, self.k_tot) for mask in self.tie_masks)
+        return tuple(_mask_to_sequence(mask, self.k_tot) for mask in self.tie_masks.tolist())
 
 
 @dataclass(frozen=True)
@@ -99,31 +100,29 @@ class TableRow:
     is_grk: bool
 
 
-_RUNS = re.compile("0+|1+")
-
-
 def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
-    runs = _RUNS.findall(format(mask, f"0{k_tot}b"))
-    return OperatorSequence(
-        (Kind.LOCAL if run[0] == "1" else Kind.GLOBAL, len(run)) for run in runs
+    return OperatorSequence.from_kinds(
+        Kind.LOCAL if bit == "1" else Kind.GLOBAL for bit in format(mask, f"0{k_tot}b")
     )
 
 
 def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
     """Runs in each k_tot-bit mask: one more than its adjacent bit changes
-    (popcount by unpacking bytes; masks of up to 63 bits)."""
+    (popcount of each byte from a 256-entry table, so a mask costs 8
+    bytes, not 64; masks of up to 63 bits)."""
     changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint64)
-    bits = np.unpackbits(changes.view(np.uint8)).reshape(len(masks), 64)
-    return 1 + bits.sum(axis=1)
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    ones = byte_bits.sum(axis=1, dtype=np.uint8)
+    return 1 + ones[changes.view(np.uint8)].reshape(len(masks), 8).sum(axis=1)
 
 
-def _times(rows: np.ndarray, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat by numpy's own sum-of-products loop, each entry the sum
     (r0 m0 + r1 m1) + r2 m2: no BLAS kernel or thread count touches the
     bits. Which loop numpy runs depends on the layout, so every amplitude
-    of the grid comes from C-contiguous rows and at least two columns of
-    unit stride."""
-    return np.einsum("ij,jk->ik", rows, mat, out=out)
+    of the grid (the batches of _sweep too) comes from C-contiguous rows
+    and at least two columns of unit stride."""
+    return np.einsum("ij,jk->ik", rows, mat)
 
 
 def _doubled(
@@ -205,16 +204,14 @@ def _reference_sq(space: SearchSpace, k_tot: int, v: np.ndarray, u_t: np.ndarray
     return float(amp[0, 0]) ** 2
 
 
-def _tiles(
-    v: np.ndarray, u_t: np.ndarray, sq_ref: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, np.ndarray]:
     """Branch and bound over tiles of prefix rows x suffix columns.
 
-    Returns (prefixes, suffixes) per row block: the cells of its
-    surviving tiles. sq_ref is amp^2 of a leaf of the grid. A tile is
-    dropped when every amplitude it can hold squares to more than
-    sq_ref + 2 TIE_TOL: none of its leaves is then the least amp^2 or
-    within TIE_TOL of it.
+    Returns (prefixes, suffixes), one row per surviving tile, all tiles
+    of one size: its h prefix and its w suffix indices. sq_ref is amp^2
+    of a leaf of the grid. A tile is dropped when every amplitude it can
+    hold squares to more than sq_ref + 2 TIE_TOL: none of its leaves is
+    then the least amp^2 or within TIE_TOL of it.
     """
     bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
     rows_leaf = _LEAF_ROWS
@@ -236,90 +233,67 @@ def _tiles(
             )
             gap = np.maximum(np.maximum(lo, -hi), 0.0)  # distance of [lo, hi] from 0
             keep[cut] = gap * gap <= bound
+        if level > top and keep.mean() > _DENSE_SHARE:
+            # sweep the parents of these tiles, the survivors of the level
+            # above: a small tile makes a short inner loop of the product
+            rows, cols, level = rows[::4] // 2, cols[::4] // 2, level - 1
+            break
         rows, cols = rows[keep], cols[keep]
-        if level == levels or (level > top and keep.mean() > _DENSE_SHARE):
+        if level == levels:
             break
         rows = (2 * rows[:, None] + np.array([0, 0, 1, 1])).ravel()
         cols = (2 * cols[:, None] + np.array([0, 1, 0, 1])).ravel()
         level += 1
 
     height, width = len(v) >> level, u_t.shape[1] >> level
-    occupied = np.zeros((1 << level, 1 << level), dtype=bool)
-    occupied[rows, cols] = True
-    counts = occupied.sum(axis=1)
-    blocks = np.flatnonzero(counts)
-    ends = (np.cumsum(counts[blocks]) * width).tolist()
-    suffixes = col_order.reshape(-1, width)[np.nonzero(occupied)[1]].ravel()
-    return [
-        (row_order[block * height : (block + 1) * height], suffixes[start:end])
-        for block, start, end in zip(blocks.tolist(), [0] + ends, ends)
-    ]
-
-
-def _chunks(
-    pieces: list[tuple[np.ndarray, np.ndarray]],
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """The (prefixes, suffixes) pieces, cut into column slices of at most
-    _CHUNK_CELLS cells, so that each column of a piece is gathered once,
-    and packed in order into chunks of at most _CHUNK_CELLS cells. Slice
-    and piece widths are multiples of 16 (or the whole grid), so no
-    slice has a single column."""
-    chunks: list[list[tuple[np.ndarray, np.ndarray]]] = [[]]
-    cells = 0
-    for prefixes, suffixes in pieces:
-        step = _CHUNK_CELLS // len(prefixes)
-        for start in range(0, len(suffixes), step):
-            part = (prefixes, suffixes[start : start + step])
-            if cells + len(prefixes) * len(part[1]) > _CHUNK_CELLS:
-                chunks.append([])
-                cells = 0
-            chunks[-1].append(part)
-            cells += len(prefixes) * len(part[1])
-    return chunks
+    return row_order.reshape(-1, height)[rows], col_order.reshape(-1, width)[cols]
 
 
 def _plan(
     space: SearchSpace, k_tot: int
-) -> tuple[np.ndarray, np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]]]:
-    """(v, u_t, chunks): the grid and the chunks of its cells that may
-    hold the maximum or a tie, all of them for a grid of one chunk."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(v, u_t, prefixes, suffixes): the grid and, one row per tile, the
+    prefix and suffix indices of the tiles that may hold the maximum or
+    a tie; a grid of at most _CHUNK_CELLS cells is one tile."""
     v, u_t = _grid(space, k_tot)
     if len(v) * u_t.shape[1] <= _CHUNK_CELLS:
-        pieces = [(np.arange(len(v)), np.arange(u_t.shape[1]))]
-    else:
-        pieces = _tiles(v, u_t, _reference_sq(space, k_tot, v, u_t))
-    return v, u_t, _chunks(pieces)
+        return v, u_t, np.arange(len(v))[None], np.arange(u_t.shape[1])[None]
+    return v, u_t, *_tiles(v, u_t, _reference_sq(space, k_tot, v, u_t))
 
 
 def _sweep(
-    v: np.ndarray, u_t: np.ndarray, chunks: list[list[tuple[np.ndarray, np.ndarray]]]
+    v: np.ndarray, u_t: np.ndarray, prefixes: np.ndarray, suffixes: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """(top, ties): the largest 1 - amp^2 over the chunks' cells and the
+    """(top, ties): the largest 1 - amp^2 over the tiles' cells and the
     masks of every cell within TIE_TOL of it, in no particular order.
 
-    Each chunk keeps the cells within 2 TIE_TOL of the least amp^2 seen
+    The tiles are evaluated in batches of at most _CHUNK_CELLS cells, a
+    tile of more cells (a dense stop from k_tot = 25) in slices of whole
+    rows: a long row keeps the inner loop of the product long. Each
+    batch keeps the cells within 2 TIE_TOL of the least amp^2 seen
     so far (a superset of the ties; max(1 - sq) = 1 - min(sq), rounding
-    is monotone), so later chunks keep fewer."""
+    is monotone), so later batches keep fewer."""
     s = u_t.shape[1].bit_length() - 1
+    height, width = prefixes.shape[1], suffixes.shape[1]
+    span = min(height, _CHUNK_CELLS // width)
+    step = _CHUNK_CELLS // (span * width)
     low, masks, prs, held = np.inf, [], [], 0
-    for chunk in chunks:
-        ends = list(accumulate(len(prefixes) * len(suffixes) for prefixes, suffixes in chunk))
-        sq = np.empty(ends[-1])
-        for (prefixes, suffixes), start, end in zip(chunk, [0] + ends, ends):
-            block = sq[start:end].reshape(len(prefixes), len(suffixes))
-            _times(v[prefixes], np.take(u_t, suffixes, axis=1), out=block)
+    for start, first in product(range(0, len(prefixes), step), range(0, height, span)):
+        p = prefixes[start : start + step, first : first + span]
+        q = suffixes[start : start + step]
+        # np.take, not u_t[:, q]: contiguous columns keep _times's loop
+        sq = np.einsum("tij,jtk->tik", v[p], np.take(u_t, q, axis=1))
         np.square(sq, out=sq)
         low = min(low, float(sq.min()))
-        idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
-        held += len(idx)
+        cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+        held += len(cells)
         if held > _TIE_CAP:
             raise ResourceLimitError(f"more than {_TIE_CAP} candidate ties; the tie set is capped")
-        cuts = np.searchsorted(idx, ends).tolist()
-        for (prefixes, suffixes), start, a, b in zip(chunk, [0] + ends, [0] + cuts, cuts):
-            if a < b:  # the piece holds candidates
-                i, j = np.divmod(idx[a:b] - start, len(suffixes))
-                masks.append((prefixes[i] << s) | suffixes[j])
-        prs.append(1.0 - sq[idx])
+        # cell = (tile * span + row) * width + col; p.ravel() has one
+        # entry per tile * span + row
+        rows, cols = np.divmod(cells, width)
+        masks.append((p.ravel()[rows] << s) | q[rows // span, cols])
+        prs.append(1.0 - sq.ravel()[cells])
 
     top = 1.0 - low
     return top, np.concatenate(masks)[np.concatenate(prs) >= top - TIE_TOL]
@@ -352,15 +326,15 @@ def enumerate_max_probability(
     if not len(kept):  # every tie ends in a local query
         kept = ties
     kept = kept[np.lexsort((kept, _run_counts(kept, k_tot)))]
-    masks = tuple(kept.tolist())
+    kept.flags.writeable = False
 
-    pr_max = block_success_probability(space, _mask_to_sequence(masks[0], k_tot))
+    pr_max = block_success_probability(space, _mask_to_sequence(int(kept[0]), k_tot))
     if pr_max <= 0.0:
         raise NumericalError("maximum probability is zero; cannot happen for k>=1")
     return EnumerationResult(
         k_tot=k_tot,
         pr_max=pr_max,
-        tie_masks=masks,
+        tie_masks=kept,
         expected_iterations=k_tot / pr_max,
     )
 

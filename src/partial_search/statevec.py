@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -319,10 +318,7 @@ def verify_subspace(
 
     def sequence(i: int) -> OperatorSequence:
         bits = local[starts[i] : starts[i] + lengths[i]].tolist()
-        return OperatorSequence(
-            (Kind.LOCAL if bit else Kind.GLOBAL, len(list(run)))
-            for bit, run in groupby(bits)
-        )
+        return OperatorSequence.from_kinds(Kind.LOCAL if bit else Kind.GLOBAL for bit in bits)
 
     reduced = _apply_sequences(space, local, lengths)
     # block, target probability; scalar ** 2 is libm pow, which an array

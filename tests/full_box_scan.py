@@ -9,11 +9,20 @@ break toward smaller (queries, k2). Test-only: a box at n = 28 holds
 
 import numpy as np
 
-from partial_search.dynamics import global_grover_matrix, uniform_after_globals
+from partial_search.dynamics import _uniform_complement, global_grover_matrix
 from partial_search.scans import default_budget, default_k2_cap
 from partial_search.space import angles
 
 CHUNK_CELLS = 4096
+
+
+def uniform_after_globals(space, k):
+    """G_n^k applied to the initial state for every k in the array, as
+    rows of 3-vectors: sin((2k+1) theta1)|t> + cos((2k+1) theta1)|u>."""
+    u_bt, u_bb = _uniform_complement(space)
+    phase = (2.0 * k + 1.0) * angles(space).theta1
+    c = np.cos(phase)
+    return np.stack([np.sin(phase), u_bt * c, u_bb * c], axis=-1)
 
 
 def final_rows(space, k2s, row):

@@ -30,6 +30,7 @@ from partial_search.bounds import min_expected_sweep
 from partial_search.cli import run
 from partial_search.enumeration import (
     _BOUND_SLACK,
+    _CHUNK_CELLS,
     _LEAF_ROWS,
     TIE_TOL,
     _amp_interval,
@@ -252,7 +253,7 @@ def test_trailing_local_kept_only_when_unavoidable():
 
 def test_sweep_starts_no_thread(monkeypatch):
     # at (4, 2, 20) pr_max is 1 and the bound keeps nearly every leaf, so
-    # the survivors fill many chunks; they are all swept on this thread
+    # the survivors fill many batches; they are all swept on this thread
     import threading
 
     def refuse(self):
@@ -260,7 +261,8 @@ def test_sweep_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     sp = new_search_space(4, 2)
-    assert len(_plan(sp, 20)[2]) > 1
+    prefixes, suffixes = _plan(sp, 20)[2:]
+    assert prefixes.size * suffixes.shape[1] > _CHUNK_CELLS
     assert enumerate_max_probability(sp, 20).pr_max == 1.0
 
 
@@ -287,11 +289,14 @@ def test_budget_validation():
 
 # -- the pruned sweep against the full grid ------------------------------------
 
-# (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20) and (1, 0, 20) stop
-# bisecting early and sweep nearly the whole grid
+# (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20), (1, 0, 20) and
+# (4, 2, 23) stop bisecting at the dense share and sweep nearly the whole
+# grid; (4, 2, 22) keeps 38 % of it in leaf tiles; (12, 6, 22) is pruned
+# above k = 20
 REFERENCE_CASES = (
     [(8, m, k) for m in range(8) for k in range(1, 21)]
     + [(6, 2, 20), (10, 5, 20), (16, 8, 20), (4, 2, 20), (1, 0, 20)]
+    + [(4, 2, 22), (4, 2, 23), (12, 6, 22)]
     + [(2, m, k) for m in (0, 1) for k in range(1, 9)]
 )
 
@@ -303,20 +308,43 @@ def test_pruned_sweep_matches_the_full_grid():
         top, masks = full_enumeration(sp, k)
         assert _sweep(*_plan(sp, k))[0] == top, (n, m, k)
         res = enumerate_max_probability(sp, k)
-        assert res.tie_masks == masks, (n, m, k)
+        assert res.tie_masks.tolist() == list(masks), (n, m, k)
         assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
+
+
+def test_every_batch_is_bounded_and_at_least_two_columns_wide(monkeypatch):
+    # at (4, 2, 26) the dense share stops the bisection at tiles of 2^18
+    # cells, which are swept in slices of whole rows
+    einsum, batches = np.einsum, []
+
+    def spy(subscripts, *operands, **kwargs):
+        if operands[0].ndim == 3:  # a batch of tiles
+            rows, cols = operands
+            assert rows.flags.c_contiguous and cols.flags.c_contiguous
+            batches.append((len(rows), rows.shape[1], cols.shape[2]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for n, m, k in REFERENCE_CASES + [(4, 2, 26)]:
+        batches.clear()
+        enumerate_max_probability(new_search_space(n, m), k)
+        assert batches, (n, m, k)
+        for tiles, height, width in batches:
+            assert tiles * height * width <= _CHUNK_CELLS and width >= 2, (n, m, k)
+    # the tiles of (4, 2, 26) are 2^13 >> 4 = 512 rows by 512 columns:
+    # each batch is a quarter of the rows of one tile
+    assert (tiles, height, width) == (1, 128, 512)
 
 
 def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
     def swept(n, m, k):
-        pieces = [piece for chunk in _plan(new_search_space(n, m), k)[2] for piece in chunk]
-        rows = {len(prefixes) for prefixes, _ in pieces}
-        return sum(len(p) * len(q) for p, q in pieces) / 2**k, rows
+        prefixes, suffixes = _plan(new_search_space(n, m), k)[2:]
+        return prefixes.size * suffixes.shape[1] / 2**k, prefixes.shape[1]
 
     share, rows = swept(16, 8, 20)
-    assert share < 0.1 and rows == {_LEAF_ROWS}
+    assert share < 0.1 and rows == _LEAF_ROWS
     share, rows = swept(1, 0, 20)  # every leaf ties: no tile can be dropped
-    assert share == 1.0 and min(rows) > _LEAF_ROWS
+    assert share == 1.0 and rows > _LEAF_ROWS
 
 
 def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
@@ -328,8 +356,8 @@ def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
     v, u_t = np.repeat(states, 16, axis=0), np.repeat(covectors, 16, axis=1)
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[1, 2]) - margin
-        pieces = _tiles(v, u_t, sq_ref)
-        kept = {(int(p[0]) // 16, int(c) // 16) for p, q in pieces for c in q}
+        prefixes, suffixes = _tiles(v, u_t, sq_ref)
+        kept = {(int(p[0]) // 16, int(c) // 16) for p, q in zip(prefixes, suffixes) for c in q}
         assert kept == set(zip(*np.nonzero(sq <= sq_ref + 2 * TIE_TOL + _BOUND_SLACK)))
         assert ((1, 2) in kept) == (margin < 2 * TIE_TOL)
 

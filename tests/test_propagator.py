@@ -19,8 +19,8 @@ from partial_search import (
 )
 from partial_search import bounds, parallel, scans
 from partial_search.cli import run
-from partial_search.dynamics import _apply_sequences, uniform_after_globals
-from full_box_scan import final_rows, full_box_scan_min
+from partial_search.dynamics import _apply_sequences
+from full_box_scan import final_rows, full_box_scan_min, uniform_after_globals
 from partial_search.scans import (
     default_budget,
     default_k2_cap,
