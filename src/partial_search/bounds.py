@@ -251,6 +251,8 @@ def min_expected_bound(space: SearchSpace) -> float:
 
     Narrow blocks (m <= n//2): 0.69 sqrt(N) - 0.4054 sqrt(b).
     Wide blocks (m > n//2): K - 8 K^2 / N (single-query regime).
+    Estimates, not lower bounds: at n = 12 the exact scan minimum lies
+    below the narrow branch at m = 1, 3 and 6.
     """
     return _min_expected_branches(space)[2]
 
@@ -260,7 +262,7 @@ def min_expected_bound(space: SearchSpace) -> float:
 
 @dataclass(frozen=True)
 class MinExpectedRecord:
-    """Numeric optimum at one m plus the analytic overlays."""
+    """Numeric optimum at one m plus the analytic estimates (not bounds)."""
 
     m: int
     e_min: float

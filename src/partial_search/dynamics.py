@@ -201,22 +201,6 @@ def local_grover_matrix(space: SearchSpace) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _local_run(t, bt, c, s):
-    """A local run: (|t>, |bt~>) rotated by the angle with cosine c and
-    sine s. apply_sequence and _apply_sequences share it."""
-    return c * t + s * bt, -s * t + c * bt
-
-
-def _global_run(t, bt, bb, c, s, sign, u_bt, u_bb):
-    """A global run: (|t>, |u>) rotated as in _local_run (inlined: this is
-    apply_sequence's inner loop) and the |w> part scaled by sign, which is
-    (-1)^count."""
-    u = u_bt * bt + u_bb * bb
-    d = (u_bb * bt - u_bt * bb) * sign
-    x = -s * t + c * u
-    return c * t + s * u, u_bt * x + u_bb * d, u_bb * x - u_bt * d
-
-
 def _uniform_complement(space: SearchSpace) -> tuple[float, float]:
     """(|bt~>, |b~>) components of |u>, the unit part of the uniform state
     orthogonal to |t>; |w> = (0, u_bbar, -u_bt) completes the basis."""
@@ -224,28 +208,48 @@ def _uniform_complement(space: SearchSpace) -> tuple[float, float]:
     return math.sqrt((space.b - 1) / rest), math.sqrt((space.N - space.b) / rest)
 
 
-def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
-    """Apply the runs in order to the initial state, each run in O(1).
+def _apply_runs(
+    space: SearchSpace, runs: list[tuple[bool, int]], row_ends: Iterable[int]
+) -> list[tuple[float, float, float]]:
+    """Apply runs of (is_local, count) pairs to the initial state, each
+    run in O(1). Row r is the runs from where row r - 1 ended up to
+    row_ends[r]; returns the final (amp_t, amp_bt, amp_bbar) of each row.
 
     A local run of j queries rotates (|t>, |bt~>) by 2*j*theta2. G_n
     rotates (|t>, |u>) by 2*theta1 and negates |w>, so a global run of j
     rotates that plane by 2*j*theta1 and scales the |w> part by (-1)^j.
+    The cosine and sine are taken once per distinct run.
     """
     a = angles(space)
     u_bt, u_bb = _uniform_complement(space)
     st = initial_state(space)
-    t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
-    for kind, count in seq.runs:
-        if kind is Kind.LOCAL:
-            angle = 2.0 * count * a.theta2
-            t, bt = _local_run(t, bt, math.cos(angle), math.sin(angle))
-        else:
-            angle = 2.0 * count * a.theta1
-            sign = -1.0 if count % 2 else 1.0
-            t, bt, bb = _global_run(
-                t, bt, bb, math.cos(angle), math.sin(angle), sign, u_bt, u_bb
-            )
-    return State3(t, bt, bb)
+    trig: dict[tuple[bool, int], tuple[float, float, float]] = {}
+    out, begin = [], 0
+    for end in row_ends:
+        t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
+        for run in runs[begin:end]:
+            is_local, count = run
+            rot = trig.get(run)
+            if rot is None:
+                angle = 2.0 * count * (a.theta2 if is_local else a.theta1)
+                rot = trig[run] = (math.cos(angle), math.sin(angle), -1.0 if count % 2 else 1.0)
+            c, s, sign = rot
+            if is_local:
+                t, bt = c * t + s * bt, -s * t + c * bt
+            else:
+                u = u_bt * bt + u_bb * bb
+                d = (u_bb * bt - u_bt * bb) * sign
+                x = -s * t + c * u
+                t, bt, bb = c * t + s * u, u_bt * x + u_bb * d, u_bb * x - u_bt * d
+        out.append((t, bt, bb))
+        begin = end
+    return out
+
+
+def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
+    """Apply the runs in order to the initial state: _apply_runs on one row."""
+    runs = [(kind is Kind.LOCAL, count) for kind, count in seq.runs]
+    return State3(*_apply_runs(space, runs, [len(runs)])[0])
 
 
 def _apply_sequences(
@@ -256,14 +260,9 @@ def _apply_sequences(
     Sequence r is the next lengths[r] queries of the flat bool array local
     (True: a local query), in application order; the lengths sum to
     len(local). Returns the final (amp_t, amp_bt, amp_bbar) of every
-    sequence as a (rows, 3) array.
-
-    numpy cuts the queries into runs; each row then applies its runs with
-    apply_sequence's _local_run/_global_run and the same math.cos/math.sin
-    of 2.0*count*theta, tabulated once per count.
+    sequence as a (rows, 3) array. numpy cuts the queries into runs and
+    one _apply_runs call applies them.
     """
-    a = angles(space)
-    u_bt, u_bb = _uniform_complement(space)
     # a run starts at each change of kind and at each row's first query
     is_start = np.ones(len(local), dtype=bool)
     np.not_equal(local[1:], local[:-1], out=is_start[1:])
@@ -271,29 +270,8 @@ def _apply_sequences(
     starts = np.flatnonzero(is_start)
     counts = np.diff(starts, append=len(local))
     row_ends = np.searchsorted(starts, np.cumsum(lengths)).tolist()
-
-    twice = [2.0 * k for k in range(int(counts.max(initial=0)) + 1)]
-    cos1 = [math.cos(x * a.theta1) for x in twice]
-    sin1 = [math.sin(x * a.theta1) for x in twice]
-    cos2 = [math.cos(x * a.theta2) for x in twice]
-    sin2 = [math.sin(x * a.theta2) for x in twice]
-    sign = [-1.0 if k % 2 else 1.0 for k in range(len(twice))]
-
-    st = initial_state(space)
-    counts, kinds = counts.tolist(), local[starts].tolist()
-    out, begin = [], 0
-    for end in row_ends:
-        t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
-        for k, is_local in zip(counts[begin:end], kinds[begin:end]):
-            if is_local:
-                t, bt = _local_run(t, bt, cos2[k], sin2[k])
-            else:
-                t, bt, bb = _global_run(
-                    t, bt, bb, cos1[k], sin1[k], sign[k], u_bt, u_bb
-                )
-        out.append((t, bt, bb))
-        begin = end
-    return np.array(out).reshape(len(row_ends), 3)
+    runs = list(zip(local[starts].tolist(), counts.tolist()))
+    return np.array(_apply_runs(space, runs, row_ends)).reshape(len(row_ends), 3)
 
 
 def _clamp_probability(p: float) -> float:

@@ -8,19 +8,19 @@ amplitude u_S . v_P, where v_P is the state after prefix P and
 u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
 covectors are each built by doubling.
 
-A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A
-larger one is a branch and bound over tiles of prefix rows x suffix
-columns. States and covectors are each ordered once so that every
-aligned block of them is a k-d cell, and the componentwise boxes of a
-tile's rows and columns bound u . v over the tile. The best GRK leaf
-bounds the least amp^2 from above, so a tile whose amplitudes all lie
-farther from 0 holds neither the maximum nor a tie and is dropped. The
-rest are bisected down to _LEAF_ROWS rows. Once a level keeps more than
-_DENSE_SHARE of the tiles it bounds, the survivors of the level above
-are swept instead: tiles 4x larger and at most 1/_DENSE_SHARE as many
-cells. The tiles are evaluated in batches of at most _CHUNK_CELLS
-cells, a tile larger than that in slices of whole rows, one after
-another on the calling thread.
+A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A larger
+one is a branch and bound over tiles of prefix rows x suffix columns.
+States and covectors are each ordered once so that every aligned block
+of them is a k-d cell, and the componentwise boxes of a tile's rows and
+columns bound u . v over the tile. The closed-form amp^2 of the best GRK
+leaf bounds the least amp^2 from above (up to _BOUND_SLACK), so a tile
+whose amplitudes all lie farther from 0 holds neither the maximum nor a
+tie and is dropped. The rest are bisected down to _LEAF_ROWS rows. Once
+a level keeps more than _DENSE_SHARE of the tiles it bounds, the
+survivors of the level above are swept instead: tiles 4x larger and at
+most 1/_DENSE_SHARE as many cells. The tiles are evaluated in batches of
+at most _CHUNK_CELLS cells, a tile larger than that in slices of whole
+rows, one after another on the calling thread.
 
 Dropped tiles hold no tie, batches only gather the ties and their order
 is undone by the final sort, and every amplitude is the same three-term
@@ -58,7 +58,9 @@ _LEAF_ROWS = 16  # prefix rows per tile where bisection stops
 _TOP_LEVEL = 4  # bisection starts from 2^4 x 2^4 tiles
 _DENSE_SHARE = 0.9  # a level that keeps more of the tiles it bounds stops there
 _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
-_BOUND_SLACK = 1e-12  # covers the rounding of 1 - amp^2 in the tie test
+# covers the rounding of 1 - amp^2 in the tie test, and the closed-form GRK
+# reference's gap from its leaf on the grid (under 1e-14 where measured)
+_BOUND_SLACK = 1e-12
 _TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 24)
 
 
@@ -119,9 +121,9 @@ def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
 def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat by numpy's own sum-of-products loop, each entry the sum
     (r0 m0 + r1 m1) + r2 m2: no BLAS kernel or thread count touches the
-    bits. Which loop numpy runs depends on the layout, so every amplitude
-    of the grid (the batches of _sweep too) comes from C-contiguous rows
-    and at least two columns of unit stride."""
+    bits. Which loop numpy runs depends on the layout, so the states,
+    the covectors and the batches of _sweep all come from C-contiguous
+    rows and at least two columns of unit stride."""
     return np.einsum("ij,jk->ik", rows, mat)
 
 
@@ -192,26 +194,15 @@ def _amp_interval(
     return (lo[0] + lo[1]) + lo[2], (hi[0] + hi[1]) + hi[2]
 
 
-def _reference_sq(space: SearchSpace, k_tot: int, v: np.ndarray, u_t: np.ndarray) -> float:
-    """amp^2 of the best GRK leaf G^k1 L^k2 G, evaluated as the grid
-    evaluates it (two columns keep _times on the grid's loop): the least
-    amp^2 of the grid is at most this."""
-    _, _, k2 = grk_max_block_probability(space, k_tot)
-    mask = ((1 << k2) - 1) << 1
-    s = u_t.shape[1].bit_length() - 1
-    prefix, suffix = mask >> s, mask & ((1 << s) - 1)
-    amp = _times(v[prefix : prefix + 1], np.take(u_t, [suffix, suffix ^ 1], axis=1))
-    return float(amp[0, 0]) ** 2
-
-
 def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, np.ndarray]:
     """Branch and bound over tiles of prefix rows x suffix columns.
 
     Returns (prefixes, suffixes), one row per surviving tile, all tiles
     of one size: its h prefix and its w suffix indices. sq_ref is amp^2
-    of a leaf of the grid. A tile is dropped when every amplitude it can
-    hold squares to more than sq_ref + 2 TIE_TOL: none of its leaves is
-    then the least amp^2 or within TIE_TOL of it.
+    of one leaf, within _BOUND_SLACK of that leaf's value on the grid. A
+    tile is dropped when every amplitude it can hold squares to more
+    than sq_ref + 2 TIE_TOL: none of its leaves is then the least amp^2
+    or within TIE_TOL of it.
     """
     bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
     rows_leaf = _LEAF_ROWS
@@ -258,7 +249,7 @@ def _plan(
     v, u_t = _grid(space, k_tot)
     if len(v) * u_t.shape[1] <= _CHUNK_CELLS:
         return v, u_t, np.arange(len(v))[None], np.arange(u_t.shape[1])[None]
-    return v, u_t, *_tiles(v, u_t, _reference_sq(space, k_tot, v, u_t))
+    return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
 
 
 def _sweep(
@@ -277,7 +268,7 @@ def _sweep(
     height, width = prefixes.shape[1], suffixes.shape[1]
     span = min(height, _CHUNK_CELLS // width)
     step = _CHUNK_CELLS // (span * width)
-    low, masks, prs, held = np.inf, [], [], 0
+    low, batches, held = np.inf, [], 0
     for start, first in product(range(0, len(prefixes), step), range(0, height, span)):
         p = prefixes[start : start + step, first : first + span]
         q = suffixes[start : start + step]
@@ -292,11 +283,14 @@ def _sweep(
         # cell = (tile * span + row) * width + col; p.ravel() has one
         # entry per tile * span + row
         rows, cols = np.divmod(cells, width)
-        masks.append((p.ravel()[rows] << s) | q[rows // span, cols])
-        prs.append(1.0 - sq.ravel()[cells])
+        batches.append(((p.ravel()[rows] << s) | q[rows // span, cols], 1.0 - sq.ravel()[cells]))
 
     top = 1.0 - low
-    return top, np.concatenate(masks)[np.concatenate(prs) >= top - TIE_TOL]
+    ties = []
+    while batches:  # release each batch as it is filtered
+        masks, prs = batches.pop()
+        ties.append(masks[prs >= top - TIE_TOL])
+    return top, np.concatenate(ties)
 
 
 def enumerate_max_probability(

@@ -261,6 +261,14 @@ def test_min_expected_sweep_tracks_branches():
         assert rec.k_tot == 1 + rec.k1 + rec.k2
 
 
+def test_narrow_branch_is_not_a_lower_bound_at_finite_n():
+    # the exact scan optimum lies below 0.69 sqrt(N) - 0.4054 sqrt(b) at
+    # these narrow-block m (and at m = 2, 4, 5 above it): the branch is an
+    # estimate of e_min, not a lower bound on it
+    for rec in min_expected_sweep(12, [1, 3, 6]):
+        assert rec.e_min < rec.bound_narrow == rec.bound_selected, rec.m
+
+
 def test_sweep_beats_unit_probability_reference():
     # restart-on-failure at the expectation optimum is cheaper than
     # driving the probability to one

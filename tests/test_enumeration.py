@@ -44,6 +44,7 @@ from partial_search.enumeration import (
     _tiles,
     _times,
 )
+from partial_search.scans import grk_max_block_probability
 
 from full_enumeration import full_enumeration
 from reference_tables import (
@@ -279,6 +280,24 @@ def test_tie_cap_refuses_before_gathering(monkeypatch):
     assert len(enumerate_max_probability(sp, 12).tie_masks) == 2048
 
 
+def test_ties_are_gathered_in_little_memory():
+    # every leaf of (1, 0, 20) ties and 2^19 of them are kept; each batch
+    # of candidates is released once it is filtered, so the candidates are
+    # not all held twice at the end of the sweep
+    import tracemalloc
+
+    sp = new_search_space(1, 0)
+    enumerate_max_probability(sp, 12)  # warm any one-off allocation
+    tracemalloc.start()
+    try:
+        res = enumerate_max_probability(sp, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.tie_masks) == 2**19
+    assert peak <= 56 * len(res.tie_masks)
+
+
 def test_budget_validation():
     sp = new_search_space(8, 2)
     with pytest.raises(ResourceLimitError):
@@ -360,6 +379,21 @@ def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
         kept = {(int(p[0]) // 16, int(c) // 16) for p, q in zip(prefixes, suffixes) for c in q}
         assert kept == set(zip(*np.nonzero(sq <= sq_ref + 2 * TIE_TOL + _BOUND_SLACK)))
         assert ((1, 2) in kept) == (margin < 2 * TIE_TOL)
+
+
+def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
+    # _plan bounds the tiles with 1 - pr of the closed-form GRK optimum;
+    # the same leaf G^k1 L^k2 G on the grid, evaluated as the dense sweep
+    # evaluates it, squares to within a tenth of _BOUND_SLACK of it
+    for n, m, k in REFERENCE_CASES + [(62, 31, 20), (12, 9, 30), (16, 8, 30)]:
+        sp = new_search_space(n, m)
+        pr, _, k2 = grk_max_block_probability(sp, k)
+        v, u_t = _grid(sp, k)
+        s = k - k // 2
+        mask = ((1 << k2) - 1) << 1
+        prefix, suffix = mask >> s, mask & ((1 << s) - 1)
+        amp = float(_times(v[prefix : prefix + 1], u_t)[0, suffix])
+        assert abs((1.0 - pr) - amp * amp) <= _BOUND_SLACK / 10, (n, m, k)
 
 
 def test_tile_intervals_hold_every_computed_amplitude():
