@@ -283,6 +283,8 @@ def min_expected_sweep(
     check_qubits(n)
     if m_values is None:
         m_values = range(1, n)
+    if not m_values:
+        raise ParameterError(f"empty m range at n={n}")
     spaces = [new_search_space(n, m) for m in m_values]
     for space in spaces:
         scan_shape(space)  # refuse an oversized m before scanning any

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -92,9 +93,7 @@ def _json_value(value: Any, indent: int) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        import json as _json
-
-        return _json.dumps(value)
+        return json.dumps(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -143,6 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     shared.add_argument("--out", default=None, help="output file (default stdout)")
+    geometry = argparse.ArgumentParser(add_help=False, parents=[shared])
+    geometry.add_argument("--n", type=int, required=True)
+    geometry.add_argument("--m", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="partial-search",
@@ -151,15 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("angles", parents=[shared], help="problem geometry and angles")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    sub.add_parser("angles", parents=[geometry], help="problem geometry and angles")
 
     p = sub.add_parser(
-        "simulate", parents=[shared], help="apply one operator sequence exactly"
+        "simulate", parents=[geometry], help="apply one operator sequence exactly"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--seq",
         required=True,
@@ -169,11 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[shared],
+        parents=[geometry],
         help=f"exhaustive optimum over all sequences (k_tot <= {K_TOT_CAP})",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--ktot", required=True, help="budget, <int> or a..b")
     p.add_argument(
         "--all-ties", action="store_true", help="one row per co-optimal sequence"
@@ -226,11 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[shared],
+        parents=[geometry],
         help="cross-check subspace dynamics against the full statevector",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
     p.add_argument("--sequences", type=int, default=200)
     p.add_argument("--max-k", type=int, default=40)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -242,6 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand implementations ----------------------------------------------
 
 
+def _params(args: argparse.Namespace, **shown: Any) -> dict[str, Any]:
+    """The echoed parameters: the parsed flags in declaration order, with
+    `shown` replacing a flag's value in place and unset flags left out."""
+    return {
+        key: value
+        for key, value in {**vars(args), **shown}.items()
+        if key not in ("command", "format", "out") and value is not None
+    }
+
+
 def _cmd_angles(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
     row = {
@@ -251,7 +255,7 @@ def _cmd_angles(args: argparse.Namespace) -> OutputRecord:
         "sin_theta2": grover_sine(space.b),
         "sin_gamma": grover_sine(space.K),
     }
-    return OutputRecord("angles", {"n": args.n, "m": args.m}, [row])
+    return OutputRecord("angles", _params(args), [row])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
@@ -271,47 +275,35 @@ def _cmd_simulate(args: argparse.Namespace) -> OutputRecord:
         "amp_bt": st.amp_bt,
         "amp_bbar": st.amp_bbar,
     }
-    return OutputRecord(
-        "simulate", {"n": args.n, "m": args.m, "seq": args.seq}, [row]
-    )
+    return OutputRecord("simulate", _params(args), [row])
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
+    dropped = ("e_rendered", "num_ties") if args.all_ties else ("tie_index",)
     rows = []
     for k in parse_range(args.ktot):
         res = enumerate_max_probability(space, k)
-        if args.all_ties:
-            for i, seq in enumerate(res.optimal_sequences):
-                rows.append(
-                    {
-                        "k_tot": k,
-                        "tie_index": i,
-                        "pr_max": res.pr_max,
-                        "pr_percent": render_percent(res.pr_max),
-                        "expected_iterations": res.expected_iterations,
-                        "sequence": seq.product_string(space),
-                        "tokens": seq.token_spec(),
-                        "is_grk": is_grk_form(seq),
-                    }
-                )
-        else:
-            seq = res.canonical
-            rows.append(
-                {
-                    "k_tot": k,
-                    "pr_max": res.pr_max,
-                    "pr_percent": render_percent(res.pr_max),
-                    "expected_iterations": res.expected_iterations,
-                    "e_rendered": render_fixed(res.expected_iterations),
-                    "sequence": seq.product_string(space),
-                    "tokens": seq.token_spec(),
-                    "is_grk": is_grk_form(seq),
-                    "num_ties": len(res.tie_masks),
-                }
-            )
-    params = {"n": args.n, "m": args.m, "ktot": args.ktot, "all_ties": args.all_ties}
-    return OutputRecord("enumerate", params, rows)
+        pr_percent = render_percent(res.pr_max)
+        e_rendered = render_fixed(res.expected_iterations)
+        sequences = res.optimal_sequences if args.all_ties else (res.canonical,)
+        for i, seq in enumerate(sequences):
+            row = {
+                "k_tot": k,
+                "tie_index": i,
+                "pr_max": res.pr_max,
+                "pr_percent": pr_percent,
+                "expected_iterations": res.expected_iterations,
+                "e_rendered": e_rendered,
+                "sequence": seq.product_string(space),
+                "tokens": seq.token_spec(),
+                "is_grk": is_grk_form(seq),
+                "num_ties": len(res.tie_masks),
+            }
+            for col in dropped:
+                del row[col]
+            rows.append(row)
+    return OutputRecord("enumerate", _params(args), rows)
 
 
 def _cmd_tables(args: argparse.Namespace) -> OutputRecord:
@@ -330,29 +322,24 @@ def _cmd_tables(args: argparse.Namespace) -> OutputRecord:
                 "is_grk": row.is_grk,
             }
         )
-    params = {
-        "n": args.n,
-        "which": args.which,
-        "m_range": f"{m_range.start}..{m_range.stop - 1}",
-        "k_range": f"{k_range.start}..{k_range.stop - 1}",
-    }
+    params = _params(
+        args,
+        m_range=f"{m_range.start}..{m_range.stop - 1}",
+        k_range=f"{k_range.start}..{k_range.stop - 1}",
+    )
     return OutputRecord("tables", params, rows_out)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> OutputRecord:
-    params: dict[str, Any] = {"n": args.n}
-    if args.ktot_range is not None:
-        if args.m is None:
-            raise UsageError("--ktot-range needs --m")
-        params.update({"m": args.m, "ktot_range": args.ktot_range})
+    if args.ktot_range is None:
+        m_values = None if args.m is None else [args.m]
+        records = bounds_mod.min_expected_sweep(args.n, m_values)
+    elif args.m is None:
+        raise UsageError("--ktot-range needs --m")
+    else:
         space = new_search_space(args.n, args.m)
-        comparison = bounds_mod.pr_bound_comparison(space, parse_range(args.ktot_range))
-        return OutputRecord("bounds", params, [asdict(r) for r in comparison])
-
-    if args.m is not None:
-        params["m"] = args.m
-    sweep = bounds_mod.min_expected_sweep(args.n, None if args.m is None else [args.m])
-    return OutputRecord("bounds", params, [asdict(r) for r in sweep])
+        records = bounds_mod.pr_bound_comparison(space, parse_range(args.ktot_range))
+    return OutputRecord("bounds", _params(args), [asdict(r) for r in records])
 
 
 def _scheme_row(
@@ -424,14 +411,6 @@ def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
         tol=args.tol,
         seed=args.seed,
     )
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "sequences": args.sequences,
-        "max_k": args.max_k,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
     row = report
     if args.format == "csv":
         # the per-failure detail only fits the JSON shape
@@ -444,7 +423,8 @@ def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
             "num_failures": len(report["failures"]),
             "passed": report["passed"],
         }
-    return OutputRecord("verify", params, [row], exit_code=0 if report["passed"] else 1)
+    exit_code = 0 if report["passed"] else 1
+    return OutputRecord("verify", _params(args), [row], exit_code=exit_code)
 
 
 _COMMANDS = {

@@ -396,6 +396,8 @@ def table_sweep(
     """One row per (m, k_tot): the optimum sequence, its probability and
     expected iterations, rendered at table precision."""
     check_qubits(n)
+    if not m_values or not k_values:
+        raise ParameterError(f"empty m or k_tot range at n={n}")
     rows = []
     for m in m_values:
         space = new_search_space(n, m)

@@ -247,6 +247,13 @@ def test_predicted_ktot_matches_scan_argmin():
     assert abs(recs[0].k_tot - pred) <= 2.0
 
 
+@pytest.mark.parametrize("n, m_values", [(1, None), (8, [])])
+def test_min_expected_sweep_refuses_an_empty_m_range(n, m_values):
+    # at n = 1 the default range 1..n-1 is empty
+    with pytest.raises(ParameterError, match="empty m range"):
+        min_expected_sweep(n, m_values)
+
+
 def test_min_expected_sweep_tracks_branches():
     # n=20: narrow branch within 3% up to m=10, wide branch within 5%
     # from m=12 (the m=11 transition point is excluded by construction)

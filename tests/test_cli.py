@@ -126,6 +126,21 @@ def test_n_outside_1_to_62_is_a_domain_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("tables", "--n", "1", "--which", "pr"),
+        ("tables", "--n", "2", "--which", "e"),
+        ("bounds", "--n", "1"),
+    ],
+)
+def test_empty_default_m_range_is_a_domain_error(capsys, argv):
+    # tables defaults to m = 2..n-1 and bounds to m = 1..n-1
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: empty m") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "x"),
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "3..x"),
         ("enumerate", "--n", "8", "--m", "2", "--ktot", "5..3"),
@@ -711,6 +726,98 @@ def test_readme_enumerate_example_is_current(capsys):
     rc, out, _ = run_cli(capsys, *command.split()[1:])
     assert rc == 0
     assert out == block.group(1)
+
+
+# -- parameter echo --------------------------------------------------------------
+
+# (command, [(key, CSV text, JSON value), ...]): the exact `# key=value`
+# lines after schema_version and command, and the JSON parameters object
+_ECHO_CASES = [
+    ("angles --n 8 --m 2", [("n", "8", 8), ("m", "2", 2)]),
+    (
+        "simulate --n 8 --m 2 --seq l:1,g:1",
+        [("n", "8", 8), ("m", "2", 2), ("seq", "l:1,g:1", "l:1,g:1")],
+    ),
+    (
+        "enumerate --n 8 --m 3 --ktot 4..5",
+        [("n", "8", 8), ("m", "3", 3), ("ktot", "4..5", "4..5"),
+         ("all_ties", "false", False)],
+    ),
+    (
+        "enumerate --n 8 --m 3 --ktot 5",
+        [("n", "8", 8), ("m", "3", 3), ("ktot", "5", "5"), ("all_ties", "false", False)],
+    ),
+    (
+        "tables --n 8 --which pr",
+        [("n", "8", 8), ("which", "pr", "pr"), ("m_range", "2..7", "2..7"),
+         ("k_range", "2..11", "2..11")],
+    ),
+    (
+        "tables --n 8 --which e",
+        [("n", "8", 8), ("which", "e", "e"), ("m_range", "2..7", "2..7"),
+         ("k_range", "2..11", "2..11")],
+    ),
+    (
+        "tables --which pr --m-range 3 --k-range 4",
+        [("n", "8", 8), ("which", "pr", "pr"), ("m_range", "3..3", "3..3"),
+         ("k_range", "4..4", "4..4")],
+    ),
+    ("bounds --n 20", [("n", "20", 20)]),
+    (
+        "bounds --n 20 --m 10 --ktot-range 380..420",
+        [("n", "20", 20), ("m", "10", 10), ("ktot_range", "380..420", "380..420")],
+    ),
+    ("bounds --n 10 --m 5", [("n", "10", 10), ("m", "5", 5)]),
+    (
+        "bounds --n 10 --m 5 --ktot-range 4..8",
+        [("n", "10", 10), ("m", "5", 5), ("ktot_range", "4..8", "4..8")],
+    ),
+    (
+        "parallel --scheme compare --n 6 --l-range 1..4",
+        [("scheme", "compare", "compare"), ("n", "6", 6), ("l_range", "1..4", "1..4")],
+    ),
+    (
+        "parallel --scheme hybrid --n 18 --l 3 --no-k2",
+        [("scheme", "hybrid", "hybrid"), ("n", "18", 18), ("no_k2", "true", True),
+         ("l", "3", 3)],
+    ),
+    (
+        "verify --n 10 --m 4",
+        [("n", "10", 10), ("m", "4", 4), ("sequences", "200", 200),
+         ("max_k", "40", 40), ("tol", "1e-10", 1e-10), ("seed", "42", 42)],
+    ),
+]
+
+
+@pytest.mark.parametrize("command, echo", _ECHO_CASES, ids=[c for c, _ in _ECHO_CASES])
+def test_parameter_echo(capsys, command, echo):
+    argv = command.split()
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    comments = [line for line in out.splitlines() if line.startswith("# ")]
+    assert comments == [
+        "# schema_version=1",
+        f"# command={argv[0]}",
+        *(f"# {key}={text}" for key, text, _ in echo),
+    ]
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    params = json.loads(out)["parameters"]
+    # types too: ktot stays the string "5", n is an int, tol a float
+    assert [(k, type(v), v) for k, v in params.items()] == [
+        (key, type(value), value) for key, _, value in echo
+    ]
+
+
+def test_every_readme_cli_example_has_an_echo_case():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme[readme.index("## CLI"):], re.S)
+    examples = [
+        " ".join(line.split("#")[0].split()[1:])
+        for line in block.group(1).splitlines()
+    ]
+    assert examples
+    assert set(examples) <= {command for command, _ in _ECHO_CASES}
 
 
 def test_installed_entry_point():

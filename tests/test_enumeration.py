@@ -306,6 +306,14 @@ def test_budget_validation():
         enumerate_max_probability(sp, 0)
 
 
+@pytest.mark.parametrize(
+    "n, m_values, k_values", [(1, range(2, 1), [2]), (2, [], [2, 3]), (8, [2], [])]
+)
+def test_table_sweep_refuses_an_empty_range(n, m_values, k_values):
+    with pytest.raises(ParameterError, match="empty m or k_tot range"):
+        table_sweep(n, m_values, k_values)
+
+
 # -- the pruned sweep against the full grid ------------------------------------
 
 # (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20), (1, 0, 20) and
