@@ -31,6 +31,7 @@ _TIE_CAP is refused before they are gathered.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import cached_property
@@ -103,8 +104,9 @@ class TableRow:
 
 
 def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
-    return OperatorSequence.from_kinds(
-        Kind.LOCAL if bit == "1" else Kind.GLOBAL for bit in format(mask, f"0{k_tot}b")
+    runs = re.findall("0+|1+", format(mask, f"0{k_tot}b"))
+    return OperatorSequence(
+        (Kind.LOCAL if run[0] == "1" else Kind.GLOBAL, len(run)) for run in runs
     )
 
 

@@ -7,20 +7,25 @@ FullState and the apply_* functions are the one-vector reference; the
 simulation itself runs many sequences at once as rows of one array,
 doing each query for the whole batch with the same arithmetic.
 
-verify_subspace keeps its draws in one flat bool array (True: a local
-query) with one length per sequence. Both sides read that array: the
-reduced side is one call to dynamics._apply_sequences, bit for bit
-apply_sequence on every row without an OperatorSequence per draw, and
-the full side scatters it step-major once and runs it in lockstep
-batches.
+verify_subspace draws, for each sequence in turn, its length, its kinds
+and its target as rng.integers calls on np.random.default_rng(seed)
+would, but decodes them from one block of the generator's 32-bit words
+(numpy's bounded draw is Lemire's rule): the same seed gives the same
+draws. It keeps them in one flat bool array (True: a local query) with
+one length per sequence. Both sides read that array: the reduced side is
+one call to dynamics._apply_sequences, bit for bit apply_sequence on
+every row without an OperatorSequence per draw, and the full side
+scatters it step-major once and runs it in lockstep batches.
 
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
 blocks' means (local), computing the row means only if a row is global and
-the block means only if a row is local. Every mean, in the kernel and in
-the one-vector reference alike, comes from _mean, which sums in numpy's
+the block means only if a row is local. Every sum behind a mean, in the
+kernel and in the one-vector reference alike, comes from _sum, in numpy's
 own order (strided column adds up to 8 entries, numpy's pairwise
-reduction above), so the batch reproduces the reference bit for bit.
+reduction above). The reference's _mean scales it by 1/width and doubles
+it; the kernel scales it once by 2/width. Both are exact power-of-two
+scalings, so the batch reproduces the reference bit for bit.
 
 Blocks are contiguous index ranges [j*b, (j+1)*b); the marked item's block
 is target_index // b.
@@ -49,12 +54,13 @@ _BATCH_DOUBLES = 1 << 14
 
 # amplitude updates one call may ask for: queries x 2^n, where verify's
 # queries are sequences x max_k (its longest draw) and a query counts at
-# least 2^11 amplitudes, for the draw and the reduced side. On a 2-vCPU host
-# a query took 1.9 us at n = 1 in 1..20-query sequences (14 us in 1-query
-# ones, most of it the draw's three rng.integers calls) and an amplitude
-# 1.5 ns at n = 14. The default verify at n = 14 asks for
-# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.4 s (n = 14, 800 x 40),
-# 0.7 s (n = 10, 6400 x 40) and, the worst, 3.5 s and 118 MB (n = 1, 2^18 x 1).
+# least 2^11 amplitudes, for the reduced side and the per-sequence work. On
+# a 2-vCPU host a query took 0.64 us at n = 1 in 1..20-query sequences
+# (2.1 us in 1-query ones, most of it the reduced side's run loop) and an
+# amplitude 1.4 ns at n = 14. The default verify at n = 14 asks for
+# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.36 s (n = 14, 800 x 40),
+# 0.70 s (n = 10, 6400 x 40) and 0.56 s with the most memory, 136 MB
+# (n = 1, 2^18 x 1).
 _WORK_CAP = 1 << 29
 _QUERY_MIN_DOUBLES = 1 << 11
 
@@ -100,28 +106,34 @@ def apply_oracle(state: FullState) -> FullState:
     return FullState(amp, state.n, state.target_index)
 
 
-def _mean(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=-1) bit for bit, for a last axis of 2^j >= 2 entries:
-    the one mean of every diffusion, row or block, kernel or reference.
+def _sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1) bit for bit, for a last axis of 2^j >= 2 entries: the
+    one sum behind every diffusion, row or block, kernel or reference.
 
     numpy sums fewer than 8 entries left to right and 8 as the pairwise
     tree ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)). Up to 8 the
     strided columns are added in that order as whole-array adds, so a short
     row or block costs no reduction call of its own; from 16 numpy reduces.
-    The sum is scaled by 1/width, a power of two: the same bits as dividing.
+    The result is a new array, which callers scale in place.
     """
     width = a.shape[-1]
     if width > 8:
-        total = np.add.reduce(a, axis=-1)
-    elif width == 8:
+        return np.add.reduce(a, axis=-1)
+    if width == 8:
         pairs = a[..., 0::2] + a[..., 1::2]
         quads = pairs[..., 0::2] + pairs[..., 1::2]
-        total = quads[..., 0] + quads[..., 1]
-    else:
-        total = a[..., 0] + a[..., 1]
-        for j in range(2, width):
-            total += a[..., j]
-    total *= 1.0 / width
+        return quads[..., 0] + quads[..., 1]
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, width):
+        total += a[..., j]
+    return total
+
+
+def _mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1) bit for bit, for a last axis of 2^j >= 2 entries:
+    _sum scaled by 1/width, a power of two, so the same bits as dividing."""
+    total = _sum(a)
+    total *= 1.0 / a.shape[-1]
     return total
 
 
@@ -168,7 +180,8 @@ def _run_rows(
         index = marked[:active]
         flat[index] = -flat[index]
         if locals_ < active:  # a global row
-            twice_mean = 2.0 * _mean(x)[:, None]
+            twice_mean = _sum(x)[:, None]
+            twice_mean *= 2.0 / size
         if not locals_:
             np.subtract(twice_mean, x, out=x)
         elif not m:  # single-item blocks: a local query is the oracle alone
@@ -176,10 +189,10 @@ def _run_rows(
                 np.subtract(twice_mean, x, out=x, where=~kinds[step, :active, None])
         else:
             blocks = x.reshape(active, -1, b)
-            twice_block = 2.0 * _mean(blocks)
+            twice_block = _sum(blocks)
+            twice_block *= 2.0 / b
             if locals_ < active:
-                is_local = kinds[step, :active, None]
-                twice_block = np.where(is_local, twice_block, twice_mean)
+                np.copyto(twice_block, twice_mean, where=~kinds[step, :active, None])
             if b <= 4:  # b strided subtracts beat a broadcast with b-long inner loops
                 for j in range(b):
                     col = blocks[:, :, j]
@@ -270,6 +283,74 @@ def _simulate_batches(
         )
 
 
+def _words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """rng's next 32-bit words, count rounded up to even, in the order
+    numpy's bounded draws take them: the low half of each 64-bit output,
+    then its high half. rng must hold no buffered half, as a fresh
+    generator holds none."""
+    raw = rng.bit_generator.random_raw((count + 1) // 2)
+    words = np.empty((len(raw), 2), dtype=np.uint64)
+    words[:, 0] = raw & np.uint64(0xFFFFFFFF)
+    words[:, 1] = raw >> np.uint64(32)
+    return words.reshape(-1)
+
+
+def _bounded(words: np.ndarray, excl: int) -> np.ndarray:
+    """numpy's bounded draw of [0, excl), 2 <= excl < 2^32, on each 32-bit
+    word (Lemire's rule): (w * excl) >> 32, or -1 where numpy rejects the
+    word (the low half of w * excl below (2^32 - excl) % excl) and takes
+    the next one."""
+    product = words * np.uint64(excl)
+    draws = (product >> np.uint64(32)).astype(np.int64)
+    draws[product & np.uint64(0xFFFFFFFF) < ((1 << 32) - excl) % excl] = -1
+    return draws
+
+
+def _draw(
+    seed: int, sequences: int, max_k: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(local, lengths, targets) of np.random.default_rng(seed) drawing, for
+    each sequence in turn, k = rng.integers(1, max_k + 1), its kinds
+    rng.integers(0, 2, k) (1: local) and its target rng.integers(0, 2^n).
+
+    The draws are decoded from the generator's words rather than made one
+    call at a time. A kind is w >> 31 and a target w >> (32 - n), neither
+    ever rejected; only a length can reject a word, and with max_k = 1 it
+    takes none. So one loop walks the length words alone, each at the
+    position its predecessors leave, and one indexed read gathers the kinds.
+    """
+    rng = np.random.default_rng(seed)
+    if max_k == 1:
+        words = _words(rng, 2 * sequences)
+        lengths = np.ones(sequences, dtype=np.int64)
+        starts = np.arange(0, 2 * sequences, 2)
+    else:
+        # the first sequence draws a block that fits every sequence at its
+        # longest; rejected length words can use it up, and then more is drawn
+        words = np.empty(0, dtype=np.uint64)
+        drawn = memoryview(words)
+        starts_, lengths_, p = [], [], 0
+        for i in range(sequences):
+            k = 0
+            while not k:  # 0: a rejected word, and numpy takes the next
+                while p + max_k + 2 > len(drawn):
+                    more = _words(rng, (sequences - i) * (max_k + 2))
+                    words = np.concatenate([words, more])
+                    drawn = memoryview(1 + _bounded(words, max_k))
+                k = drawn[p]
+                p += 1
+            starts_.append(p)
+            lengths_.append(k)
+            p += k + 1
+        starts = np.array(starts_, dtype=np.int64)
+        lengths = np.array(lengths_, dtype=np.int64)
+    ends = starts + lengths
+    kind_words = np.arange(int(lengths.sum())) + np.repeat(ends - np.cumsum(lengths), lengths)
+    local = words[kind_words] >= np.uint64(1 << 31)
+    targets = (words[ends] >> np.uint64(32 - n)).astype(np.int64)
+    return local, lengths, targets
+
+
 def verify_subspace(
     n: int,
     m: int,
@@ -286,10 +367,12 @@ def verify_subspace(
     target-independence check: the reduced dynamics cannot depend on the
     index, so every target must match the same 3-vector.
 
-    The draws are kept in one flat bool array. The reduced side runs every
-    sequence at once through _apply_sequences; the full vectors run in
-    lockstep batches of about _BATCH_DOUBLES amplitudes, longest sequences
-    first. Only the worst case and the failures become OperatorSequences.
+    _draw decodes the draws from the seeded generator's words into one
+    flat bool array, a length and a target per sequence. The reduced side
+    runs every sequence at once through _apply_sequences; the full vectors
+    run in lockstep batches of about _BATCH_DOUBLES amplitudes, longest
+    sequences first. Only the worst case and the failures become
+    OperatorSequences.
 
     Returns a JSON-ready report; report['passed'] is False iff any
     deviation exceeds tol, and failing sequences are listed.
@@ -301,19 +384,7 @@ def verify_subspace(
         raise ParameterError("tol must be finite and >= 0")
     _check_size(n)
     _check_work(n, num_random_sequences * max_k)
-    rng = np.random.default_rng(seed)
-    # draw by draw, so every seed keeps its sequences and targets
-    local = np.empty(num_random_sequences * max_k, dtype=bool)
-    lengths = np.empty(num_random_sequences, dtype=np.int64)
-    targets = np.empty(num_random_sequences, dtype=np.int64)
-    end = 0
-    for i in range(num_random_sequences):
-        k_tot = int(rng.integers(1, max_k + 1))
-        local[end : end + k_tot] = rng.integers(0, 2, k_tot)
-        end += k_tot
-        lengths[i] = k_tot
-        targets[i] = rng.integers(0, space.N)
-    local = local[:end]
+    local, lengths, targets = _draw(seed, num_random_sequences, max_k, n)
     starts = (np.cumsum(lengths) - lengths).tolist()
 
     def sequence(i: int) -> OperatorSequence:
@@ -339,10 +410,9 @@ def verify_subspace(
             ]
         )
 
-    devs = dev.tolist()
-    w = devs.index(max(devs))
+    w = int(np.argmax(dev))  # the first of equal maxima
     worst = {
-        "deviation": devs[w],
+        "deviation": float(dev[w]),
         "sequence": sequence(w).token_spec(),
         "target_index": int(targets[w]),
     }
@@ -350,10 +420,9 @@ def verify_subspace(
         {
             "sequence": sequence(i).token_spec(),
             "target_index": int(targets[i]),
-            "deviation": d,
+            "deviation": float(dev[i]),
         }
-        for i, d in enumerate(devs)
-        if d > tol
+        for i in np.flatnonzero(dev > tol).tolist()
     ]
     return {
         "n": n,

@@ -286,6 +286,63 @@ def test_simulate_sequence_is_the_kernel_with_one_row(n, m):
         assert (block, target, st3) == (ref_block, ref_target, ref_st3)
 
 
+# -- verify's draws against numpy's own rng.integers calls ------------------------
+# numpy's Generator promises no stream across versions (NEP 19), so these
+# pin the decode to the numpy that runs them.
+
+
+def integers_draw(seed, sequences, max_k, n):
+    """verify's (local, lengths, targets), one rng.integers call at a time."""
+    rng = np.random.default_rng(seed)
+    local, lengths, targets = [], [], []
+    for _ in range(sequences):
+        k_tot = int(rng.integers(1, max_k + 1))
+        local.append(rng.integers(0, 2, k_tot).astype(bool))
+        lengths.append(k_tot)
+        targets.append(int(rng.integers(0, 1 << n)))
+    return np.concatenate(local), np.array(lengths), np.array(targets)
+
+
+def assert_same_draws(decoded, expected):
+    for got, want in zip(decoded, expected):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 10, 14])
+@pytest.mark.parametrize("max_k", [1, 2, 40, 37, 2**18 - 1])
+def test_draw_decode_is_numpys_draw(n, max_k):
+    # a length word is rejected with probability 7 * 2^-32 at max_k = 37,
+    # 16 * 2^-32 at 40 and 2^-18 at 2^18 - 1; at a power of two, as in every
+    # kind and target draw, never
+    sequences = 2 if max_k > 40 else 60
+    for seed in range(20):
+        assert_same_draws(
+            statevec._draw(seed, sequences, max_k, n), integers_draw(seed, sequences, max_k, n)
+        )
+
+
+@pytest.mark.parametrize("max_k, n", [(2, 14), (37, 1), (40, 10)])
+def test_draw_decode_draws_more_words_when_the_block_runs_out(monkeypatch, max_k, n):
+    # a rejected length word can use up the first block; blocks of at most
+    # 8 words make the walk draw more before almost every sequence
+    words = statevec._words
+    monkeypatch.setattr(statevec, "_words", lambda rng, count: words(rng, min(count, 8)))
+    for seed in range(5):
+        assert_same_draws(statevec._draw(seed, 30, max_k, n), integers_draw(seed, 30, max_k, n))
+
+
+def test_bounded_word_rule_is_numpys_scalar_draw():
+    # at excl = 3 * 2^30 numpy rejects every word w = 0 mod 4, a quarter of them
+    excl = 3 << 30
+    for seed in range(5):
+        draws = statevec._bounded(statevec._words(np.random.default_rng(seed), 400), excl)
+        kept = draws[draws >= 0]
+        assert 60 <= 400 - len(kept) <= 140
+        rng = np.random.default_rng(seed)
+        assert kept.tolist() == [int(rng.integers(0, excl)) for _ in kept]
+
+
 # -- verify_subspace against the per-query loop ---------------------------------
 
 
