@@ -17,14 +17,13 @@ from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import check_splits, grk_max_block_probability, grk_scan_min, scan_shape
 from .space import SearchSpace, angles, check_qubits, grover_angle, new_search_space
 
-BISECT_ITERS = 200
-
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Plain bisection; requires a sign change on [lo, hi].
 
-    BISECT_ITERS halvings put the bracket far below double resolution, so
-    the result is as exact as the function evaluation allows.
+    Halves until the midpoint rounds to an end, where lo and hi are
+    adjacent doubles and every further halving would leave them as they
+    are, so the result is as exact as the function evaluation allows.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -33,8 +32,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return hi
     if (flo > 0) == (fhi > 0):
         raise NumericalError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:
         fmid = f(mid)
         if fmid == 0.0:
             return mid
@@ -42,7 +41,8 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
             lo, flo = mid, fmid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def continuous_kmin(theta: float, l: int) -> float:

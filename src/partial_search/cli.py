@@ -403,6 +403,8 @@ def _cmd_verify(args: argparse.Namespace) -> OutputRecord:
         raise UsageError("--sequences and --max-k must be >= 1")
     if not 0.0 <= args.tol < math.inf:
         raise UsageError("--tol must be finite and >= 0")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     report = verify_subspace(
         args.n,
         args.m,

@@ -7,15 +7,14 @@ FullState and the apply_* functions are the one-vector reference; the
 simulation itself runs many sequences at once as rows of one array,
 doing each query for the whole batch with the same arithmetic.
 
-verify_subspace draws, for each sequence in turn, its length, its kinds
-and its target as rng.integers calls on np.random.default_rng(seed)
-would, but decodes them from one block of the generator's 32-bit words
-(numpy's bounded draw is Lemire's rule): the same seed gives the same
-draws. It keeps them in one flat bool array (True: a local query) with
-one length per sequence. Both sides read that array: the reduced side is
-one call to dynamics._apply_sequences, bit for bit apply_sequence on
-every row without an OperatorSequence per draw, and the full side
-scatters it step-major once and runs it in lockstep batches.
+verify_subspace draws its cases with three integers calls on
+np.random.default_rng(seed): every length, then every kind, then every
+target. It keeps the kinds in one flat bool array (True: a local query)
+with one length per sequence. Both sides read that array: the reduced
+side is one call to dynamics._apply_sequences, bit for bit
+apply_sequence on every row without an OperatorSequence per draw, and
+the full side scatters it step-major once and runs it in lockstep
+batches.
 
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
@@ -283,74 +282,6 @@ def _simulate_batches(
         )
 
 
-def _words(rng: np.random.Generator, count: int) -> np.ndarray:
-    """rng's next 32-bit words, count rounded up to even, in the order
-    numpy's bounded draws take them: the low half of each 64-bit output,
-    then its high half. rng must hold no buffered half, as a fresh
-    generator holds none."""
-    raw = rng.bit_generator.random_raw((count + 1) // 2)
-    words = np.empty((len(raw), 2), dtype=np.uint64)
-    words[:, 0] = raw & np.uint64(0xFFFFFFFF)
-    words[:, 1] = raw >> np.uint64(32)
-    return words.reshape(-1)
-
-
-def _bounded(words: np.ndarray, excl: int) -> np.ndarray:
-    """numpy's bounded draw of [0, excl), 2 <= excl < 2^32, on each 32-bit
-    word (Lemire's rule): (w * excl) >> 32, or -1 where numpy rejects the
-    word (the low half of w * excl below (2^32 - excl) % excl) and takes
-    the next one."""
-    product = words * np.uint64(excl)
-    draws = (product >> np.uint64(32)).astype(np.int64)
-    draws[product & np.uint64(0xFFFFFFFF) < ((1 << 32) - excl) % excl] = -1
-    return draws
-
-
-def _draw(
-    seed: int, sequences: int, max_k: int, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(local, lengths, targets) of np.random.default_rng(seed) drawing, for
-    each sequence in turn, k = rng.integers(1, max_k + 1), its kinds
-    rng.integers(0, 2, k) (1: local) and its target rng.integers(0, 2^n).
-
-    The draws are decoded from the generator's words rather than made one
-    call at a time. A kind is w >> 31 and a target w >> (32 - n), neither
-    ever rejected; only a length can reject a word, and with max_k = 1 it
-    takes none. So one loop walks the length words alone, each at the
-    position its predecessors leave, and one indexed read gathers the kinds.
-    """
-    rng = np.random.default_rng(seed)
-    if max_k == 1:
-        words = _words(rng, 2 * sequences)
-        lengths = np.ones(sequences, dtype=np.int64)
-        starts = np.arange(0, 2 * sequences, 2)
-    else:
-        # the first sequence draws a block that fits every sequence at its
-        # longest; rejected length words can use it up, and then more is drawn
-        words = np.empty(0, dtype=np.uint64)
-        drawn = memoryview(words)
-        starts_, lengths_, p = [], [], 0
-        for i in range(sequences):
-            k = 0
-            while not k:  # 0: a rejected word, and numpy takes the next
-                while p + max_k + 2 > len(drawn):
-                    more = _words(rng, (sequences - i) * (max_k + 2))
-                    words = np.concatenate([words, more])
-                    drawn = memoryview(1 + _bounded(words, max_k))
-                k = drawn[p]
-                p += 1
-            starts_.append(p)
-            lengths_.append(k)
-            p += k + 1
-        starts = np.array(starts_, dtype=np.int64)
-        lengths = np.array(lengths_, dtype=np.int64)
-    ends = starts + lengths
-    kind_words = np.arange(int(lengths.sum())) + np.repeat(ends - np.cumsum(lengths), lengths)
-    local = words[kind_words] >= np.uint64(1 << 31)
-    targets = (words[ends] >> np.uint64(32 - n)).astype(np.int64)
-    return local, lengths, targets
-
-
 def verify_subspace(
     n: int,
     m: int,
@@ -367,12 +298,12 @@ def verify_subspace(
     target-independence check: the reduced dynamics cannot depend on the
     index, so every target must match the same 3-vector.
 
-    _draw decodes the draws from the seeded generator's words into one
-    flat bool array, a length and a target per sequence. The reduced side
-    runs every sequence at once through _apply_sequences; the full vectors
-    run in lockstep batches of about _BATCH_DOUBLES amplitudes, longest
-    sequences first. Only the worst case and the failures become
-    OperatorSequences.
+    np.random.default_rng(seed) draws every length in 1..max_k, then
+    every kind (1: local) into one flat bool array, then every target,
+    one integers call each. The reduced side runs every sequence at once
+    through _apply_sequences; the full vectors run in lockstep batches of
+    about _BATCH_DOUBLES amplitudes, longest sequences first. Only the
+    worst case and the failures become OperatorSequences.
 
     Returns a JSON-ready report; report['passed'] is False iff any
     deviation exceeds tol, and failing sequences are listed.
@@ -382,9 +313,14 @@ def verify_subspace(
         raise ParameterError("num_random_sequences and max_k must be >= 1")
     if not 0.0 <= tol < math.inf:
         raise ParameterError("tol must be finite and >= 0")
+    if seed < 0:
+        raise ParameterError("seed must be >= 0")
     _check_size(n)
     _check_work(n, num_random_sequences * max_k)
-    local, lengths, targets = _draw(seed, num_random_sequences, max_k, n)
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_k + 1, size=num_random_sequences)
+    local = rng.integers(0, 2, size=int(lengths.sum())).astype(bool)
+    targets = rng.integers(0, 1 << n, size=num_random_sequences)
     starts = (np.cumsum(lengths) - lengths).tolist()
 
     def sequence(i: int) -> OperatorSequence:

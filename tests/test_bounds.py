@@ -23,7 +23,9 @@ from partial_search import (
     pr_max_bound,
     predicted_optimal_ktot,
 )
+import partial_search.bounds as bounds
 from partial_search.bounds import bisect_root, continuous_kmin
+from partial_search.space import grover_angle
 
 G, L = Kind.GLOBAL, Kind.LOCAL
 
@@ -35,6 +37,48 @@ def test_bisect_root_basics():
     assert bisect_root(lambda x: x, 0.0, 1.0) == 0.0
     with pytest.raises(NumericalError):
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+def halving_root(f, lo, hi):
+    """bisect_root as 200 halvings, far past double resolution."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_root_stops_at_adjacent_ends_with_the_same_root(monkeypatch):
+    # once the midpoint rounds to an end, further halvings change no bit
+    evaluations = []
+
+    def counted(f, lo, hi):
+        calls = []
+        root = bisect_root(lambda x: calls.append(x) or f(x), lo, hi)
+        evaluations.append(len(calls))
+        assert root == halving_root(f, lo, hi), (lo, hi)
+        return root
+
+    monkeypatch.setattr(bounds, "bisect_root", counted)
+    for n in range(2, 63, 3):
+        N = 2**n
+        for l in {1, 2, 3, 7, 64, n}:
+            for items in {N, N // l} - {0}:  # theta of N and of N/l
+                continuous_kmin(grover_angle(items), l)
+    bounds.bound_constants.cache_clear()
+    bounds.bound_constants()
+    assert len(evaluations) > 100
+    assert max(evaluations) <= 64
 
 
 # -- constants ------------------------------------------------------------------

@@ -175,6 +175,14 @@ def test_verify_tol_not_finite_and_nonnegative_is_a_usage_error(capsys, tol):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_verify_negative_seed_is_a_usage_error(capsys):
+    # numpy's default_rng refuses a negative seed with a ValueError
+    rc, out, err = run_cli(capsys, "verify", "--n", "4", "--m", "2", "--seed", "-1")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

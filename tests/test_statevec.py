@@ -286,63 +286,6 @@ def test_simulate_sequence_is_the_kernel_with_one_row(n, m):
         assert (block, target, st3) == (ref_block, ref_target, ref_st3)
 
 
-# -- verify's draws against numpy's own rng.integers calls ------------------------
-# numpy's Generator promises no stream across versions (NEP 19), so these
-# pin the decode to the numpy that runs them.
-
-
-def integers_draw(seed, sequences, max_k, n):
-    """verify's (local, lengths, targets), one rng.integers call at a time."""
-    rng = np.random.default_rng(seed)
-    local, lengths, targets = [], [], []
-    for _ in range(sequences):
-        k_tot = int(rng.integers(1, max_k + 1))
-        local.append(rng.integers(0, 2, k_tot).astype(bool))
-        lengths.append(k_tot)
-        targets.append(int(rng.integers(0, 1 << n)))
-    return np.concatenate(local), np.array(lengths), np.array(targets)
-
-
-def assert_same_draws(decoded, expected):
-    for got, want in zip(decoded, expected):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("n", [1, 10, 14])
-@pytest.mark.parametrize("max_k", [1, 2, 40, 37, 2**18 - 1])
-def test_draw_decode_is_numpys_draw(n, max_k):
-    # a length word is rejected with probability 7 * 2^-32 at max_k = 37,
-    # 16 * 2^-32 at 40 and 2^-18 at 2^18 - 1; at a power of two, as in every
-    # kind and target draw, never
-    sequences = 2 if max_k > 40 else 60
-    for seed in range(20):
-        assert_same_draws(
-            statevec._draw(seed, sequences, max_k, n), integers_draw(seed, sequences, max_k, n)
-        )
-
-
-@pytest.mark.parametrize("max_k, n", [(2, 14), (37, 1), (40, 10)])
-def test_draw_decode_draws_more_words_when_the_block_runs_out(monkeypatch, max_k, n):
-    # a rejected length word can use up the first block; blocks of at most
-    # 8 words make the walk draw more before almost every sequence
-    words = statevec._words
-    monkeypatch.setattr(statevec, "_words", lambda rng, count: words(rng, min(count, 8)))
-    for seed in range(5):
-        assert_same_draws(statevec._draw(seed, 30, max_k, n), integers_draw(seed, 30, max_k, n))
-
-
-def test_bounded_word_rule_is_numpys_scalar_draw():
-    # at excl = 3 * 2^30 numpy rejects every word w = 0 mod 4, a quarter of them
-    excl = 3 << 30
-    for seed in range(5):
-        draws = statevec._bounded(statevec._words(np.random.default_rng(seed), 400), excl)
-        kept = draws[draws >= 0]
-        assert 60 <= 400 - len(kept) <= 140
-        rng = np.random.default_rng(seed)
-        assert kept.tolist() == [int(rng.integers(0, excl)) for _ in kept]
-
-
 # -- verify_subspace against the per-query loop ---------------------------------
 
 
@@ -369,13 +312,14 @@ def reference_verify(n, m, num_random_sequences=200, max_k=40, tol=1e-10, seed=4
     """verify_subspace as one sequence at a time, one query at a time."""
     space = new_search_space(n, m)
     rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_k + 1, size=num_random_sequences)
+    bits = iter(rng.integers(0, 2, size=int(lengths.sum())).tolist())
+    targets = rng.integers(0, space.N, size=num_random_sequences)
     worst = {"deviation": -1.0, "sequence": None, "target_index": None}
     failures = []
-    for _ in range(num_random_sequences):
-        k_tot = int(rng.integers(1, max_k + 1))
-        kinds = [L if bit else G for bit in rng.integers(0, 2, k_tot)]
+    for k_tot, target in zip(lengths.tolist(), targets.tolist()):
+        kinds = [L if next(bits) else G for _ in range(k_tot)]
         seq = OperatorSequence.from_kinds(kinds)
-        target = int(rng.integers(0, space.N))
         reduced = apply_sequence(space, seq).as_array()
         block_prob, target_prob, proj, residual = reference_project(
             reference_run(n, m, target, kinds), target, m
@@ -447,6 +391,17 @@ def test_verify_refuses_n_above_cap_before_drawing(monkeypatch):
     monkeypatch.setattr(statevec, "_apply_sequences", boom)
     with pytest.raises(ResourceLimitError):
         verify_subspace(15, 7)
+
+
+def test_verify_refuses_negative_seed_before_drawing(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("drew or simulated before refusing")
+
+    monkeypatch.setattr(np.random, "default_rng", boom)
+    monkeypatch.setattr(statevec, "_run_rows", boom)
+    monkeypatch.setattr(statevec, "_apply_sequences", boom)
+    with pytest.raises(ParameterError, match="seed must be >= 0"):
+        verify_subspace(4, 2, seed=-1)
 
 
 @pytest.mark.parametrize(
