@@ -24,7 +24,7 @@ from . import parallel as parallel_mod
 from .dynamics import OperatorSequence, apply_sequence
 from .enumeration import (
     K_TOT_CAP,
-    enumerate_max_probability,
+    enumerate_budgets,
     is_grk_form,
     render_fixed,
     render_percent,
@@ -282,8 +282,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> OutputRecord:
     space = new_search_space(args.n, args.m)
     dropped = ("e_rendered", "num_ties") if args.all_ties else ("tie_index",)
     rows = []
-    for k in parse_range(args.ktot):
-        res = enumerate_max_probability(space, k)
+    for res in enumerate_budgets(space, parse_range(args.ktot)):
+        k = res.k_tot
         pr_percent = render_percent(res.pr_max)
         e_rendered = render_fixed(res.expected_iterations)
         sequences = res.optimal_sequences if args.all_ties else (res.canonical,)

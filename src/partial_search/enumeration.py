@@ -6,7 +6,9 @@ lexicographic order). The sweep splits each mask after p = k_tot // 2
 queries: mask (P << s) | S, s = k_tot - p, has the outside-block
 amplitude u_S . v_P, where v_P is the state after prefix P and
 u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
-covectors are each built by doubling.
+covectors are each built by doubling, one level per query; a range of
+budgets builds the levels once, up to its largest budget, and slices
+each budget's grid from them.
 
 A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A larger
 one is a branch and bound over tiles of prefix rows x suffix columns.
@@ -18,15 +20,18 @@ whose amplitudes all lie farther from 0 holds neither the maximum nor a
 tie and is dropped. The rest are bisected down to _LEAF_ROWS rows. Once
 a level keeps more than _DENSE_SHARE of the tiles it bounds, the
 survivors of the level above are swept instead: tiles 4x larger and at
-most 1/_DENSE_SHARE as many cells. The tiles are evaluated in batches of
-at most _CHUNK_CELLS cells, a tile larger than that in slices of whole
-rows, one after another on the calling thread.
+most 1/_DENSE_SHARE as many cells.
 
-Dropped tiles hold no tie, batches only gather the ties and their order
-is undone by the final sort, and every amplitude is the same three-term
-sum outside BLAS: results are bit-identical to a sweep of every leaf,
-for any number of BLAS threads. A call whose candidate ties exceed
-_TIE_CAP is refused before they are gathered.
+The surviving tiles touch few suffix blocks, so they are swept one
+suffix block at a time: the block's covectors against the prefix rows
+of all of its tiles, the rows along the long, contiguous axis, in
+batches of at most _CHUNK_CELLS cells, one after another on the calling
+thread. Each amplitude is written out as (u0 v0 + u1 v1) + u2 v2, the
+order the tile bounds assume, whatever the layout. Dropped tiles hold no
+tie, batches only gather the ties and their order is undone by the final
+sort, and no amplitude passes through BLAS: results are bit-identical to
+a sweep of every leaf, for any number of BLAS threads. A call whose
+candidate ties exceed _TIE_CAP is refused before they are gathered.
 """
 
 from __future__ import annotations
@@ -35,8 +40,7 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import cached_property
-from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,44 +115,57 @@ def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
 
 
 def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
-    """Runs in each k_tot-bit mask: one more than its adjacent bit changes
-    (popcount of each byte from a 256-entry table, so a mask costs 8
-    bytes, not 64; masks of up to 63 bits)."""
+    """Runs in each k_tot-bit mask, as uint8: one more than its adjacent
+    bit changes (popcount of each byte from a 256-entry table, so a mask
+    costs 8 bytes, not 64; masks of up to 63 bits)."""
     changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint64)
     byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     ones = byte_bits.sum(axis=1, dtype=np.uint8)
-    return 1 + ones[changes.view(np.uint8)].reshape(len(masks), 8).sum(axis=1)
-
-
-def _times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat by numpy's own sum-of-products loop, each entry the sum
-    (r0 m0 + r1 m1) + r2 m2: no BLAS kernel or thread count touches the
-    bits. Which loop numpy runs depends on the layout, so the states,
-    the covectors and the batches of _sweep all come from C-contiguous
-    rows and at least two columns of unit stride."""
-    return np.einsum("ij,jk->ik", rows, mat)
+    counts = ones[changes.view(np.uint8)].reshape(len(masks), 8)
+    return 1 + counts.sum(axis=1, dtype=np.uint8)
 
 
 def _doubled(
     start: np.ndarray, mats: tuple[np.ndarray, np.ndarray], depth: int, axis: int
 ) -> np.ndarray:
-    """All 2^depth products of `start` with mats[0]/mats[1] (bit 0/1), one
-    row each; axis=1 appends each new bit as the lowest, axis=0 as the
-    highest."""
-    rows = start.reshape(1, 3)
-    for _ in range(depth):
-        rows = np.stack([_times(rows, mat) for mat in mats], axis=axis).reshape(-1, 3)
+    """The products of `start` with 0..depth factors mats[0]/mats[1]
+    (bit 0/1), one row each: level j, its 2^j products, at rows
+    2^j..2^(j+1) - 1 of the result, row 0 unused. axis=1 appends each
+    new bit as the lowest, axis=0 as the highest. Each product is
+    numpy's own sum-of-products loop, (r0 m0 + r1 m1) + r2 m2: no BLAS
+    kernel or thread count touches the bits."""
+    rows = np.empty((2 << depth, 3))
+    rows[1] = start
+    for j in range(depth):
+        level = rows[1 << j : 2 << j]
+        children = rows[2 << j : 4 << j].reshape(2, 1 << j, 3)
+        if axis == 1:
+            children = children.reshape(1 << j, 2, 3).swapaxes(0, 1)
+        for bit, mat in enumerate(mats):
+            np.einsum("ij,jk->ik", level, mat, out=children[bit])
     return rows
 
 
-def _grid(space: SearchSpace, k_tot: int) -> tuple[np.ndarray, np.ndarray]:
-    """(v, u_t): the 2^p prefix states as rows and the 2^s suffix
-    covectors as columns, so leaf (P << s) | S has amplitude (v @ u_t)[P, S]."""
+def _levels(space: SearchSpace, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states, covectors): every prefix state of up to k_max // 2
+    queries and every suffix covector of up to k_max - k_max // 2, as
+    rows laid out by _doubled; the grid of any k_tot <= k_max is a
+    slice of them (_grid)."""
     gn, lm = global_grover_matrix(space), local_grover_matrix(space)
+    p, s = k_max // 2, k_max - k_max // 2
+    states = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
+    return states, _doubled(np.eye(3)[2], (gn, lm), s, axis=0)
+
+
+def _grid(
+    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(v, u_t): the 2^p prefix states as rows and the 2^s suffix
+    covectors as columns, so leaf (P << s) | S has amplitude (v @ u_t)[P, S];
+    sliced from `levels` (_levels up to at least k_tot) when given."""
+    states, covectors = _levels(space, k_tot) if levels is None else levels
     p, s = k_tot // 2, k_tot - k_tot // 2
-    v = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
-    u_t = np.ascontiguousarray(_doubled(np.eye(3)[2], (gn, lm), s, axis=0).T)
-    return v, u_t
+    return states[1 << p : 2 << p], np.ascontiguousarray(covectors[1 << s : 2 << s].T)
 
 
 def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
@@ -188,8 +205,8 @@ def _amp_interval(
     """(lo, hi) per tile, bounds on u . v for v in the box [v_lo, v_hi]
     and u in [u_lo, u_hi] (3 x tiles arrays). Each term is bounded by its
     extreme corner products and the terms are summed in the order of
-    _times, so, rounding being monotone, they bound the computed
-    amplitudes too."""
+    _amplitudes, (t0 + t1) + t2, so, rounding being monotone, they bound
+    the computed amplitudes too."""
     ends = (v_lo * u_lo, v_lo * u_hi, v_hi * u_lo, v_hi * u_hi)
     lo = np.minimum(np.minimum(ends[0], ends[1]), np.minimum(ends[2], ends[3]))
     hi = np.maximum(np.maximum(ends[0], ends[1]), np.maximum(ends[2], ends[3]))
@@ -228,7 +245,7 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
             keep[cut] = gap * gap <= bound
         if level > top and keep.mean() > _DENSE_SHARE:
             # sweep the parents of these tiles, the survivors of the level
-            # above: a small tile makes a short inner loop of the product
+            # above: bisecting on would bound 4x the tiles to drop few cells
             rows, cols, level = rows[::4] // 2, cols[::4] // 2, level - 1
             break
         rows, cols = rows[keep], cols[keep]
@@ -243,15 +260,30 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
 
 
 def _plan(
-    space: SearchSpace, k_tot: int
+    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u_t, prefixes, suffixes): the grid and, one row per tile, the
-    prefix and suffix indices of the tiles that may hold the maximum or
-    a tie; a grid of at most _CHUNK_CELLS cells is one tile."""
-    v, u_t = _grid(space, k_tot)
+    """(v, u_t, prefixes, suffixes): the grid (sliced from `levels` when
+    given) and, one row per tile, the prefix and suffix indices of the
+    tiles that may hold the maximum or a tie; a grid of at most
+    _CHUNK_CELLS cells is one tile."""
+    v, u_t = _grid(space, k_tot, levels)
     if len(v) * u_t.shape[1] <= _CHUNK_CELLS:
         return v, u_t, np.arange(len(v))[None], np.arange(u_t.shape[1])[None]
     return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
+
+
+def _amplitudes(
+    states: np.ndarray, covectors: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """u . v for every covector u (3 x w, a row of `out` each) and state v
+    (3 x r, a column each), written out as (u0 v0 + u1 v1) + u2 v2 into
+    the w x r arrays out and tmp: each term is one IEEE product and each
+    sum one addition, whatever the layout."""
+    np.multiply(covectors[0][:, None], states[0], out=out)
+    np.multiply(covectors[1][:, None], states[1], out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(covectors[2][:, None], states[2], out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def _sweep(
@@ -260,32 +292,56 @@ def _sweep(
     """(top, ties): the largest 1 - amp^2 over the tiles' cells and the
     masks of every cell within TIE_TOL of it, in no particular order.
 
-    The tiles are evaluated in batches of at most _CHUNK_CELLS cells, a
-    tile of more cells (a dense stop from k_tot = 25) in slices of whole
-    rows: a long row keeps the inner loop of the product long. Each
-    batch keeps the cells within 2 TIE_TOL of the least amp^2 seen
-    so far (a superset of the ties; max(1 - sq) = 1 - min(sq), rounding
-    is monotone), so later batches keep fewer."""
+    The tiles are grouped by their suffix block. Each group is one
+    product of the block's w covectors, one row each, with the prefix
+    rows of all of the group's tiles along the long, contiguous axis. It
+    is taken in batches of at most _CHUNK_CELLS cells, as many rows and
+    as few covectors per batch as that allows: numpy 2 runs a broadcast
+    product whose rows are shorter than a third of its 8192-element
+    buffer through that buffer, several times slower per cell. Each
+    batch keeps the cells within 2 TIE_TOL of the least amp^2 seen so
+    far (a superset of the ties; max(1 - sq) = 1 - min(sq), rounding is
+    monotone), so later batches keep fewer."""
     s = u_t.shape[1].bit_length() - 1
-    height, width = prefixes.shape[1], suffixes.shape[1]
-    span = min(height, _CHUNK_CELLS // width)
-    step = _CHUNK_CELLS // (span * width)
+    width = suffixes.shape[1]
+    states = np.ascontiguousarray(v.T)
+    out, tmp = np.empty(_CHUNK_CELLS), np.empty(_CHUNK_CELLS)
+    # a block's first suffix names it: aligned blocks are disjoint
+    order = np.argsort(suffixes[:, 0], kind="stable")
+    names = suffixes[order, 0]
+    bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
     low, batches, held = np.inf, [], 0
-    for start, first in product(range(0, len(prefixes), step), range(0, height, span)):
-        p = prefixes[start : start + step, first : first + span]
-        q = suffixes[start : start + step]
-        # np.take, not u_t[:, q]: contiguous columns keep _times's loop
-        sq = np.einsum("tij,jtk->tik", v[p], np.take(u_t, q, axis=1))
-        np.square(sq, out=sq)
-        low = min(low, float(sq.min()))
-        cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
-        held += len(cells)
-        if held > _TIE_CAP:
-            raise ResourceLimitError(f"more than {_TIE_CAP} candidate ties; the tie set is capped")
-        # cell = (tile * span + row) * width + col; p.ravel() has one
-        # entry per tile * span + row
-        rows, cols = np.divmod(cells, width)
-        batches.append(((p.ravel()[rows] << s) | q[rows // span, cols], 1.0 - sq.ravel()[cells]))
+    for start, end in zip(bounds, bounds[1:]):
+        group = order[start:end]
+        q = suffixes[group[0]]
+        covectors = np.take(u_t, q, axis=1)
+        rows = prefixes[group].ravel()
+        span = min(len(rows), _CHUNK_CELLS)  # prefix rows per batch
+        step = min(width, _CHUNK_CELLS // span)  # covectors per batch
+        for first in range(0, len(rows), span):
+            p = rows[first : first + span]
+            block = np.take(states, p, axis=1)
+            for col in range(0, width, step):
+                size = len(p) * min(step, width - col)
+                sq = _amplitudes(
+                    block,
+                    covectors[:, col : col + step],
+                    out[:size].reshape(-1, len(p)),
+                    tmp[:size].reshape(-1, len(p)),
+                )
+                np.square(sq, out=sq)
+                least = float(sq.min())
+                low = min(low, least)
+                if least > low + 2.0 * TIE_TOL:
+                    continue  # no candidate in this batch
+                cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+                held += len(cells)
+                if held > _TIE_CAP:
+                    raise ResourceLimitError(
+                        f"more than {_TIE_CAP} candidate ties; the tie set is capped"
+                    )
+                cols, at = np.divmod(cells, len(p))  # cell = col * len(p) + row
+                batches.append(((p[at] << s) | q[col + cols], 1.0 - sq.ravel()[cells]))
 
     top = 1.0 - low
     ties = []
@@ -312,16 +368,42 @@ def enumerate_max_probability(
     raise ResourceLimitError. workers is accepted and ignored: the sweep
     is serial.
     """
-    if k_tot < 1:
-        raise ParameterError("k_tot must be >= 1")
-    if k_tot > K_TOT_CAP:
-        raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
-    _, ties = _sweep(*_plan(space, k_tot))
+    return next(enumerate_budgets(space, [k_tot]))
+
+
+def enumerate_budgets(
+    space: SearchSpace, k_values: Iterable[int]
+) -> Iterator[EnumerationResult]:
+    """enumerate_max_probability(space, k) for each k in turn, every
+    budget checked before the first sweep; the prefix states and suffix
+    covectors are built once, up to the largest k, and each budget's
+    grid is a slice of them."""
+    k_values = list(k_values)
+    for k in k_values:
+        if k < 1:
+            raise ParameterError("k_tot must be >= 1")
+        if k > K_TOT_CAP:
+            raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
+    if k_values:
+        levels = _levels(space, max(k_values))
+        for k in k_values:
+            yield _enumerate(space, k, levels)
+
+
+def _enumerate(
+    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray]
+) -> EnumerationResult:
+    """enumerate_max_probability on the grid sliced from `levels`."""
+    _, ties = _sweep(*_plan(space, k_tot, levels))
 
     kept = ties[(ties & 1) == 0]
     if not len(kept):  # every tie ends in a local query
         kept = ties
-    kept = kept[np.lexsort((kept, _run_counts(kept, k_tot)))]
+    # fewest runs first, then mask order: the masks are distinct, so a
+    # stable sort of the sorted masks by run count is that order, and it
+    # does not depend on the order in which the sweep met them
+    kept = np.sort(kept)
+    kept = kept[np.argsort(_run_counts(kept, k_tot), kind="stable")]
     kept.flags.writeable = False
 
     pr_max = block_success_probability(space, _mask_to_sequence(int(kept[0]), k_tot))
@@ -348,13 +430,13 @@ def min_expected_over_budget(
 ) -> tuple[int, EnumerationResult]:
     """Argmin of k / pr_max(k) over the budget range, ties to the earlier k."""
     best = min(
-        ((k, enumerate_max_probability(space, k)) for k in k_range),
-        key=lambda pair: pair[1].expected_iterations,
+        enumerate_budgets(space, k_range),
+        key=lambda res: res.expected_iterations,
         default=None,
     )
     if best is None:
         raise ParameterError("empty k_tot range")
-    return best
+    return best.k_tot, best
 
 
 def is_grk_form(seq: OperatorSequence) -> bool:
@@ -403,14 +485,13 @@ def table_sweep(
     rows = []
     for m in m_values:
         space = new_search_space(n, m)
-        for k in k_values:
-            res = enumerate_max_probability(space, k)
+        for res in enumerate_budgets(space, k_values):
             seq = res.canonical
             rows.append(
                 TableRow(
                     n=n,
                     m=m,
-                    k_tot=k,
+                    k_tot=res.k_tot,
                     sequence=seq.product_string(space),
                     pr_max=res.pr_max,
                     pr_percent=render_percent(res.pr_max),

@@ -1,7 +1,7 @@
 """Reference for `enumeration.enumerate_max_probability`: the sweep it
 replaced, which evaluates every leaf of the 2^k_tot grid with no bound.
 
-Chunks of whole prefix rows, 2^16 cells each, are one `_times` product
+Chunks of whole prefix rows, 2^16 cells each, are one `times` product
 against every suffix column. top is the largest 1 - amp^2 over all
 leaves, and every leaf within TIE_TOL of it is a tie, local-ending ties
 dropped unless all end locally, fewest runs first. Test-only: at
@@ -11,9 +11,16 @@ few percent of them.
 
 import numpy as np
 
-from partial_search.enumeration import TIE_TOL, _grid, _run_counts, _times
+from partial_search.enumeration import TIE_TOL, _grid, _run_counts
 
 CHUNK_CELLS = 1 << 16
+
+
+def times(rows, mat):
+    """rows @ mat by numpy's own sum-of-products loop, each entry the sum
+    (r0 m0 + r1 m1) + r2 m2: no BLAS kernel or thread count touches the
+    bits."""
+    return np.einsum("ij,jk->ik", rows, mat)
 
 
 def full_enumeration(space, k_tot):
@@ -23,7 +30,7 @@ def full_enumeration(space, k_tot):
     rows = max(1, CHUNK_CELLS >> s)
     chunks = []
     for start in range(0, len(v), rows):
-        amp = _times(v[start : start + rows], u_t)
+        amp = times(v[start : start + rows], u_t)
         sq = np.square(amp, out=amp).ravel()
         low = float(sq.min())
         idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)

@@ -34,6 +34,7 @@ from partial_search.enumeration import (
     _LEAF_ROWS,
     TIE_TOL,
     _amp_interval,
+    _amplitudes,
     _boxes,
     _grid,
     _kd_order,
@@ -42,11 +43,11 @@ from partial_search.enumeration import (
     _run_counts,
     _sweep,
     _tiles,
-    _times,
+    enumerate_budgets,
 )
 from partial_search.scans import grk_max_block_probability
 
-from full_enumeration import full_enumeration
+from full_enumeration import full_enumeration, times
 from reference_tables import (
     REFERENCE_E,
     REFERENCE_E_MIN_K,
@@ -306,6 +307,47 @@ def test_budget_validation():
         enumerate_max_probability(sp, 0)
 
 
+def test_budget_range_matches_one_call_per_budget():
+    # one doubling up to the largest budget, each budget's grid a slice of
+    # it: single-tile grids, pruned ones and a dense stop, in any order
+    cases = [(8, 3, range(1, 21)), (16, 8, [22, 17, 20, 22]), (4, 2, [23, 2]), (2, 1, [3, 1])]
+    for n, m, k_values in cases:
+        sp = new_search_space(n, m)
+        results = list(enumerate_budgets(sp, k_values))
+        assert [res.k_tot for res in results] == list(k_values)
+        for res in results:
+            one = enumerate_max_probability(sp, res.k_tot)
+            assert res.tie_masks.tolist() == one.tie_masks.tolist(), (n, m, res.k_tot)
+            assert res.pr_max == one.pr_max, (n, m, res.k_tot)
+            assert res.expected_iterations == one.expected_iterations, (n, m, res.k_tot)
+    for row in table_sweep(8, [2, 5, 7], range(2, 12)):
+        sp = new_search_space(8, row.m)
+        one = enumerate_max_probability(sp, row.k_tot)
+        assert row.sequence == one.canonical.product_string(sp)
+        assert row.pr_max == one.pr_max
+        assert row.expected_iterations == one.expected_iterations
+    sp = new_search_space(10, 4)
+    k_best, res = min_expected_over_budget(sp, range(2, 19))
+    one = enumerate_max_probability(sp, k_best)
+    assert res.tie_masks.tolist() == one.tie_masks.tolist()
+    assert (res.pr_max, res.expected_iterations) == (one.pr_max, one.expected_iterations)
+
+
+def test_budget_range_is_checked_before_the_first_sweep(monkeypatch):
+    from partial_search import enumeration
+
+    def refuse(*args):
+        raise AssertionError("swept before every budget was checked")
+
+    monkeypatch.setattr(enumeration, "_levels", refuse)
+    sp = new_search_space(8, 2)
+    with pytest.raises(ResourceLimitError, match="capped at 30"):
+        list(enumerate_budgets(sp, [20, 31]))
+    with pytest.raises(ParameterError, match="must be >= 1"):
+        list(enumerate_budgets(sp, [3, 0, 31]))
+    assert list(enumerate_budgets(sp, [])) == []
+
+
 @pytest.mark.parametrize(
     "n, m_values, k_values", [(1, range(2, 1), [2]), (2, [], [2, 3]), (8, [2], [])]
 )
@@ -316,14 +358,16 @@ def test_table_sweep_refuses_an_empty_range(n, m_values, k_values):
 
 # -- the pruned sweep against the full grid ------------------------------------
 
-# (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20), (1, 0, 20) and
-# (4, 2, 23) stop bisecting at the dense share and sweep nearly the whole
-# grid; (4, 2, 22) keeps 38 % of it in leaf tiles; (12, 6, 22) is pruned
-# above k = 20
+# (8, m, k <= 20) includes (8, 0, 20); (4, 2, 20), (1, 0, 20),
+# (4, 2, 23) and (4, 2, 24) stop bisecting at the dense share and sweep
+# nearly the whole grid; (4, 2, 22) keeps 38 % of it in leaf tiles;
+# (12, 6, 22) is pruned above k = 20; (16, 8, 24) and (12, 6, 24) are
+# benchmark-scale calls whose leaf tiles share a few suffix blocks
 REFERENCE_CASES = (
     [(8, m, k) for m in range(8) for k in range(1, 21)]
     + [(6, 2, 20), (10, 5, 20), (16, 8, 20), (4, 2, 20), (1, 0, 20)]
     + [(4, 2, 22), (4, 2, 23), (12, 6, 22)]
+    + [(16, 8, 24), (12, 6, 24), (4, 2, 24)]
     + [(2, m, k) for m in (0, 1) for k in range(1, 9)]
 )
 
@@ -339,28 +383,31 @@ def test_pruned_sweep_matches_the_full_grid():
         assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
 
 
-def test_every_batch_is_bounded_and_at_least_two_columns_wide(monkeypatch):
-    # at (4, 2, 26) the dense share stops the bisection at tiles of 2^18
-    # cells, which are swept in slices of whole rows
-    einsum, batches = np.einsum, []
+def test_every_product_is_bounded(monkeypatch):
+    # every product of one suffix block's covectors with a batch of prefix
+    # rows holds at most _CHUNK_CELLS cells, the rows along the contiguous
+    # axis; at (4, 2, 26) the dense share stops the bisection at tiles of
+    # 2^18 cells, which are swept a few covectors at a time
+    from partial_search import enumeration
 
-    def spy(subscripts, *operands, **kwargs):
-        if operands[0].ndim == 3:  # a batch of tiles
-            rows, cols = operands
-            assert rows.flags.c_contiguous and cols.flags.c_contiguous
-            batches.append((len(rows), rows.shape[1], cols.shape[2]))
-        return einsum(subscripts, *operands, **kwargs)
+    amplitudes, products = enumeration._amplitudes, []
 
-    monkeypatch.setattr(np, "einsum", spy)
+    def spy(states, covectors, out, tmp):
+        assert states.flags.c_contiguous and out.flags.c_contiguous
+        products.append(out.shape)
+        return amplitudes(states, covectors, out, tmp)
+
+    monkeypatch.setattr(enumeration, "_amplitudes", spy)
     for n, m, k in REFERENCE_CASES + [(4, 2, 26)]:
-        batches.clear()
+        products.clear()
         enumerate_max_probability(new_search_space(n, m), k)
-        assert batches, (n, m, k)
-        for tiles, height, width in batches:
-            assert tiles * height * width <= _CHUNK_CELLS and width >= 2, (n, m, k)
-    # the tiles of (4, 2, 26) are 2^13 >> 4 = 512 rows by 512 columns:
-    # each batch is a quarter of the rows of one tile
-    assert (tiles, height, width) == (1, 128, 512)
+        assert products, (n, m, k)
+        for width, rows in products:
+            assert width * rows <= _CHUNK_CELLS, (n, m, k)
+    # the tiles of (4, 2, 26) are 2^13 >> 4 = 512 rows by 512 columns,
+    # 16 to a suffix block: each product is 8 of the block's covectors by
+    # all 8192 prefix rows of its tiles
+    assert set(products) == {(8, 8192)}
 
 
 def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
@@ -379,7 +426,7 @@ def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
     # one point, so its interval is its amplitude
     rng = np.random.default_rng(3)
     states, covectors = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
-    sq = _times(states, covectors) ** 2
+    sq = times(states, covectors) ** 2
     v, u_t = np.repeat(states, 16, axis=0), np.repeat(covectors, 16, axis=1)
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[1, 2]) - margin
@@ -400,8 +447,16 @@ def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
         s = k - k // 2
         mask = ((1 << k2) - 1) << 1
         prefix, suffix = mask >> s, mask & ((1 << s) - 1)
-        amp = float(_times(v[prefix : prefix + 1], u_t)[0, suffix])
+        amp = float(times(v[prefix : prefix + 1], u_t)[0, suffix])
         assert abs((1.0 - pr) - amp * amp) <= _BOUND_SLACK / 10, (n, m, k)
+
+
+def _swept(states, covectors):
+    """The amplitudes of states (rows) x covectors (columns) as _sweep
+    computes them."""
+    shape = (covectors.shape[1], len(states))
+    out = _amplitudes(np.ascontiguousarray(states.T), covectors, np.empty(shape), np.empty(shape))
+    return out.T
 
 
 def test_tile_intervals_hold_every_computed_amplitude():
@@ -419,7 +474,7 @@ def test_tile_intervals_hold_every_computed_amplitude():
                 pts_u.min(axis=1, keepdims=True),
                 pts_u.max(axis=1, keepdims=True),
             )
-            amp = _times(v[rows], np.take(u_t, cols, axis=1))
+            amp = _swept(v[rows], np.take(u_t, cols, axis=1))
             assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k)
         # the aligned k-d blocks the sweep bounds, at every level
         width = _LEAF_ROWS * u_t.shape[1] // len(v)
@@ -436,7 +491,7 @@ def test_tile_intervals_hold_every_computed_amplitude():
                 row_boxes[level][0][:, r], row_boxes[level][1][:, r],
                 col_boxes[level][0][:, c], col_boxes[level][1][:, c],
             )
-            amp = _times(v[rows], np.take(u_t, cols, axis=1))
+            amp = _swept(v[rows], np.take(u_t, cols, axis=1))
             assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k, level)
 
 
