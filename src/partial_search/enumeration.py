@@ -6,9 +6,11 @@ lexicographic order). The sweep splits each mask after p = k_tot // 2
 queries: mask (P << s) | S, s = k_tot - p, has the outside-block
 amplitude u_S . v_P, where v_P is the state after prefix P and
 u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
-covectors are each built by doubling, one level per query; a range of
-budgets builds the levels once, up to its largest budget, and slices
-each budget's grid from them.
+covectors are each built by doubling, one level per query, and each
+level is one contiguous 3 x 2^q array, a column per sequence in mask
+order; the k-d order, the boxes and the sweep all read that layout as
+it is, with no transpose or copy. A range of budgets builds the levels
+once, up to its largest budget, and takes each budget's grid from them.
 
 A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A larger
 one is a branch and bound over tiles of prefix rows x suffix columns.
@@ -127,30 +129,37 @@ def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
 
 def _doubled(
     start: np.ndarray, mats: tuple[np.ndarray, np.ndarray], depth: int, axis: int
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """The products of `start` with 0..depth factors mats[0]/mats[1]
-    (bit 0/1), one row each: level j, its 2^j products, at rows
-    2^j..2^(j+1) - 1 of the result, row 0 unused. axis=1 appends each
-    new bit as the lowest, axis=0 as the highest. Each product is
-    numpy's own sum-of-products loop, (r0 m0 + r1 m1) + r2 m2: no BLAS
-    kernel or thread count touches the bits."""
-    rows = np.empty((2 << depth, 3))
-    rows[1] = start
-    for j in range(depth):
-        level = rows[1 << j : 2 << j]
-        children = rows[2 << j : 4 << j].reshape(2, 1 << j, 3)
+    (bit 0/1): level j, a contiguous 3 x 2^j array, holds the 2^j
+    products of j factors, one column each in mask order. Each column of
+    level j + 1 is mats[bit]^T times a column of level j: axis=1 appends
+    each new bit as the lowest, axis=0 as the highest. Each product is
+    numpy's own einsum loop, no BLAS kernel, so no thread count touches
+    the bits."""
+    levels = [np.reshape(start, (3, 1))]
+    for _ in range(depth):
+        level = levels[-1]
+        width = level.shape[1]
+        children = np.empty((3, 2 * width))
         if axis == 1:
-            children = children.reshape(1 << j, 2, 3).swapaxes(0, 1)
+            pairs = children.reshape(3, width, 2).swapaxes(1, 2)
+        else:
+            pairs = children.reshape(3, 2, width)
         for bit, mat in enumerate(mats):
-            np.einsum("ij,jk->ik", level, mat, out=children[bit])
-    return rows
+            np.einsum("jk,ji->ki", mat, level, out=pairs[:, bit])
+        levels.append(children)
+    return levels
 
 
-def _levels(space: SearchSpace, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+_Levels = tuple[list[np.ndarray], list[np.ndarray]]  # (states, covectors) of _levels
+
+
+def _levels(space: SearchSpace, k_max: int) -> _Levels:
     """(states, covectors): every prefix state of up to k_max // 2
     queries and every suffix covector of up to k_max - k_max // 2, as
-    rows laid out by _doubled; the grid of any k_tot <= k_max is a
-    slice of them (_grid)."""
+    the levels of _doubled; the grid of any k_tot <= k_max is one level
+    of each (_grid)."""
     gn, lm = global_grover_matrix(space), local_grover_matrix(space)
     p, s = k_max // 2, k_max - k_max // 2
     states = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
@@ -158,14 +167,14 @@ def _levels(space: SearchSpace, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid(
-    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray] | None = None
+    space: SearchSpace, k_tot: int, levels: _Levels | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(v, u_t): the 2^p prefix states as rows and the 2^s suffix
-    covectors as columns, so leaf (P << s) | S has amplitude (v @ u_t)[P, S];
-    sliced from `levels` (_levels up to at least k_tot) when given."""
+    """(v, u_t): the 2^p prefix states and the 2^s suffix covectors, each
+    a contiguous 3 x 2^q array with one column per sequence in mask
+    order, so leaf (P << s) | S has amplitude (v.T @ u_t)[P, S]; taken
+    from `levels` (_levels up to at least k_tot) when given."""
     states, covectors = _levels(space, k_tot) if levels is None else levels
-    p, s = k_tot // 2, k_tot - k_tot // 2
-    return states[1 << p : 2 << p], np.ascontiguousarray(covectors[1 << s : 2 << s].T)
+    return states[k_tot // 2], covectors[k_tot - k_tot // 2]
 
 
 def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
@@ -177,9 +186,10 @@ def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
     order = np.arange(coords.shape[1])
     size, depth = len(order), 0
     while size > leaf:
-        keys = coords[axes[depth % 3], order].reshape(-1, size)
+        keys = coords[axes[depth % 3]].take(order).reshape(-1, size)
         halves = np.argpartition(keys, size // 2 - 1, axis=1)
-        order = np.take_along_axis(order.reshape(-1, size), halves, axis=1).ravel()
+        halves += np.arange(0, len(order), size)[:, None]  # block offsets
+        order = order[halves.ravel()]
         size, depth = size // 2, depth + 1
     return order
 
@@ -225,10 +235,10 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
     """
     bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
     rows_leaf = _LEAF_ROWS
-    cols_leaf = _LEAF_ROWS * u_t.shape[1] // len(v)
-    levels = (len(v) // rows_leaf).bit_length() - 1
-    row_order, col_order = _kd_order(v.T, rows_leaf), _kd_order(u_t, cols_leaf)
-    row_boxes = _boxes(v.T, row_order, rows_leaf, levels)
+    cols_leaf = _LEAF_ROWS * u_t.shape[1] // v.shape[1]
+    levels = (v.shape[1] // rows_leaf).bit_length() - 1
+    row_order, col_order = _kd_order(v, rows_leaf), _kd_order(u_t, cols_leaf)
+    row_boxes = _boxes(v, row_order, rows_leaf, levels)
     col_boxes = _boxes(u_t, col_order, cols_leaf, levels)
 
     top = level = min(_TOP_LEVEL, levels)
@@ -255,20 +265,20 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
         cols = (2 * cols[:, None] + np.array([0, 1, 0, 1])).ravel()
         level += 1
 
-    height, width = len(v) >> level, u_t.shape[1] >> level
+    height, width = v.shape[1] >> level, u_t.shape[1] >> level
     return row_order.reshape(-1, height)[rows], col_order.reshape(-1, width)[cols]
 
 
 def _plan(
-    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray] | None = None
+    space: SearchSpace, k_tot: int, levels: _Levels | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u_t, prefixes, suffixes): the grid (sliced from `levels` when
+    """(v, u_t, prefixes, suffixes): the grid (taken from `levels` when
     given) and, one row per tile, the prefix and suffix indices of the
     tiles that may hold the maximum or a tie; a grid of at most
     _CHUNK_CELLS cells is one tile."""
     v, u_t = _grid(space, k_tot, levels)
-    if len(v) * u_t.shape[1] <= _CHUNK_CELLS:
-        return v, u_t, np.arange(len(v))[None], np.arange(u_t.shape[1])[None]
+    if v.shape[1] * u_t.shape[1] <= _CHUNK_CELLS:
+        return v, u_t, np.arange(v.shape[1])[None], np.arange(u_t.shape[1])[None]
     return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
 
 
@@ -304,7 +314,6 @@ def _sweep(
     monotone), so later batches keep fewer."""
     s = u_t.shape[1].bit_length() - 1
     width = suffixes.shape[1]
-    states = np.ascontiguousarray(v.T)
     out, tmp = np.empty(_CHUNK_CELLS), np.empty(_CHUNK_CELLS)
     # a block's first suffix names it: aligned blocks are disjoint
     order = np.argsort(suffixes[:, 0], kind="stable")
@@ -320,7 +329,7 @@ def _sweep(
         step = min(width, _CHUNK_CELLS // span)  # covectors per batch
         for first in range(0, len(rows), span):
             p = rows[first : first + span]
-            block = np.take(states, p, axis=1)
+            block = np.take(v, p, axis=1)
             for col in range(0, width, step):
                 size = len(p) * min(step, width - col)
                 sq = _amplitudes(
@@ -377,7 +386,7 @@ def enumerate_budgets(
     """enumerate_max_probability(space, k) for each k in turn, every
     budget checked before the first sweep; the prefix states and suffix
     covectors are built once, up to the largest k, and each budget's
-    grid is a slice of them."""
+    grid is one level of each."""
     k_values = list(k_values)
     for k in k_values:
         if k < 1:
@@ -390,10 +399,8 @@ def enumerate_budgets(
             yield _enumerate(space, k, levels)
 
 
-def _enumerate(
-    space: SearchSpace, k_tot: int, levels: tuple[np.ndarray, np.ndarray]
-) -> EnumerationResult:
-    """enumerate_max_probability on the grid sliced from `levels`."""
+def _enumerate(space: SearchSpace, k_tot: int, levels: _Levels) -> EnumerationResult:
+    """enumerate_max_probability on the grid taken from `levels`."""
     _, ties = _sweep(*_plan(space, k_tot, levels))
 
     kept = ties[(ties & 1) == 0]

@@ -29,8 +29,8 @@ def full_enumeration(space, k_tot):
     s = k_tot - k_tot // 2
     rows = max(1, CHUNK_CELLS >> s)
     chunks = []
-    for start in range(0, len(v), rows):
-        amp = times(v[start : start + rows], u_t)
+    for start in range(0, v.shape[1], rows):
+        amp = times(v[:, start : start + rows].T, u_t)
         sq = np.square(amp, out=amp).ravel()
         low = float(sq.min())
         idx = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)

@@ -13,6 +13,7 @@ from partial_search import (
     ParameterError,
     ResourceLimitError,
     angles,
+    apply_sequence,
     block_success_probability,
     enumerate_max_probability,
     expected_iterations,
@@ -427,7 +428,7 @@ def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
     rng = np.random.default_rng(3)
     states, covectors = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
     sq = times(states, covectors) ** 2
-    v, u_t = np.repeat(states, 16, axis=0), np.repeat(covectors, 16, axis=1)
+    v, u_t = np.repeat(states.T, 16, axis=1), np.repeat(covectors, 16, axis=1)
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[1, 2]) - margin
         prefixes, suffixes = _tiles(v, u_t, sq_ref)
@@ -447,15 +448,62 @@ def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
         s = k - k // 2
         mask = ((1 << k2) - 1) << 1
         prefix, suffix = mask >> s, mask & ((1 << s) - 1)
-        amp = float(times(v[prefix : prefix + 1], u_t)[0, suffix])
+        amp = float(times(v[:, prefix : prefix + 1].T, u_t)[0, suffix])
         assert abs((1.0 - pr) - amp * amp) <= _BOUND_SLACK / 10, (n, m, k)
 
 
+def test_grid_columns_are_the_prefix_states_and_suffix_covectors():
+    # column P of v is the state after mask P's p queries (p one-step
+    # products drift up to 2.6e-15 from apply_sequence's closed-form runs
+    # at (16, 8, 24)), column S of u_t is e3^T times the one-step matrices
+    # of mask S's s queries
+    rng = np.random.default_rng(5)
+    for n, m, k in [(16, 8, 24), (62, 31, 20), (1, 0, 20)]:
+        sp = new_search_space(n, m)
+        gn, lm = global_grover_matrix(sp), local_grover_matrix(sp)
+        p, s = k // 2, k - k // 2
+        v, u_t = _grid(sp, k)
+        assert v.shape == (3, 1 << p) and u_t.shape == (3, 1 << s)
+        for prefix in [0, (1 << p) - 1, *rng.integers(1 << p, size=4).tolist()]:
+            state = apply_sequence(sp, _mask_to_sequence(prefix, p)).as_array()
+            assert np.abs(v[:, prefix] - state).max() <= 1e-14, (n, m, k, prefix)
+        for suffix in [0, (1 << s) - 1, *rng.integers(1 << s, size=4).tolist()]:
+            covector = np.eye(3)[2]
+            for bit in format(suffix, f"0{s}b")[::-1]:  # the last query first
+                covector = covector @ (lm if bit == "1" else gn)
+            assert np.abs(u_t[:, suffix] - covector).max() <= 1e-15, (n, m, k, suffix)
+
+
+def _assert_kd_cells(coords, leaf):
+    # a permutation whose every aligned block of 2 * leaf * 2^j points has
+    # its lower half <= its upper half along the coordinate split at that
+    # depth, the widest-spread coordinate first and then the three in turn
+    order = _kd_order(coords, leaf)
+    count = coords.shape[1]
+    assert np.array_equal(np.sort(order), np.arange(count))
+    axes = np.argsort(coords.min(axis=1) - coords.max(axis=1), kind="stable")
+    size, depth = count, 0
+    while size > leaf:
+        halves = coords[axes[depth % 3], order].reshape(-1, 2, size // 2)
+        assert (halves[:, 0].max(axis=1) <= halves[:, 1].min(axis=1)).all(), depth
+        size, depth = size // 2, depth + 1
+    assert size == leaf
+
+
+def test_kd_order_splits_every_aligned_block_at_its_median():
+    rng = np.random.default_rng(11)
+    _assert_kd_cells(rng.normal(size=(3, 1024)) * np.array([[1.0], [3.0], [2.0]]), 4)
+    for k in (23, 24):
+        v, u_t = _grid(new_search_space(16, 8), k)
+        _assert_kd_cells(v, _LEAF_ROWS)
+        _assert_kd_cells(u_t, _LEAF_ROWS * u_t.shape[1] // v.shape[1])
+
+
 def _swept(states, covectors):
-    """The amplitudes of states (rows) x covectors (columns) as _sweep
-    computes them."""
-    shape = (covectors.shape[1], len(states))
-    out = _amplitudes(np.ascontiguousarray(states.T), covectors, np.empty(shape), np.empty(shape))
+    """The amplitudes of states x covectors (one column each) as _sweep
+    computes them, a row per state."""
+    shape = (covectors.shape[1], states.shape[1])
+    out = _amplitudes(states, covectors, np.empty(shape), np.empty(shape))
     return out.T
 
 
@@ -465,33 +513,33 @@ def test_tile_intervals_hold_every_computed_amplitude():
         v, u_t = _grid(new_search_space(n, m), k)
         # random sets of rows and columns
         for _ in range(40):
-            rows = rng.choice(len(v), size=int(rng.integers(1, 40)), replace=False)
+            rows = rng.choice(v.shape[1], size=int(rng.integers(1, 40)), replace=False)
             cols = rng.choice(u_t.shape[1], size=int(rng.integers(2, 40)), replace=False)
-            pts_v, pts_u = v[rows].T, u_t[:, cols]
+            pts_v, pts_u = v[:, rows], u_t[:, cols]
             lo, hi = _amp_interval(
                 pts_v.min(axis=1, keepdims=True),
                 pts_v.max(axis=1, keepdims=True),
                 pts_u.min(axis=1, keepdims=True),
                 pts_u.max(axis=1, keepdims=True),
             )
-            amp = _swept(v[rows], np.take(u_t, cols, axis=1))
+            amp = _swept(v[:, rows], np.take(u_t, cols, axis=1))
             assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k)
         # the aligned k-d blocks the sweep bounds, at every level
-        width = _LEAF_ROWS * u_t.shape[1] // len(v)
-        levels = (len(v) // _LEAF_ROWS).bit_length() - 1
-        row_order, col_order = _kd_order(v.T, _LEAF_ROWS), _kd_order(u_t, width)
-        row_boxes = _boxes(v.T, row_order, _LEAF_ROWS, levels)
+        width = _LEAF_ROWS * u_t.shape[1] // v.shape[1]
+        levels = (v.shape[1] // _LEAF_ROWS).bit_length() - 1
+        row_order, col_order = _kd_order(v, _LEAF_ROWS), _kd_order(u_t, width)
+        row_boxes = _boxes(v, row_order, _LEAF_ROWS, levels)
         col_boxes = _boxes(u_t, col_order, width, levels)
         for level in range(levels + 1):
             r, c = rng.integers(1 << level, size=2)
-            height, wide = len(v) >> level, u_t.shape[1] >> level
+            height, wide = v.shape[1] >> level, u_t.shape[1] >> level
             rows = row_order[r * height : (r + 1) * height]
             cols = col_order[c * wide : (c + 1) * wide]
             lo, hi = _amp_interval(
                 row_boxes[level][0][:, r], row_boxes[level][1][:, r],
                 col_boxes[level][0][:, c], col_boxes[level][1][:, c],
             )
-            amp = _swept(v[rows], np.take(u_t, cols, axis=1))
+            amp = _swept(v[:, rows], np.take(u_t, cols, axis=1))
             assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k, level)
 
 
