@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -136,6 +137,7 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+@functools.cache  # parsing leaves the parser as it was; building it costs ~2 ms
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(

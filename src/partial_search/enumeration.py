@@ -28,12 +28,15 @@ The surviving tiles touch few suffix blocks, so they are swept one
 suffix block at a time: the block's covectors against the prefix rows
 of all of its tiles, the rows along the long, contiguous axis, in
 batches of at most _CHUNK_CELLS cells, one after another on the calling
-thread. Each amplitude is written out as (u0 v0 + u1 v1) + u2 v2, the
-order the tile bounds assume, whatever the layout. Dropped tiles hold no
-tie, batches only gather the ties and their order is undone by the final
-sort, and no amplitude passes through BLAS: results are bit-identical to
-a sweep of every leaf, for any number of BLAS threads. A call whose
-candidate ties exceed _TIE_CAP is refused before they are gathered.
+thread, under a small ufunc buffer so that numpy computes each row in
+place instead of copying it through the buffer. Each amplitude is
+written out as (u0 v0 + u1 v1) + u2 v2, the order the tile bounds
+assume, whatever the layout. Dropped tiles hold no tie, batches only
+gather the ties and their order is undone by the final sort, and no
+amplitude passes through BLAS: results are bit-identical to a sweep of
+every leaf, for any number of BLAS threads and any ufunc buffer size.
+A call whose candidate ties exceed _TIE_CAP is refused before they are
+gathered.
 """
 
 from __future__ import annotations
@@ -69,6 +72,10 @@ _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
 # reference's gap from its leaf on the grid (under 1e-14 where measured)
 _BOUND_SLACK = 1e-12
 _TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 24)
+# numpy's ufunc buffer, in elements, while _sweep runs: at (16, 8, 24) its six
+# products of 16 covectors x 320-2,736 prefix rows took 1.52 ms under the
+# default 8192 and 0.99 ms under 16 to 1024 (2-vCPU host, numpy 2.4.6)
+_SWEEP_BUFSIZE = 64
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,15 @@ def _mask_to_sequence(mask: int, k_tot: int) -> OperatorSequence:
     )
 
 
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
 def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
     """Runs in each k_tot-bit mask, as uint8: one more than its adjacent
     bit changes (popcount of each byte from a 256-entry table, so a mask
     costs 8 bytes, not 64; masks of up to 63 bits)."""
     changes = ((masks ^ (masks >> 1)) & ((1 << (k_tot - 1)) - 1)).astype(np.uint64)
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    ones = byte_bits.sum(axis=1, dtype=np.uint8)
-    counts = ones[changes.view(np.uint8)].reshape(len(masks), 8)
+    counts = _BYTE_ONES[changes.view(np.uint8)].reshape(len(masks), 8)
     return 1 + counts.sum(axis=1, dtype=np.uint8)
 
 
@@ -306,12 +314,19 @@ def _sweep(
     product of the block's w covectors, one row each, with the prefix
     rows of all of the group's tiles along the long, contiguous axis. It
     is taken in batches of at most _CHUNK_CELLS cells, as many rows and
-    as few covectors per batch as that allows: numpy 2 runs a broadcast
-    product whose rows are shorter than a third of its 8192-element
-    buffer through that buffer, several times slower per cell. Each
-    batch keeps the cells within 2 TIE_TOL of the least amp^2 seen so
-    far (a superset of the ties; max(1 - sq) = 1 - min(sq), rounding is
-    monotone), so later batches keep fewer."""
+    as few covectors per batch as that allows. Each batch keeps the
+    cells within 2 TIE_TOL of the least amp^2 seen so far (a superset of
+    the ties; max(1 - sq) = 1 - min(sq), rounding is monotone), so later
+    batches keep fewer.
+
+    The batches run with numpy's ufunc buffer at _SWEEP_BUFSIZE elements,
+    and the caller's size is restored on return and on error. numpy 2
+    copies a broadcast product whose rows are shorter than about a third
+    of its buffer (8192 elements by default) through that buffer, at
+    several times the cost per cell, and most groups' rows are 2-3K long;
+    under a buffer shorter than a row, each row is computed in place.
+    Every step of a batch is elementwise or a min, so no result depends
+    on the buffer size."""
     s = u_t.shape[1].bit_length() - 1
     width = suffixes.shape[1]
     out, tmp = np.empty(_CHUNK_CELLS), np.empty(_CHUNK_CELLS)
@@ -320,37 +335,41 @@ def _sweep(
     names = suffixes[order, 0]
     bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
     low, batches, held = np.inf, [], 0
-    for start, end in zip(bounds, bounds[1:]):
-        group = order[start:end]
-        q = suffixes[group[0]]
-        covectors = np.take(u_t, q, axis=1)
-        rows = prefixes[group].ravel()
-        span = min(len(rows), _CHUNK_CELLS)  # prefix rows per batch
-        step = min(width, _CHUNK_CELLS // span)  # covectors per batch
-        for first in range(0, len(rows), span):
-            p = rows[first : first + span]
-            block = np.take(v, p, axis=1)
-            for col in range(0, width, step):
-                size = len(p) * min(step, width - col)
-                sq = _amplitudes(
-                    block,
-                    covectors[:, col : col + step],
-                    out[:size].reshape(-1, len(p)),
-                    tmp[:size].reshape(-1, len(p)),
-                )
-                np.square(sq, out=sq)
-                least = float(sq.min())
-                low = min(low, least)
-                if least > low + 2.0 * TIE_TOL:
-                    continue  # no candidate in this batch
-                cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
-                held += len(cells)
-                if held > _TIE_CAP:
-                    raise ResourceLimitError(
-                        f"more than {_TIE_CAP} candidate ties; the tie set is capped"
+    old_bufsize = np.setbufsize(_SWEEP_BUFSIZE)
+    try:
+        for start, end in zip(bounds, bounds[1:]):
+            group = order[start:end]
+            q = suffixes[group[0]]
+            covectors = np.take(u_t, q, axis=1)
+            rows = prefixes[group].ravel()
+            span = min(len(rows), _CHUNK_CELLS)  # prefix rows per batch
+            step = min(width, _CHUNK_CELLS // span)  # covectors per batch
+            for first in range(0, len(rows), span):
+                p = rows[first : first + span]
+                block = np.take(v, p, axis=1)
+                for col in range(0, width, step):
+                    size = len(p) * min(step, width - col)
+                    sq = _amplitudes(
+                        block,
+                        covectors[:, col : col + step],
+                        out[:size].reshape(-1, len(p)),
+                        tmp[:size].reshape(-1, len(p)),
                     )
-                cols, at = np.divmod(cells, len(p))  # cell = col * len(p) + row
-                batches.append(((p[at] << s) | q[col + cols], 1.0 - sq.ravel()[cells]))
+                    np.square(sq, out=sq)
+                    least = float(sq.min())
+                    low = min(low, least)
+                    if least > low + 2.0 * TIE_TOL:
+                        continue  # no candidate in this batch
+                    cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+                    held += len(cells)
+                    if held > _TIE_CAP:
+                        raise ResourceLimitError(
+                            f"more than {_TIE_CAP} candidate ties; the tie set is capped"
+                        )
+                    cols, at = np.divmod(cells, len(p))  # cell = col * len(p) + row
+                    batches.append(((p[at] << s) | q[col + cols], 1.0 - sq.ravel()[cells]))
+    finally:
+        np.setbufsize(old_bufsize)
 
     top = 1.0 - low
     ties = []

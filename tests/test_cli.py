@@ -76,6 +76,19 @@ def test_parser_rejects_unknown_subcommand():
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    argv = ("enumerate", "--n", "8", "--m", "3", "--ktot", "4..5", "--format", "json")
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    assert second == first
+    rc, out, _ = run_cli(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: partial-search")
+    rc, out, err = run_cli(capsys, "angles", "--n", "8", "--m", "2", "--bogus")
+    assert (rc, out) == (2, "") and "--bogus" in err
+    assert run_cli(capsys, "angles", "--n", "8", "--m", "2")[0] == 0
+
+
 def test_usage_errors_return_2(capsys):
     rc, _, err = run_cli(capsys, "nonsense")
     assert rc == 2

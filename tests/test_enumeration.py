@@ -282,6 +282,42 @@ def test_tie_cap_refuses_before_gathering(monkeypatch):
     assert len(enumerate_max_probability(sp, 12).tie_masks) == 2048
 
 
+@pytest.mark.parametrize("n, m, k_tot", [(16, 8, 24), (4, 2, 24), (8, 0, 12)])
+def test_sweep_does_not_depend_on_the_ufunc_buffer(monkeypatch, n, m, k_tot):
+    # the caller's buffer and the sweep's own are each set to every size;
+    # (4, 2, 24) is the dense stop and (8, 0, 12) has many ties
+    from partial_search import enumeration
+
+    plan = _plan(new_search_space(n, m), k_tot)
+    top, ties = _sweep(*plan)
+    for size in (16, 64, 8192, 65536):
+        monkeypatch.setattr(enumeration, "_SWEEP_BUFSIZE", size)
+        old = np.setbufsize(size)
+        try:
+            got_top, got_ties = _sweep(*plan)
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(old)
+        assert got_top == top
+        assert np.array_equal(np.sort(got_ties), np.sort(ties))
+
+
+@pytest.mark.parametrize("size", [8192, 65536])
+def test_enumeration_restores_the_callers_ufunc_buffer(monkeypatch, size):
+    from partial_search import enumeration
+
+    old = np.setbufsize(size)
+    try:
+        enumerate_max_probability(new_search_space(16, 8), 24)
+        assert np.getbufsize() == size
+        monkeypatch.setattr(enumeration, "_TIE_CAP", 4095)
+        with pytest.raises(ResourceLimitError, match="candidate ties"):
+            enumerate_max_probability(new_search_space(1, 0), 12)
+        assert np.getbufsize() == size
+    finally:
+        np.setbufsize(old)
+
+
 def test_ties_are_gathered_in_little_memory():
     # every leaf of (1, 0, 20) ties and 2^19 of them are kept; each batch
     # of candidates is released once it is filtered, so the candidates are
