@@ -53,9 +53,6 @@ from .parallel import (
     grk_parallel_expected,
     grk_parallel_min,
     hybrid_expected,
-    hybrid_l2_curve,
-    hybrid_l2_lower_bound,
-    hybrid_large_l_asymptotic,
     hybrid_min,
     inner_expected,
     inner_min,

@@ -101,11 +101,17 @@ class BoundConstants:
     grover_emin_coeff: minimal expectation over sqrt(N), about 0.69.
     emin_block_coeff: sqrt(b) coefficient of the minimal expectation,
         about -0.4054.
-    outer_min_coeff: min over x of x / (2(1 - exp(-x^2))), about 0.7835.
+    outer_min_coeff: min over x of x / (2(1 - exp(-x^2))), about 0.7835;
+        at saturated parallelism l = n the hybrid optimum expects about
+        outer_min_coeff * sqrt(N/n) queries.
     saturated_root: root u of (1 + 2u) e^-u = 1, about 1.25643.
-    saturated_kmin_coeff: sqrt(u)/2, about 0.56045.
+    saturated_kmin_coeff: sqrt(u)/2, about 0.56045; the hybrid optimum
+        at l = n makes about saturated_kmin_coeff * sqrt(N/n) queries.
     hybrid_l2_coeff: 2*pi/13, about 0.4833, the paper's two-QPU hybrid
-        coefficient: the curve at phi = pi/4, above its minimum 0.4832015.
+        coefficient: the curve phi / (2(1 - (1 - sin^4 phi) cos^4 phi))
+        at phi = pi/4. Not a lower bound: it lies 2.5e-4 relative above
+        the curve's minimum 0.4832015 (at phi = 0.7737) and above
+        hybrid_min / sqrt(N) at n = 62, l = 2.
     """
 
     f_min: float
@@ -330,8 +336,11 @@ def pr_bound_comparison(
 ) -> list[PrBoundRecord]:
     """Compare the exhaustive-over-(k1,k2) block probability against the
     first-order envelope for each budget."""
-    k_tots = list(k_tot_values)
-    check_splits(sum(k_tots))  # refuse an oversized range before any budget
+    k_tots, splits = [], 0
+    for k_tot in k_tot_values:  # refuse an oversized range before any budget
+        splits += k_tot
+        check_splits(splits)
+        k_tots.append(k_tot)
     rule = math.pi * math.sqrt(space.b) / 6.0
     out = []
     for k_tot in k_tots:

@@ -312,7 +312,7 @@ def _cmd_tables(args: argparse.Namespace) -> OutputRecord:
     m_range = parse_range(args.m_range) if args.m_range else range(2, args.n)
     k_range = parse_range(args.k_range)
     rows_out = []
-    for row in table_sweep(args.n, list(m_range), list(k_range)):
+    for row in table_sweep(args.n, m_range, k_range):
         value = row.pr_percent if args.which == "pr" else row.e_rendered
         rows_out.append(
             {

@@ -28,6 +28,9 @@ from .space import SearchSpace, angles, grover_angle
 # this is a real bug, not noise
 PROB_CLAMP_TOL = 1e-9
 
+# a run count must be exact as a double: the run loop forms 2.0 * count * theta
+_MAX_RUN_COUNT = 1 << 53
+
 
 class Kind(enum.Enum):
     GLOBAL = "g"
@@ -59,7 +62,7 @@ class OperatorSequence:
     runs: tuple of (Kind, count) in application order, first run acts
     first on the initial state. Adjacent runs always differ in kind and
     counts are positive (canonical run-length form; the constructor
-    normalizes).
+    normalizes). A count, merged or not, is at most 2^53.
     """
 
     __slots__ = ("runs",)
@@ -74,9 +77,10 @@ class OperatorSequence:
             if count == 0:
                 continue
             if merged and merged[-1][0] is kind:
-                merged[-1] = (kind, merged[-1][1] + count)
-            else:
-                merged.append((kind, count))
+                count += merged.pop()[1]
+            if count > _MAX_RUN_COUNT:
+                raise ParameterError(f"run count {count} exceeds 2^53")
+            merged.append((kind, count))
         self.runs: tuple[tuple[Kind, int], ...] = tuple(merged)
 
     @property
@@ -113,10 +117,13 @@ class OperatorSequence:
         runs = []
         for token in spec.split(","):
             token = token.strip()
-            mobj = re.fullmatch(r"([gl])\s*:\s*(\d+)", token)
+            # at most 16 significant digits: 2^53 has 16, and int() of a
+            # digit string thousands long raises ValueError
+            mobj = re.fullmatch(r"([gl])\s*:\s*0*(\d{1,16})", token)
             if not mobj:
                 raise ParameterError(
-                    f"bad sequence token {token!r}, expected g:<count> or l:<count>"
+                    f"bad sequence token {token!r}, expected g:<count> or "
+                    "l:<count> with count <= 2^53"
                 )
             runs.append((Kind(mobj.group(1)), int(mobj.group(2))))
         return cls(runs)
@@ -144,7 +151,7 @@ class OperatorSequence:
             return cls(())
         runs = []
         pos = 0
-        pat = re.compile(r"G_(\d+)(?:\^(\d+))?")
+        pat = re.compile(r"G_(\d{1,16})(?:\^0*(\d{1,16}))?")  # as in from_token_spec
         while pos < len(text):
             mobj = pat.match(text, pos)
             if not mobj:

@@ -403,18 +403,20 @@ def enumerate_budgets(
     space: SearchSpace, k_values: Iterable[int]
 ) -> Iterator[EnumerationResult]:
     """enumerate_max_probability(space, k) for each k in turn, every
-    budget checked before the first sweep; the prefix states and suffix
+    budget checked as it is read (so a huge range stops at the first k
+    past the cap) before the first sweep; the prefix states and suffix
     covectors are built once, up to the largest k, and each budget's
     grid is one level of each."""
-    k_values = list(k_values)
+    checked = []
     for k in k_values:
         if k < 1:
             raise ParameterError("k_tot must be >= 1")
         if k > K_TOT_CAP:
             raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
-    if k_values:
-        levels = _levels(space, max(k_values))
-        for k in k_values:
+        checked.append(k)
+    if checked:
+        levels = _levels(space, max(checked))
+        for k in checked:
             yield _enumerate(space, k, levels)
 
 
@@ -509,14 +511,13 @@ def table_sweep(
     if not m_values or not k_values:
         raise ParameterError(f"empty m or k_tot range at n={n}")
     rows = []
-    for m in m_values:
-        space = new_search_space(n, m)
+    for space in [new_search_space(n, m) for m in m_values]:  # every m before any sweep
         for res in enumerate_budgets(space, k_values):
             seq = res.canonical
             rows.append(
                 TableRow(
                     n=n,
-                    m=m,
+                    m=space.m,
                     k_tot=res.k_tot,
                     sequence=seq.product_string(space),
                     pr_max=res.pr_max,

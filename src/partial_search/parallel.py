@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .bounds import bound_constants, continuous_kmin
+from .bounds import continuous_kmin
 from .dynamics import Kind, OperatorSequence, apply_sequence
 from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import grk_scan_min, scan_shape
@@ -212,48 +212,6 @@ def hybrid_expected(space: SearchSpace, l: int, k1: int, k2: int) -> float:
 
 def hybrid_min(space: SearchSpace, l: int, allow_k2: bool = True) -> SchemeResult:
     return _block_scan_min(HYBRID, space, l, _hybrid_success, allow_k2)
-
-
-# -- hybrid closed forms ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HybridL2Bound:
-    """The paper's two-QPU hybrid closed form; not a lower bound."""
-
-    coefficient: float  # 2*pi/13
-    floor: float  # coefficient * sqrt(N), the curve at phi = pi/4
-
-
-def hybrid_l2_lower_bound(N: int) -> HybridL2Bound:
-    """The paper's closed form (2 pi/13) sqrt(N) for the two-QPU hybrid
-    expectation, hybrid_l2_curve at phi = pi/4. Not a lower bound: the
-    curve's minimum, 0.4832015 sqrt(N) at phi = 0.7737, and hybrid_min
-    at n = 62, l = 2 lie 2.5e-4 relative below it."""
-    coeff = bound_constants().hybrid_l2_coeff
-    return HybridL2Bound(coefficient=coeff, floor=coeff * math.sqrt(N))
-
-
-def hybrid_l2_curve(N: int, phi_values: Iterable[float]) -> list[tuple[float, float]]:
-    """The phi-parameterized two-QPU envelope
-    phi sqrt(N) / (2 (1 - (1 - sin^4 phi) cos^4 phi)) for plotting."""
-    out = []
-    root_n = math.sqrt(N)
-    for phi in phi_values:
-        denom = 2.0 * (1.0 - (1.0 - math.sin(phi) ** 4) * math.cos(phi) ** 4)
-        out.append((phi, phi * root_n / denom))
-    return out
-
-
-def hybrid_large_l_asymptotic(n: int) -> tuple[float, float]:
-    """Saturated parallelism l = n: optimal queries and expectation,
-    k_min = 0.56045 sqrt(N/n), e_min = 0.7835 sqrt(N/n) (the outer
-    scheme's coefficient; recomputed, not hard-coded)."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    c = bound_constants()
-    scale = math.sqrt((1 << n) / n)
-    return c.saturated_kmin_coeff * scale, c.outer_min_coeff * scale
 
 
 # -- cross-scheme comparison -----------------------------------------------

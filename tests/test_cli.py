@@ -574,6 +574,33 @@ def test_oversized_scans_exit_1_promptly(capsys, argv):
     assert "cap" in err
 
 
+_HUGE = "1..1000000000000000"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "--n", "8", "--m", "2", "--ktot", _HUGE), "capped at 30"),
+        (("tables", "--which", "pr", "--k-range", _HUGE), "capped at 30"),
+        (("tables", "--which", "pr", "--m-range", _HUGE), "0 <= m < n"),
+        (("bounds", "--n", "8", "--m", "2", "--ktot-range", _HUGE), "cap of 2^23"),
+        (("simulate", "--n", "8", "--m", "2", "--seq", "g:" + "9" * 400), "2^53"),
+        (("simulate", "--n", "8", "--m", "2", "--seq", "g:" + "9" * 5000), "2^53"),
+        (("simulate", "--n", "8", "--m", "2", "--seq", "g:9007199254740993"), "2^53"),
+    ],
+    ids=["enumerate", "tables-k", "tables-m", "bounds", "g-400", "g-5000", "g-2^53+1"],
+)
+def test_huge_ranges_and_run_counts_exit_1(capsys, argv, message):
+    # a range is checked against its cap value by value, never listed
+    # whole, and a run count a double cannot hold is refused before use
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 10.0
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize(
     "argv, m, l",
     [

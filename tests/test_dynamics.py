@@ -47,6 +47,29 @@ def test_sequence_rejects_negative_count():
         seq((G, -1))
 
 
+def test_run_counts_are_capped_at_two_to_the_53():
+    # 2^53 is the largest count a double holds with every count below it
+    assert seq((G, 2**53)).runs == ((G, 2**53),)
+    for runs in [((G, 2**53 + 1),), ((L, 2**53), (L, 1)), ((G, 10**400),)]:
+        with pytest.raises(ParameterError, match="exceeds 2\\^53"):
+            seq(*runs)
+
+
+def test_parsed_run_counts_are_capped_at_two_to_the_53():
+    sp = new_search_space(8, 2)
+    top = 2**53
+    assert OperatorSequence.from_token_spec(f"g:{top}").runs == ((G, top),)
+    assert OperatorSequence.from_token_spec("l:" + "0" * 40 + "7").runs == ((L, 7),)
+    assert OperatorSequence.from_product_string(f"G_8^{top}", sp).runs == ((G, top),)
+    assert OperatorSequence.from_product_string("G_2^007", sp).runs == ((L, 7),)
+    for spec in [f"g:{top + 1}", "g:" + "9" * 17, "l:" + "9" * 5000]:
+        with pytest.raises(ParameterError, match="2\\^53"):
+            OperatorSequence.from_token_spec(spec)
+    for text in [f"G_8^{top + 1}", "G_8^" + "9" * 5000, "G_" + "8" * 5000]:
+        with pytest.raises(ParameterError):
+            OperatorSequence.from_product_string(text, sp)
+
+
 def test_token_spec_round_trip():
     for text in ["g:1", "l:2,g:4", "g:3,l:1,g:1", ""]:
         s = OperatorSequence.from_token_spec(text)

@@ -385,6 +385,19 @@ def test_budget_range_is_checked_before_the_first_sweep(monkeypatch):
     assert list(enumerate_budgets(sp, [])) == []
 
 
+def test_table_sweep_checks_every_m_before_the_first_sweep(monkeypatch):
+    from partial_search import enumeration
+
+    def refuse(*args):
+        raise AssertionError("swept before every m was checked")
+
+    monkeypatch.setattr(enumeration, "_levels", refuse)
+    with pytest.raises(ParameterError, match="0 <= m < n"):
+        table_sweep(8, range(2, 10**15), range(2, 12))
+    with pytest.raises(ResourceLimitError, match="capped at 30"):
+        table_sweep(8, range(2, 8), range(2, 10**15))
+
+
 @pytest.mark.parametrize(
     "n, m_values, k_values", [(1, range(2, 1), [2]), (2, [], [2, 3]), (8, [2], [])]
 )

@@ -18,9 +18,6 @@ from partial_search import (
     grover_full_search_probability,
     grover_kmin,
     hybrid_expected,
-    hybrid_l2_curve,
-    hybrid_l2_lower_bound,
-    hybrid_large_l_asymptotic,
     hybrid_min,
     inner_expected,
     inner_min,
@@ -238,47 +235,31 @@ def test_hybrid_three_qpu_reference_points():
 
 def test_hybrid_full_parallelism_matches_asymptotic():
     n = 24
-    k_asym, e_asym = hybrid_large_l_asymptotic(n)
+    c = bound_constants()
+    scale = math.sqrt(2**n / n)
+    k_asym, e_asym = c.saturated_kmin_coeff * scale, c.outer_min_coeff * scale
     sp = space_for_parallelism(n, n)
     res = hybrid_min(sp, n, allow_k2=False)
     assert abs(res.e_min - e_asym) / e_asym < 0.03
     assert abs(res.queries - k_asym) / k_asym < 0.05
 
 
-def test_hybrid_large_l_constants():
-    n = 24
-    k_asym, e_asym = hybrid_large_l_asymptotic(n)
-    s = math.sqrt(2**n / n)
-    assert k_asym / s == pytest.approx(0.56045, abs=1e-4)
-    assert e_asym / s == pytest.approx(0.7835, abs=1e-4)
-
-
-def test_hybrid_l2_floor_and_curve():
-    N = 2**20
-    bound = hybrid_l2_lower_bound(N)
-    assert bound.coefficient == pytest.approx(2 * math.pi / 13, abs=1e-15)
-    assert bound.floor == pytest.approx(0.4833 * math.sqrt(N), rel=1e-3)
-    phis = np.linspace(0.5, 1.1, 6001)
-    curve = hybrid_l2_curve(N, phis)
-    values = [v for _, v in curve]
-    i = int(np.argmin(values))
-    # the curve dips 0.025% below the stated floor just left of pi/4
-    assert values[i] / math.sqrt(N) == pytest.approx(2 * math.pi / 13, rel=1e-3)
-    assert abs(curve[i][0] - math.pi / 4) < 0.02
-    # the floor coefficient undercuts inner's two-QPU coefficient
-    assert bound.coefficient < 0.69 / math.sqrt(2)
-
-
 def test_hybrid_l2_closed_form_is_not_a_lower_bound():
-    # 2 pi / 13 is the curve at phi = pi / 4, not its minimum: the curve
-    # dips to 0.4832015 sqrt(N) at phi = 0.7737, 2.5e-4 relative below
-    N = 2**62
-    coefficient = hybrid_l2_lower_bound(N).coefficient
-    phis = np.linspace(0.7, 0.85, 1501)
-    low = min(v for _, v in hybrid_l2_curve(N, phis)) / math.sqrt(N)
+    # 2 pi / 13 is the two-QPU curve at phi = pi / 4, not its minimum: the
+    # curve dips to 0.4832015 sqrt(N) at phi = 0.7737, 2.5e-4 relative below
+    coefficient = bound_constants().hybrid_l2_coeff
+    assert coefficient == pytest.approx(2 * math.pi / 13, abs=1e-15)
+    assert coefficient == pytest.approx(0.4833, rel=1e-3)
+    phis = np.linspace(0.5, 1.1, 6001)
+    curve = phis / (2.0 * (1.0 - (1.0 - np.sin(phis) ** 4) * np.cos(phis) ** 4))
+    i = int(np.argmin(curve))
+    low = float(curve[i])
+    assert abs(phis[i] - math.pi / 4) < 0.02
     assert low < coefficient
     assert low == pytest.approx(0.4832015, abs=1e-7)
     assert 1.0 - low / coefficient == pytest.approx(2.5e-4, rel=0.01)
+    # the closed form undercuts inner's two-QPU coefficient
+    assert coefficient < 0.69 / math.sqrt(2)
 
 
 def test_hybrid_beats_inner_at_two_qpus():
