@@ -244,22 +244,35 @@ def test_hybrid_full_parallelism_matches_asymptotic():
     assert abs(res.queries - k_asym) / k_asym < 0.05
 
 
+def _hybrid_l2_curve(phis):
+    # two-QPU hybrid expectation over sqrt(N), as a function of the phase phi
+    return phis / (2.0 * (1.0 - (1.0 - np.sin(phis) ** 4) * np.cos(phis) ** 4))
+
+
+def test_hybrid_l2_floor_and_curve():
+    N = 2**20
+    coefficient = bound_constants().hybrid_l2_coeff
+    assert coefficient == pytest.approx(2 * math.pi / 13, abs=1e-15)
+    assert coefficient * math.sqrt(N) == pytest.approx(0.4833 * math.sqrt(N), rel=1e-3)
+    phis = np.linspace(0.5, 1.1, 6001)
+    curve = _hybrid_l2_curve(phis)
+    i = int(np.argmin(curve))
+    # the curve dips 0.025% below the closed form just left of pi/4
+    assert float(curve[i]) == pytest.approx(2 * math.pi / 13, rel=1e-3)
+    assert abs(phis[i] - math.pi / 4) < 0.02
+    # the closed form undercuts inner's two-QPU coefficient
+    assert coefficient < 0.69 / math.sqrt(2)
+
+
 def test_hybrid_l2_closed_form_is_not_a_lower_bound():
     # 2 pi / 13 is the two-QPU curve at phi = pi / 4, not its minimum: the
     # curve dips to 0.4832015 sqrt(N) at phi = 0.7737, 2.5e-4 relative below
     coefficient = bound_constants().hybrid_l2_coeff
-    assert coefficient == pytest.approx(2 * math.pi / 13, abs=1e-15)
-    assert coefficient == pytest.approx(0.4833, rel=1e-3)
-    phis = np.linspace(0.5, 1.1, 6001)
-    curve = phis / (2.0 * (1.0 - (1.0 - np.sin(phis) ** 4) * np.cos(phis) ** 4))
-    i = int(np.argmin(curve))
-    low = float(curve[i])
-    assert abs(phis[i] - math.pi / 4) < 0.02
+    phis = np.linspace(0.7, 0.85, 1501)
+    low = float(np.min(_hybrid_l2_curve(phis)))
     assert low < coefficient
     assert low == pytest.approx(0.4832015, abs=1e-7)
     assert 1.0 - low / coefficient == pytest.approx(2.5e-4, rel=0.01)
-    # the closed form undercuts inner's two-QPU coefficient
-    assert coefficient < 0.69 / math.sqrt(2)
 
 
 def test_hybrid_beats_inner_at_two_qpus():
