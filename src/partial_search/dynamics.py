@@ -32,6 +32,12 @@ PROB_CLAMP_TOL = 1e-9
 _MAX_RUN_COUNT = 1 << 53
 
 
+def _echo(text: str) -> str:
+    """repr of text for an error message, cut to its first 40 characters
+    and marked with '...', so a huge argument stays a one-line error."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+
+
 class Kind(enum.Enum):
     GLOBAL = "g"
     LOCAL = "l"
@@ -122,7 +128,7 @@ class OperatorSequence:
             mobj = re.fullmatch(r"([gl])\s*:\s*0*(\d{1,16})", token)
             if not mobj:
                 raise ParameterError(
-                    f"bad sequence token {token!r}, expected g:<count> or "
+                    f"bad sequence token {_echo(token)}, expected g:<count> or "
                     "l:<count> with count <= 2^53"
                 )
             runs.append((Kind(mobj.group(1)), int(mobj.group(2))))
@@ -155,7 +161,7 @@ class OperatorSequence:
         while pos < len(text):
             mobj = pat.match(text, pos)
             if not mobj:
-                raise ParameterError(f"cannot parse product string at {text[pos:]!r}")
+                raise ParameterError(f"cannot parse product string at {_echo(text[pos:])}")
             sub = int(mobj.group(1))
             count = int(mobj.group(2) or 1)
             if sub == space.n:

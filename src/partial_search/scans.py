@@ -8,14 +8,22 @@ optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
 k2 <= ceil(pi sqrt(b)/2) covers every optimum seen at desk scale; widen
 the arguments if exploring elsewhere.
 
-grk_scan_min does not visit the whole box. Along one k2 column each
-amplitude is R sin((2 k1 + 1) theta1 + phi), so over a k1 interval its
-square is extreme at an end or at a zero or peak of the sine; that
+grk_scan_min does not visit the whole box. It first evaluates the
+one-query cell (k1, k2) = (0, 0), the seed. The objective is
+non-decreasing in queries and non-increasing in both probabilities, so
+a cell of q queries is worth at least objective(q, 1, 1), and a cell
+worth at most the seed, a tie with the optimum included, has no more
+queries than the largest q with objective(q, 1, 1) <= seed. The scan
+cuts the box to that many queries; for the expectation q / pr that is
+floor(seed), which makes the wide blocks (m > n/2), whose optimum is
+the one-query cell, a box of a few cells. Then, along one k2 column,
+each amplitude is R sin((2 k1 + 1) theta1 + phi), so over a k1 interval
+its square is extreme at an end or at a zero or peak of the sine; that
 bounds the objective on the whole interval, and bisection keeps only
 the intervals that can hold the optimum. Two caps keep a scan to
-seconds: a box of more than _SCAN_COLUMN_CAP k2 columns is refused
-before it starts, and a scan is stopped with ResourceLimitError once it
-would evaluate more than _SCAN_CELL_CAP cells.
+seconds: a box of more than _SCAN_COLUMN_CAP k2 columns, counted
+before the cut, is refused before it starts, and a scan is stopped with
+ResourceLimitError once it would evaluate more than _SCAN_CELL_CAP cells.
 """
 
 from __future__ import annotations
@@ -46,8 +54,8 @@ _PROB_SLACK = 1e-12  # the closed form is within ~1e-15 of exact in a probabilit
 # On a 2-vCPU host the bounds run at ~6M intervals/s (12M end cells/s) and
 # the leaves at 12-15M cells/s, so 2^25 evaluated cells is about 3 s; the
 # largest scans of `bounds --n 40` and `parallel --scheme compare --n 40`
-# evaluate 3.6M and 25M. The first level bounds every column: 2^22 of
-# them (bounds up to n = 43) take about 1.3 s and 40 MB.
+# evaluate 3.6M and 25M. The first level bounds every column of the box
+# that the seed leaves: 2^22 of them would take about 1.3 s and 40 MB.
 _SCAN_CELL_CAP = 1 << 25
 _SCAN_COLUMN_CAP = 1 << 22
 # k_tot splits per grk_max_block_probability call or pr_bound_comparison range:
@@ -86,19 +94,54 @@ def check_splits(splits: int) -> None:
         raise ResourceLimitError(f"{splits} budget splits exceed the cap of 2^23")
 
 
-def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(a_t, b_t, a_b, b_b) per k2: after G_n (locals)^k2 G_n^k1 the
-    amplitude of |t> is a_t sin y + b_t cos y = R sin(y + phi), with
-    y = (2 k1 + 1) theta1 and R^2 = a_t^2 + b_t^2, and that of |b~> is
-    a_b sin y + b_b cos y."""
+def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> np.ndarray:
+    """(a_t, b_t, a_b, b_b) per k2, the rows of a 4 x len(k2s) array:
+    after G_n (locals)^k2 G_n^k1 the amplitude of |t> is
+    a_t sin y + b_t cos y = R sin(y + phi), with y = (2 k1 + 1) theta1
+    and R^2 = a_t^2 + b_t^2, and that of |b~> is a_b sin y + b_b cos y."""
     u_bt, u_bb = _uniform_complement(space)
     g = global_grover_matrix(space)
     ang = (2.0 * angles(space).theta2) * k2s
     c, s = np.cos(ang), np.sin(ang)
-    out: list[np.ndarray] = []
-    for r in (g[0], g[2]):
-        out += [r[0] * c - r[1] * s, u_bt * (r[0] * s + r[1] * c) + u_bb * r[2]]
-    return tuple(out)
+    out = np.empty((4, len(k2s)))
+    for i, r in enumerate((g[0], g[2])):
+        out[2 * i] = r[0] * c - r[1] * s
+        out[2 * i + 1] = u_bt * (r[0] * s + r[1] * c) + u_bb * r[2]
+    return out
+
+
+def _probabilities(
+    theta1: float, k1: np.ndarray, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(pr_block, pr_target) at the cells k1 of the columns whose
+    _sine_coefficients are `coefficients`, broadcast together."""
+    a_t, b_t, a_b, b_b = coefficients
+    y = (2.0 * k1 + 1.0) * theta1
+    sin_y, cos_y = np.sin(y), np.cos(y)
+    return 1.0 - (a_b * sin_y + b_b * cos_y) ** 2, (a_t * sin_y + b_t * cos_y) ** 2
+
+
+def _query_cut(objective: Objective, budget: int, seed: float) -> int:
+    """The most queries q in [1, budget] at which objective(q, 1, 1) does
+    not exceed seed, or 1 if none does. No cell with more queries is worth
+    seed or less.
+
+    q = budget is tried first, so a box that the seed does not cut costs
+    one objective call. Each further call tries 64 evenly spaced q, so a
+    budget of 2^31 takes at most six more.
+    """
+    ones = np.ones(64)
+    if not objective(np.array([float(budget)]), ones[:1], ones[:1])[0] > seed:
+        return budget
+    lo, hi = 1, budget - 1  # the answer is in [lo, hi]
+    while lo < hi:
+        qs = lo + (hi - lo) * np.arange(1, 65) // 64  # rising to hi, all of (lo, hi] if short
+        fit = int(np.count_nonzero(~(objective(qs.astype(float), ones, ones) > seed)))
+        if fit:
+            lo = int(qs[fit - 1])
+        if fit < 64:
+            hi = int(qs[fit]) - 1
+    return lo
 
 
 def _interval_bounds(
@@ -108,9 +151,11 @@ def _interval_bounds(
     size: int,
     blocks: np.ndarray,
     k2s: np.ndarray,
+    coefficients: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) per interval: k1 in block `blocks` of `size` cells,
-    cut at the budget, in column k2s.
+    cut at the budget, in column k2s, whose _sine_coefficients are the
+    columns of `coefficients`.
 
     Along the interval each amplitude is R sin(y + phi), so its square
     is least and greatest at an end, unless the interval holds a zero
@@ -126,7 +171,7 @@ def _interval_bounds(
     theta1 = angles(space).theta1
     y_lo, y_hi = (2.0 * lo + 1.0) * theta1, (2.0 * hi + 1.0) * theta1
     s_lo, c_lo, s_hi, c_hi = np.sin(y_lo), np.cos(y_lo), np.sin(y_hi), np.cos(y_hi)
-    a_t, b_t, a_b, b_b = _sine_coefficients(space, k2s)
+    a_t, b_t, a_b, b_b = coefficients
     t_lo, t_hi = a_t * s_lo + b_t * c_lo, a_t * s_hi + b_t * c_hi
     bb_lo, bb_hi = a_b * s_lo + b_b * c_lo, a_b * s_hi + b_b * c_hi
     wide = y_hi - y_lo >= np.pi  # may hold two zeros or two peaks
@@ -171,18 +216,43 @@ def grk_scan_min(
 
     Precondition: the objective is non-decreasing in queries and
     non-increasing in pr_block and pr_target on [0, 1], as every
-    objective in the package is. The scan relies on it to skip cells:
-    each k2 column is bisected into aligned k1 intervals, level by level
-    for all live intervals at once, and an interval is dropped when the
-    objective at (its fewest queries, the largest probabilities in it)
-    exceeds the incumbent, the best objective bounded at an interval end.
-    Surviving leaves of _LEAF rows are swept flat with the same closed
-    form, _CHUNK_CELLS cells at a time, so the result is that of a sweep
-    over every cell. From n of about 53, neighbouring k1 give values
-    within about 1e-15 relative: the reported k1 is then one of several
-    optimal up to rounding, and "fewer queries" breaks only exact ties.
+    objective in the package is. The scan relies on it to skip cells.
+    First the one-query cell, evaluated as the leaf sweep evaluates it,
+    seeds the incumbent, and the box is cut to the most queries q with
+    objective(q, 1, 1) <= seed: a cell of more queries is worth more than
+    the seed, so it can neither beat nor tie the optimum, and the cut
+    keeps the argmin and the tie rule. Then each k2 column is bisected
+    into aligned k1 intervals, level by level for all live intervals at
+    once, and an interval is dropped when the objective at (its fewest
+    queries, the largest probabilities in it) exceeds the incumbent, the
+    best objective bounded at an interval end. Surviving leaves of _LEAF
+    rows are swept flat with the same closed form, _CHUNK_CELLS cells at
+    a time, so the result is that of a sweep over every cell. A box of
+    at most _CHUNK_CELLS columns computes their _sine_coefficients once,
+    and every level and the leaves gather them; a wider one computes
+    them per chunk of intervals, and once per column for the leaves.
+    From n of about 53, neighbouring k1 give values within about 1e-15
+    relative: the reported k1 is then one of several optimal up to
+    rounding, and "fewer queries" breaks only exact ties.
     """
     budget, columns = scan_shape(space, allow_k2, budget, k2_cap)
+    theta1 = angles(space).theta1
+    # the _sine_coefficients of every column, computed once where they fit in a chunk
+    table = _sine_coefficients(space, np.arange(columns)) if columns <= _CHUNK_CELLS else None
+    zero = np.zeros(1, dtype=np.int64)
+    pr_b, pr_t = _probabilities(
+        theta1, zero, _sine_coefficients(space, zero) if table is None else table[:, :1]
+    )
+    with np.errstate(divide="ignore"):  # a one-query probability of 0 is worth inf
+        seed = float(objective(np.ones(1), pr_b, pr_t)[0])
+    budget = _query_cut(objective, budget, seed)
+    columns = min(columns, budget)
+    if table is None and columns <= _CHUNK_CELLS:
+        table = _sine_coefficients(space, np.arange(columns))
+
+    def coefficients(k2s: np.ndarray) -> np.ndarray:
+        return _sine_coefficients(space, k2s) if table is None else table[:, k2s]
+
     evaluated = 0  # end cells of the intervals bounded so far
 
     def check(cells: int) -> None:
@@ -200,7 +270,7 @@ def grk_scan_min(
         size *= 2
     per_column = -(-budget // size)  # intervals per column at this level
     keys = np.arange(columns * per_column)  # k2 * per_column + interval
-    incumbent = math.inf
+    incumbent = seed
     while True:
         keep = np.zeros(len(keys), dtype=bool)
         for s in range(0, len(keys), _CHUNK_CELLS):
@@ -208,7 +278,9 @@ def grk_scan_min(
             inside = blocks * size < budget - k2s  # the second half may start past the end
             k2s, blocks = k2s[inside], blocks[inside]
             evaluated += 2 * len(k2s)
-            lower, upper = _interval_bounds(space, objective, budget, size, blocks, k2s)
+            lower, upper = _interval_bounds(
+                space, objective, budget, size, blocks, k2s, coefficients(k2s)
+            )
             incumbent = min(incumbent, float(upper.min(initial=math.inf)))
             keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
         keys = keys[keep]
@@ -221,20 +293,21 @@ def grk_scan_min(
 
     k2s, blocks = np.divmod(keys, per_column)
     check(int(np.minimum(_LEAF, budget - k2s - blocks * _LEAF).sum()))
-    theta1 = angles(space).theta1
-    coefficients = _sine_coefficients(space, k2s)
+    # the leaves' columns, each computed or gathered once: keys rise, so k2s does
+    first = np.ones(len(k2s), dtype=bool)
+    np.not_equal(k2s[1:], k2s[:-1], out=first[1:])
+    live = k2s[first]
+    live_coefficients = coefficients(live)
     best: tuple[float, int, int, float, float] | None = None
     for s in range(0, len(keys), _CHUNK_CELLS // _LEAF):
         cut = slice(s, s + _CHUNK_CELLS // _LEAF)  # whole leaves, one per row
         k1 = blocks[cut, None] * _LEAF + np.arange(_LEAF)
-        k2 = np.broadcast_to(k2s[cut, None], k1.shape)
-        keep = k1 + k2 < budget
-        a_t, b_t, a_b, b_b = (x[cut, None] for x in coefficients)
-        y = (2.0 * k1 + 1.0) * theta1
-        sin_y, cos_y = np.sin(y), np.cos(y)
-        pr_b = 1.0 - (a_b * sin_y + b_b * cos_y)[keep] ** 2
-        pr_t = (a_t * sin_y + b_t * cos_y)[keep] ** 2
-        k2, q = k2[keep], (1 + k1 + k2)[keep]
+        q = k1 + (k2s[cut, None] + 1)
+        keep = q <= budget
+        column = live_coefficients[:, np.searchsorted(live, k2s[cut]), None]
+        pr_b, pr_t = _probabilities(theta1, k1, column)
+        pr_b, pr_t, q = pr_b[keep], pr_t[keep], q[keep]
+        k2 = q - 1 - k1[keep]
         vals = objective(q.astype(float), pr_b, pr_t)
         ties = np.flatnonzero(vals == vals.min())
         j = ties[np.lexsort((k2[ties], q[ties]))[0]]

@@ -601,6 +601,15 @@ def test_huge_ranges_and_run_counts_exit_1(capsys, argv, message):
     assert message in err
 
 
+def test_over_long_seq_token_is_echoed_short(capsys):
+    # the 5,000-digit count still exits 1 on the 2^53 cap, and its one
+    # error line echoes only the token's first 40 characters
+    rc, out, err = run_cli(capsys, "simulate", "--n", "8", "--m", "2", "--seq", "g:" + "9" * 5000)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "2^53" in err and "..." in err and len(err) < 200
+
+
 @pytest.mark.parametrize(
     "argv, m, l",
     [

@@ -70,6 +70,20 @@ def test_parsed_run_counts_are_capped_at_two_to_the_53():
             OperatorSequence.from_product_string(text, sp)
 
 
+def test_parse_errors_echo_a_short_prefix():
+    # an over-long token or product tail is echoed as its first 40
+    # characters and '...', so the message stays one short line
+    sp = new_search_space(8, 2)
+    with pytest.raises(ParameterError, match="2\\^53") as token:
+        OperatorSequence.from_token_spec("g:" + "9" * 5000)
+    assert f"'g:{'9' * 38}'..." in str(token.value) and len(str(token.value)) < 200
+    with pytest.raises(ParameterError) as product:
+        OperatorSequence.from_product_string("G_8" + "x" * 5000, sp)
+    assert str(product.value).endswith(f"'{'x' * 40}'...")
+    with pytest.raises(ParameterError, match="'g:x',"):
+        OperatorSequence.from_token_spec("g:x")
+
+
 def test_token_spec_round_trip():
     for text in ["g:1", "l:2,g:4", "g:3,l:1,g:1", ""]:
         s = OperatorSequence.from_token_spec(text)

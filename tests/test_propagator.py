@@ -372,6 +372,69 @@ def test_scan_min_matches_full_box(n):
                 assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("m, uncut", [(15, 2034), (19, 2671)])
+def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut):
+    # at m > n/2 the optimum is the one-query cell. A cell worth at most
+    # its value e has q <= q / pr <= e queries, so the scan bounds the
+    # intervals of the box cut to floor(e) queries: 31 at m = 15, and at
+    # m = 19 the one interval of the one-cell box, where the whole box
+    # takes `uncut`. The result is still the full sweep's
+    space = new_search_space(20, m)
+    objective = BLOCK_OBJECTIVES["expectation"]
+    bounded = []
+    interval_bounds = scans._interval_bounds
+
+    def record(*args):
+        bounded.append(len(args[4]))
+        return interval_bounds(*args)
+
+    monkeypatch.setattr(scans, "_interval_bounds", record)
+    got = grk_scan_min(space, objective)
+    want = full_box_scan_min(space, objective)
+    assert sum(bounded) <= uncut // 50
+    assert got[1:3] == want[1:3] == (0, 0)
+    assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
+def test_query_cut_is_the_last_query_count_within_the_seed():
+    # floor(q / 3) <= seed holds up to q = 3 floor(seed) + 2; the cut is
+    # that count, clipped to [1, budget], across the 64-way search's steps
+    calls = []
+
+    def objective(q, prb, prt):
+        calls.append(len(q))
+        return np.floor(q / 3) + 0.0 * prb
+
+    for budget in (1, 2, 63, 64, 65, 200, 4097, 1 << 31):
+        for seed in (-1.0, 0.0, 0.5, 20.0, 21.9, 1365.0, 1 << 29, math.inf):
+            calls.clear()
+            want = min(budget, max(1, 3 * math.floor(seed) + 2)) if seed < math.inf else budget
+            assert scans._query_cut(objective, budget, seed) == want, (budget, seed)
+            assert len(calls) <= 7
+            if want == budget:
+                assert calls == [1]
+
+
+def test_one_query_seed_leaves_a_narrow_box_whole(monkeypatch):
+    # at (20, 5) the one-query cell is worth 26,214 queries, far above
+    # the box's 811: the cut keeps the whole budget
+    space = new_search_space(20, 5)
+    objective = BLOCK_OBJECTIVES["expectation"]
+    cuts = []
+    query_cut = scans._query_cut
+
+    def record(*args):
+        cuts.append(query_cut(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(scans, "_query_cut", record)
+    got = grk_scan_min(space, objective)
+    want = full_box_scan_min(space, objective)
+    assert cuts == [default_budget(space)]
+    assert got[1:3] == want[1:3]
+    assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("size", [1, 5, 32])
 @pytest.mark.parametrize("n, m", [(6, 2), (8, 7), (12, 6), (16, 3)])
 def test_interval_bounds_hold_against_the_products(n, m, size):
@@ -396,7 +459,9 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
     for probability in (pr_b, pr_t):
         in_block = probability is pr_b
         objective = lambda q, prb, prt: -(prb if in_block else prt)  # noqa: E731
-        lower, upper = scans._interval_bounds(space, objective, budget, size, blocks, cols)
+        lower, upper = scans._interval_bounds(
+            space, objective, budget, size, blocks, cols, scans._sine_coefficients(space, cols)
+        )
         for i in range(len(cols)):
             cells = -probability[lo[i] : hi[i] + 1, cols[i]]
             assert lower[i] <= cells.min()
