@@ -31,7 +31,7 @@ from .enumeration import (
     render_percent,
     table_sweep,
 )
-from .errors import PartialSearchError, UsageError
+from .errors import PartialSearchError, ResourceLimitError, UsageError
 from .space import angles as space_angles
 from .space import check_qubits, grover_sine, new_search_space
 from .statevec import verify_subspace
@@ -373,11 +373,10 @@ def _cmd_parallel(args: argparse.Namespace) -> OutputRecord:
         params["no_k2"] = True
 
     if compare:
-        l_values = (
-            list(parse_range(args.l_range))
-            if args.l_range
-            else list(range(1, min(N, 64) + 1))
-        )
+        cap = min(N, 64)  # the default range's upper end
+        l_values = parse_range(args.l_range) if args.l_range else range(1, cap + 1)
+        if l_values[-1] > cap:  # checked before the range is listed or scanned
+            raise ResourceLimitError(f"--l-range capped at l <= min(N, 64) = {cap}")
         params["l_range"] = f"{l_values[0]}..{l_values[-1]}"
         results, skipped = parallel_mod.compare_schemes(N, l_values)
         rows = [_scheme_row(r) for r in [*results, *skipped]]

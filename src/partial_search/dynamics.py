@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .space import SearchSpace, angles, grover_angle
+from .space import Angles, SearchSpace, angles, grover_angle
 
 # amplitudes may leave [0,1] by accumulated rounding; anything worse than
 # this is a real bug, not noise
@@ -221,32 +221,33 @@ def _uniform_complement(space: SearchSpace) -> tuple[float, float]:
     return math.sqrt((space.b - 1) / rest), math.sqrt((space.N - space.b) / rest)
 
 
+def _rotation(a: Angles, is_local: bool, count: int) -> tuple[bool, float, float, float]:
+    """(is_local, cos, sin, sign) of a run of count queries of one kind:
+    its rotation angle is 2*count*theta2 (local) or 2*count*theta1
+    (global), and sign = (-1)^count scales the |w> part of a global run."""
+    angle = 2.0 * count * (a.theta2 if is_local else a.theta1)
+    return is_local, math.cos(angle), math.sin(angle), -1.0 if count % 2 else 1.0
+
+
 def _apply_runs(
-    space: SearchSpace, runs: list[tuple[bool, int]], row_ends: Iterable[int]
+    space: SearchSpace,
+    runs: list[tuple[bool, float, float, float]],
+    row_ends: Iterable[int],
 ) -> list[tuple[float, float, float]]:
-    """Apply runs of (is_local, count) pairs to the initial state, each
-    run in O(1). Row r is the runs from where row r - 1 ended up to
-    row_ends[r]; returns the final (amp_t, amp_bt, amp_bbar) of each row.
+    """Apply runs, each a _rotation, to the initial state, each run in
+    O(1). Row r is the runs from where row r - 1 ended up to row_ends[r];
+    returns the final (amp_t, amp_bt, amp_bbar) of each row.
 
     A local run of j queries rotates (|t>, |bt~>) by 2*j*theta2. G_n
     rotates (|t>, |u>) by 2*theta1 and negates |w>, so a global run of j
     rotates that plane by 2*j*theta1 and scales the |w> part by (-1)^j.
-    The cosine and sine are taken once per distinct run.
     """
-    a = angles(space)
     u_bt, u_bb = _uniform_complement(space)
     st = initial_state(space)
-    trig: dict[tuple[bool, int], tuple[float, float, float]] = {}
     out, begin = [], 0
     for end in row_ends:
         t, bt, bb = st.amp_t, st.amp_bt, st.amp_bbar
-        for run in runs[begin:end]:
-            is_local, count = run
-            rot = trig.get(run)
-            if rot is None:
-                angle = 2.0 * count * (a.theta2 if is_local else a.theta1)
-                rot = trig[run] = (math.cos(angle), math.sin(angle), -1.0 if count % 2 else 1.0)
-            c, s, sign = rot
+        for is_local, c, s, sign in runs[begin:end]:
             if is_local:
                 t, bt = c * t + s * bt, -s * t + c * bt
             else:
@@ -261,8 +262,13 @@ def _apply_runs(
 
 def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
     """Apply the runs in order to the initial state: _apply_runs on one row."""
-    runs = [(kind is Kind.LOCAL, count) for kind, count in seq.runs]
+    a = angles(space)
+    runs = [_rotation(a, kind is Kind.LOCAL, count) for kind, count in seq.runs]
     return State3(*_apply_runs(space, runs, [len(runs)])[0])
+
+
+# sequences up to this many queries are keyed by one int64 in _apply_sequences
+_KEYED_QUERIES = 62
 
 
 def _apply_sequences(
@@ -273,9 +279,29 @@ def _apply_sequences(
     Sequence r is the next lengths[r] queries of the flat bool array local
     (True: a local query), in application order; the lengths sum to
     len(local). Returns the final (amp_t, amp_bt, amp_bbar) of every
-    sequence as a (rows, 3) array. numpy cuts the queries into runs and
-    one _apply_runs call applies them.
+    sequence as a (rows, 3) array.
+
+    A sequence of at most _KEYED_QUERIES queries is keyed by its
+    (length, mask) as the mask under a leading 1 bit (first query
+    highest); a longer one keeps a key of its own. Each distinct key is
+    applied once and its state copied to every row that has it. numpy
+    cuts the distinct sequences into runs, each distinct run's _rotation
+    is taken once, and one _apply_runs call applies them.
     """
+    rows, lengths = len(lengths), lengths.astype(np.int64, copy=False)
+    # bit j of a mask is the query j places from its sequence's end
+    from_end = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(local) + 1)
+    bits = local & (from_end < _KEYED_QUERIES)
+    keys = np.left_shift(1, np.minimum(lengths, _KEYED_QUERIES))
+    np.bitwise_or.at(keys, np.repeat(np.arange(rows), lengths)[bits], 1 << from_end[bits])
+    keys = np.where(lengths <= _KEYED_QUERIES, keys, -1 - np.arange(rows))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # each distinct sequence once, in row order, and where each row's is
+    unique = np.zeros(rows, dtype=bool)
+    unique[first] = True
+    inverse = (np.cumsum(unique) - 1)[first[inverse]]
+    local, lengths = local[np.repeat(unique, lengths)], lengths[unique]
+
     # a run starts at each change of kind and at each row's first query
     is_start = np.ones(len(local), dtype=bool)
     np.not_equal(local[1:], local[:-1], out=is_start[1:])
@@ -283,8 +309,13 @@ def _apply_sequences(
     starts = np.flatnonzero(is_start)
     counts = np.diff(starts, append=len(local))
     row_ends = np.searchsorted(starts, np.cumsum(lengths)).tolist()
-    runs = list(zip(local[starts].tolist(), counts.tolist()))
-    return np.array(_apply_runs(space, runs, row_ends)).reshape(len(row_ends), 3)
+    # runs keyed by 2 * count + is_local, one _rotation per distinct key
+    run_keys, run_of = np.unique(2 * counts + local[starts], return_inverse=True)
+    a = angles(space)
+    rotations = [_rotation(a, bool(key & 1), key >> 1) for key in run_keys.tolist()]
+    runs = [rotations[i] for i in run_of.tolist()]
+    states = np.array(_apply_runs(space, runs, row_ends)).reshape(len(row_ends), 3)
+    return states[inverse]
 
 
 def _clamp_probability(p: float) -> float:

@@ -314,10 +314,12 @@ def _sweep(
     product of the block's w covectors, one row each, with the prefix
     rows of all of the group's tiles along the long, contiguous axis. It
     is taken in batches of at most _CHUNK_CELLS cells, as many rows and
-    as few covectors per batch as that allows. Each batch keeps the
-    cells within 2 TIE_TOL of the least amp^2 seen so far (a superset of
-    the ties; max(1 - sq) = 1 - min(sq), rounding is monotone), so later
-    batches keep fewer.
+    as few covectors per batch as that allows. The two scratch arrays
+    hold no more cells than the plan, and a one-tile plan (k_tot <= 16)
+    is one group, with no sort. Each batch keeps the cells within
+    2 TIE_TOL of the least amp^2 seen so far (a superset of the ties;
+    max(1 - sq) = 1 - min(sq), rounding is monotone), so later batches
+    keep fewer.
 
     The batches run with numpy's ufunc buffer at _SWEEP_BUFSIZE elements,
     and the caller's size is restored on return and on error. numpy 2
@@ -329,11 +331,15 @@ def _sweep(
     on the buffer size."""
     s = u_t.shape[1].bit_length() - 1
     width = suffixes.shape[1]
-    out, tmp = np.empty(_CHUNK_CELLS), np.empty(_CHUNK_CELLS)
-    # a block's first suffix names it: aligned blocks are disjoint
-    order = np.argsort(suffixes[:, 0], kind="stable")
-    names = suffixes[order, 0]
-    bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
+    cells = min(_CHUNK_CELLS, prefixes.size * width)  # the largest batch at most
+    out, tmp = np.empty(cells), np.empty(cells)
+    if len(suffixes) == 1:
+        order, bounds = np.zeros(1, dtype=np.intp), [0, 1]
+    else:
+        # a block's first suffix names it: aligned blocks are disjoint
+        order = np.argsort(suffixes[:, 0], kind="stable")
+        names = suffixes[order, 0]
+        bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
     low, batches, held = np.inf, [], 0
     old_bufsize = np.setbufsize(_SWEEP_BUFSIZE)
     try:

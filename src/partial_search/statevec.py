@@ -14,7 +14,7 @@ with one length per sequence. Both sides read that array: the reduced
 side is one call to dynamics._apply_sequences, bit for bit
 apply_sequence on every row without an OperatorSequence per draw, and
 the full side scatters it step-major once and runs it in lockstep
-batches.
+batches, sized per n by _BATCH_DOUBLES.
 
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
@@ -25,6 +25,11 @@ own order (strided column adds up to 8 entries, numpy's pairwise
 reduction above). The reference's _mean scales it by 1/width and doubles
 it; the kernel scales it once by 2/width. Both are exact power-of-two
 scalings, so the batch reproduces the reference bit for bit.
+
+The projection gathers every row's entries outside its marked block with
+one flat bool mask and sums them in order. The residual around a level c
+is max(x_max - c, c - x_min), two reductions and no pass that writes:
+rounding is monotone, so that is the largest |x - c| bit for bit.
 
 Blocks are contiguous index ranges [j*b, (j+1)*b); the marked item's block
 is target_index // b.
@@ -44,21 +49,40 @@ from .space import new_search_space
 
 # 2^14 doubles keeps every verification call well under a second
 MAX_STATEVEC_QUBITS = 14
-# amplitudes per batch of sequences run in lockstep: 2^14 doubles (128 KiB).
-# A step makes the same few numpy calls whatever the batch holds, so larger
-# batches pay less per query. On a 2-vCPU host the n <= 10 and (14, 7)
-# verify calls took 0.69 s at 2^13, 0.57 s at 2^14 and 0.56 s at 2^15 (best
-# of 12); 2^15 raised the peak memory by 0.6 MB over 2^14.
-_BATCH_DOUBLES = 1 << 14
+# amplitudes per batch of sequences run in lockstep, per n. A step makes the
+# same few numpy calls whatever the batch holds, so larger batches pay less
+# per query, until a batch of large rows mixes global and local rows: every
+# step then takes both the row sums and the block sums of every row, and
+# one row per batch is fastest at n = 14. verify_subspace with the default
+# 200 x 40 draws, summed over every m (3 seeds each) for n <= 10 and over
+# m = 0, 3, n // 2, n - 2 for n >= 11; ms, best of 3, 2-vCPU host:
+#
+#     n     2^14   2^15   2^16  one row
+#     1-6      equal: all 200 rows fit in one batch of 2^14
+#     7       68.4   64.4   62.7
+#     8      116.3  105.7  105.1
+#     9      179.0  161.7  160.3
+#    10      350.7  312.0  308.7
+#    11      114.5   98.0   91.8
+#    12      207.5  171.3  157.5
+#    13      258.4  270.0  265.0  277.1
+#    14      387.4  418.1  439.1  (one row is 2^14)
+#
+# For n <= 10, 2^16 gains at most 1 % over 2^15 and raised the peak memory
+# of the benchmark's desk session by 1.3 MB over 2^14, against 0.6 MB for
+# 2^15.
+_BATCH_DOUBLES = {n: 1 << 15 for n in range(1, 11)} | {
+    11: 1 << 16, 12: 1 << 16, 13: 1 << 14, 14: 1 << 14
+}
 
 # amplitude updates one call may ask for: queries x 2^n, where verify's
 # queries are sequences x max_k (its longest draw) and a query counts at
 # least 2^11 amplitudes, for the reduced side and the per-sequence work. On
-# a 2-vCPU host a query took 0.64 us at n = 1 in 1..20-query sequences
-# (2.1 us in 1-query ones, most of it the reduced side's run loop) and an
-# amplitude 1.4 ns at n = 14. The default verify at n = 14 asks for
+# a 2-vCPU host a query took 0.41 us at n = 1 in 1..20-query sequences
+# (1.1 us in 1-query ones, most of it the per-sequence probabilities) and
+# an amplitude 1.4 ns at n = 14. The default verify at n = 14 asks for
 # 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.36 s (n = 14, 800 x 40),
-# 0.70 s (n = 10, 6400 x 40) and 0.56 s with the most memory, 136 MB
+# 0.35 s (n = 10, 6400 x 40) and 0.21 s with the most memory, 84 MB peak
 # (n = 1, 2^18 x 1).
 _WORK_CAP = 1 << 29
 _QUERY_MIN_DOUBLES = 1 << 11
@@ -235,7 +259,11 @@ def _project(
     blocks = amp.reshape(rows, -1, b)
     home = targets >> m
     block = blocks[index, home]
-    outside = blocks[np.arange(blocks.shape[1]) != home[:, None]].reshape(rows, -1)
+    # every entry but the home block's, in order; a (rows, blocks) mask
+    # gathers b-entry chunks one by one, up to 20x slower at small b
+    keep = np.ones(blocks.shape, dtype=bool)
+    keep[index, home] = False
+    outside = amp[keep.reshape(rows, size)].reshape(rows, -1)
 
     proj = np.empty((rows, 3))
     proj[:, 0] = amp_t = amp[index, targets]
@@ -244,15 +272,15 @@ def _project(
     proj[:, 2] = outside.sum(axis=1) / math.sqrt(size - b)
     block_prob = np.square(block).sum(axis=1)
 
-    # residual: distance from each entry to its span reconstruction
+    # residual: the largest distance from an entry to its span
+    # reconstruction, a level per row outside the target
+    level = proj[:, 2] / math.sqrt(size - b)
+    residual = np.maximum(outside.max(axis=1) - level, level - outside.min(axis=1))
     if b > 1:
-        block -= (proj[:, 1] / math.sqrt(b - 1))[:, None]
-    block[index, targets - (home << m)] = 0.0
-    outside -= (proj[:, 2] / math.sqrt(size - b))[:, None]
-    residual = np.maximum(
-        np.abs(block, out=block).max(axis=1),
-        np.abs(outside, out=outside).max(axis=1),
-    )
+        level = proj[:, 1] / math.sqrt(b - 1)
+        block[index, targets - (home << m)] = level  # the target is exact
+        np.maximum(residual, block.max(axis=1) - level, out=residual)
+        np.maximum(residual, level - block.min(axis=1), out=residual)
     return block_prob, proj, residual
 
 
@@ -261,7 +289,7 @@ def _simulate_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Run sequence i, the next lengths[i] queries of the flat bool array
     local (True: a local query), on marked item targets[i] for every i, in
-    lockstep batches of at most _BATCH_DOUBLES amplitudes (one row at
+    lockstep batches of at most _BATCH_DOUBLES[n] amplitudes (one row at
     least), longest sequences first. Yields each batch's sequence indices
     and its (rows, 2^n) final amplitudes."""
     rows = len(lengths)
@@ -274,7 +302,7 @@ def _simulate_batches(
     kinds = np.zeros((int(lengths.max()), rows), dtype=bool)
     kinds[step, np.repeat(slot, lengths)] = local
     lengths = lengths[order]
-    per_batch = max(1, _BATCH_DOUBLES >> n)
+    per_batch = max(1, _BATCH_DOUBLES[n] >> n)
     for start in range(0, rows, per_batch):
         batch = slice(start, start + per_batch)
         yield order[batch], _run_rows(
@@ -302,7 +330,7 @@ def verify_subspace(
     every kind (1: local) into one flat bool array, then every target,
     one integers call each. The reduced side runs every sequence at once
     through _apply_sequences; the full vectors run in lockstep batches of
-    about _BATCH_DOUBLES amplitudes, longest sequences first. Only the
+    about _BATCH_DOUBLES[n] amplitudes, longest sequences first. Only the
     worst case and the failures become OperatorSequences.
 
     Returns a JSON-ready report; report['passed'] is False iff any

@@ -587,8 +587,9 @@ _HUGE = "1..1000000000000000"
         (("simulate", "--n", "8", "--m", "2", "--seq", "g:" + "9" * 400), "2^53"),
         (("simulate", "--n", "8", "--m", "2", "--seq", "g:" + "9" * 5000), "2^53"),
         (("simulate", "--n", "8", "--m", "2", "--seq", "g:9007199254740993"), "2^53"),
+        (("parallel", "--scheme", "compare", "--n", "8", "--l-range", _HUGE), "min(N, 64) = 64"),
     ],
-    ids=["enumerate", "tables-k", "tables-m", "bounds", "g-400", "g-5000", "g-2^53+1"],
+    ids=["enumerate", "tables-k", "tables-m", "bounds", "g-400", "g-5000", "g-2^53+1", "compare-l"],
 )
 def test_huge_ranges_and_run_counts_exit_1(capsys, argv, message):
     # a range is checked against its cap value by value, never listed
@@ -599,6 +600,18 @@ def test_huge_ranges_and_run_counts_exit_1(capsys, argv, message):
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("n, top", [(2, 4), (3, 8), (8, 64), (40, 64)])
+def test_compare_l_range_is_capped_at_min_n_64(capsys, n, top):
+    # l up to min(N, 64), the default range's upper end, runs; one more
+    # exits 1 with one error line before any scheme is scanned
+    rc, out, err = run_cli(capsys, "parallel", "--scheme", "compare", "--n", str(n), "--l-range", f"{top}..{top}")
+    assert (rc, err) == (0, "")
+    assert parse_csv(out)[0]["l_range"] == f"{top}..{top}"
+    rc, out, err = run_cli(capsys, "parallel", "--scheme", "compare", "--n", str(n), "--l-range", f"1..{top + 1}")
+    assert (rc, out) == (1, "")
+    assert err == f"error: --l-range capped at l <= min(N, 64) = {top}\n"
 
 
 def test_over_long_seq_token_is_echoed_short(capsys):

@@ -247,9 +247,9 @@ def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
     local[1][:] = True
     targets = rng.permutation(np.arange(count) % (1 << n))  # distinct where 2^n >= 17
     # five rows per batch, so the 17 sequences span four batches; from
-    # n = 12 one row, as verify runs every n >= 13
+    # n = 12 one row, as verify runs n = 14
     per_batch = 1 if n >= 12 else 5
-    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", per_batch << n)
+    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", {n: per_batch << n})
     flat, lengths = np.concatenate(local), np.array([len(bits) for bits in local])
     batches = list(statevec._simulate_batches(n, m, targets, flat, lengths))
     sizes = [min(per_batch, count - start) for start in range(0, count, per_batch)]
@@ -259,6 +259,17 @@ def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
             kinds = [L if bit else G for bit in local[r]]
             assert np.array_equal(row, reference_run(n, m, int(targets[r]), kinds))
     assert sorted(r for rows, _ in batches for r in rows) == list(range(count))
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (7, 3), (10, 4), (14, 7)])
+def test_batch_size_does_not_change_reports(monkeypatch, n, m):
+    # one row per batch, the former flat 2^14 amplitudes, and the per-n rule
+    reports = []
+    for doubles in (1 << n, 1 << 14, statevec._BATCH_DOUBLES[n]):
+        monkeypatch.setattr(statevec, "_BATCH_DOUBLES", {n: doubles})
+        reports.append(verify_subspace(n, m, seed=n + m))
+    assert reports[0]["passed"]
+    assert reports[0] == reports[1] == reports[2]
 
 
 @pytest.mark.parametrize("shape", [(1 << 14,), (3, 1 << 13), (5, 2, 1 << 12)])
@@ -341,15 +352,19 @@ def reference_verify(n, m, num_random_sequences=200, max_k=40, tol=1e-10, seed=4
 
 
 @pytest.mark.parametrize(
-    "n, m, seed",
-    [(1, 0, 3), (2, 1, 42), (5, 0, 3), (6, 3, 42), (8, 2, 3), (10, 0, 42), (10, 0, 3),
-     (10, 4, 42), (10, 9, 3), (12, 6, 42), (14, 7, 3),
-     # 16-row batches at n = 10: strided subtracts (b <= 4), the strided
-     # 8-entry mean and np.add.reduce block means (b >= 16)
-     (10, 1, 3), (10, 2, 42), (10, 3, 3), (10, 5, 42), (10, 7, 3)],
+    "n, m, seed, sizes",
+    [pytest.param(n, m, seed, {}, id=f"{n}-{m}-{seed}") for n, m, seed in [
+        (1, 0, 3), (2, 1, 42), (5, 0, 3), (6, 3, 42), (8, 2, 3), (10, 0, 42), (10, 0, 3),
+        (10, 4, 42), (10, 9, 3), (12, 6, 42), (14, 7, 3),
+        # multi-row batches at n = 10: strided subtracts (b <= 4), the
+        # strided 8-entry mean and np.add.reduce block means (b >= 16)
+        (10, 1, 3), (10, 2, 42), (10, 3, 3), (10, 5, 42), (10, 7, 3)]]
+    # 3,000 draws of at most 2 queries: six distinct sequences, so the
+    # reduced side applies each once and copies it to every repeat
+    + [pytest.param(5, 2, 7, {"num_random_sequences": 3000, "max_k": 2}, id="5-2-7-short")],
 )
-def test_verify_report_equals_per_query_loop(n, m, seed):
-    assert verify_subspace(n, m, seed=seed) == reference_verify(n, m, seed=seed)
+def test_verify_report_equals_per_query_loop(n, m, seed, sizes):
+    assert verify_subspace(n, m, seed=seed, **sizes) == reference_verify(n, m, seed=seed, **sizes)
 
 
 def test_verify_cli_output_equals_per_query_loop(capsys):
