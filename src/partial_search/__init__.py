@@ -8,12 +8,9 @@ from .bounds import (
     PrBoundRecord,
     bound_constants,
     grk_optimal_parameters,
-    grover_kmin,
-    min_expected_bound,
     min_expected_sweep,
     pr_bound_comparison,
     pr_max_bound,
-    predicted_optimal_ktot,
 )
 from .dynamics import (
     Kind,
@@ -21,10 +18,8 @@ from .dynamics import (
     State3,
     apply_sequence,
     block_success_probability,
-    full_target_probability,
     global_grover_matrix,
     grover_full_search_probability,
-    grover_only_block_probability,
     initial_state,
     local_grover_matrix,
 )
@@ -34,7 +29,6 @@ from .enumeration import (
     enumerate_max_probability,
     expected_iterations,
     is_grk_form,
-    min_expected_over_budget,
     render_fixed,
     render_percent,
     table_sweep,
@@ -54,7 +48,6 @@ from .parallel import (
     grk_parallel_min,
     hybrid_expected,
     hybrid_min,
-    inner_expected,
     inner_min,
     outer_expected,
     outer_min,

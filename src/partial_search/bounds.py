@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import check_splits, grk_max_block_probability, grk_scan_min, scan_shape
-from .space import SearchSpace, angles, check_qubits, grover_angle, new_search_space
+from .space import SearchSpace, angles, check_qubits, new_search_space
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -70,17 +70,6 @@ def continuous_kmin(theta: float, l: int) -> float:
     if lo >= 0.5 * math.pi or slope(lo) >= 0.0:
         return 1.0
     return 0.5 * (bisect_root(slope, lo, 0.5 * math.pi) / theta - 1.0)
-
-
-def grover_kmin(N: int) -> tuple[float, float, float]:
-    """Continuous minimizer of k / sin^2((2k+1) theta1) over k >= 1 (it is
-    1 for N < 16): (k_min, probability at k_min, expectation at k_min)."""
-    if N < 4:
-        raise ParameterError("N must be >= 4")
-    theta1 = grover_angle(N)
-    k = continuous_kmin(theta1, 1)
-    pr = math.sin((2 * k + 1) * theta1) ** 2
-    return k, pr, k / pr
 
 
 @dataclass(frozen=True)
@@ -234,35 +223,6 @@ def pr_max_bound(space: SearchSpace, k_tot: int) -> float:
     return min(1.0, max(0.0, val))
 
 
-def predicted_optimal_ktot(space: SearchSpace) -> float:
-    """Two-term estimate of the expectation-optimal query budget:
-    0.58278 sqrt(N) - 0.49688 sqrt(b) (coefficients recomputed).
-    Meaningful in the wide-block regime b >> 1."""
-    c = bound_constants()
-    return c.ktot_coeff * math.sqrt(space.N) + c.ktot_block_coeff * math.sqrt(space.b)
-
-
-def _min_expected_branches(space: SearchSpace) -> tuple[float, float, float]:
-    """(narrow, wide, selected): both analytic branches and the one that
-    applies, narrow for m <= n//2."""
-    c = bound_constants()
-    sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
-    narrow = c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b
-    wide = space.K - 8.0 * space.K**2 / space.N
-    return narrow, wide, narrow if space.m <= space.n // 2 else wide
-
-
-def min_expected_bound(space: SearchSpace) -> float:
-    """Minimal expected queries, analytic branches.
-
-    Narrow blocks (m <= n//2): 0.69 sqrt(N) - 0.4054 sqrt(b).
-    Wide blocks (m > n//2): K - 8 K^2 / N (single-query regime).
-    Estimates, not lower bounds: at n = 12 the exact scan minimum lies
-    below the narrow branch at m = 1, 3 and 6.
-    """
-    return _min_expected_branches(space)[2]
-
-
 # -- numeric sweeps (plot-ready data) -------------------------------------
 
 
@@ -285,7 +245,10 @@ def min_expected_sweep(
     n: int, m_values: Sequence[int] | None = None
 ) -> list[MinExpectedRecord]:
     """Exact integer-scan minimum of the expectation for each m, with
-    both analytic branch values and the unit-probability reference."""
+    both analytic branch values, the one that applies (narrow for
+    m <= n//2) and the unit-probability reference. The branches are
+    estimates, not lower bounds: at n = 12 the exact scan minimum lies
+    below the narrow branch at m = 1, 3 and 6."""
     check_qubits(n)
     if m_values is None:
         m_values = range(1, n)
@@ -299,7 +262,8 @@ def min_expected_sweep(
     for space in spaces:
         e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
-        narrow, wide, selected = _min_expected_branches(space)
+        narrow = c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b
+        wide = space.K - 8.0 * space.K**2 / space.N
         out.append(
             MinExpectedRecord(
                 m=space.m,
@@ -309,7 +273,7 @@ def min_expected_sweep(
                 k_tot=1 + k1 + k2,
                 bound_narrow=narrow,
                 bound_wide=wide,
-                bound_selected=selected,
+                bound_selected=narrow if space.m <= n // 2 else wide,
                 unit_probability_reference=math.pi * sqrt_n / 4.0 - c.c_grk * sqrt_b,
             )
         )

@@ -330,29 +330,9 @@ def block_success_probability(space: SearchSpace, seq: OperatorSequence) -> floa
     return apply_sequence(space, seq).probabilities()[0]
 
 
-def full_target_probability(space: SearchSpace, seq: OperatorSequence) -> float:
-    """Chance a measurement hits the marked item itself: amp_t^2."""
-    return apply_sequence(space, seq).probabilities()[1]
-
-
 def grover_full_search_probability(n: int, k: int) -> float:
     """Closed form sin^2((2k+1) theta1) for k global queries on 2^n items."""
     if k < 0:
         raise ParameterError("k must be >= 0")
     theta1 = grover_angle(1 << n)
     return _clamp_probability(math.sin((2 * k + 1) * theta1) ** 2)
-
-
-def grover_only_block_probability(space: SearchSpace, k: int) -> float:
-    """Block success after k purely global queries.
-
-    sin^2((2k+1)theta1) + (b-1)/(N-1) * cos^2((2k+1)theta1): the target
-    amplitude plus the uniform remainder falling inside the block.
-    """
-    if k < 0:
-        raise ParameterError("k must be >= 0")
-    a = angles(space)
-    u = (2 * k + 1) * a.theta1
-    s2 = math.sin(u) ** 2
-    frac = (space.b - 1) / (space.N - 1)
-    return _clamp_probability(s2 + frac * (1.0 - s2))

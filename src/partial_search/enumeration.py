@@ -174,14 +174,12 @@ def _levels(space: SearchSpace, k_max: int) -> _Levels:
     return states, _doubled(np.eye(3)[2], (gn, lm), s, axis=0)
 
 
-def _grid(
-    space: SearchSpace, k_tot: int, levels: _Levels | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _grid(k_tot: int, levels: _Levels) -> tuple[np.ndarray, np.ndarray]:
     """(v, u_t): the 2^p prefix states and the 2^s suffix covectors, each
     a contiguous 3 x 2^q array with one column per sequence in mask
     order, so leaf (P << s) | S has amplitude (v.T @ u_t)[P, S]; taken
-    from `levels` (_levels up to at least k_tot) when given."""
-    states, covectors = _levels(space, k_tot) if levels is None else levels
+    from `levels` (_levels up to at least k_tot)."""
+    states, covectors = levels
     return states[k_tot // 2], covectors[k_tot - k_tot // 2]
 
 
@@ -278,13 +276,13 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
 
 
 def _plan(
-    space: SearchSpace, k_tot: int, levels: _Levels | None = None
+    space: SearchSpace, k_tot: int, levels: _Levels
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u_t, prefixes, suffixes): the grid (taken from `levels` when
-    given) and, one row per tile, the prefix and suffix indices of the
-    tiles that may hold the maximum or a tie; a grid of at most
-    _CHUNK_CELLS cells is one tile."""
-    v, u_t = _grid(space, k_tot, levels)
+    """(v, u_t, prefixes, suffixes): the grid (taken from `levels`) and,
+    one row per tile, the prefix and suffix indices of the tiles that may
+    hold the maximum or a tie; a grid of at most _CHUNK_CELLS cells is
+    one tile."""
+    v, u_t = _grid(k_tot, levels)
     if v.shape[1] * u_t.shape[1] <= _CHUNK_CELLS:
         return v, u_t, np.arange(v.shape[1])[None], np.arange(u_t.shape[1])[None]
     return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
@@ -457,20 +455,6 @@ def expected_iterations(space: SearchSpace, seq: OperatorSequence) -> float:
     if pr <= 0.0:
         raise NumericalError("zero success probability, expectation diverges")
     return seq.total_queries / pr
-
-
-def min_expected_over_budget(
-    space: SearchSpace, k_range: Iterable[int]
-) -> tuple[int, EnumerationResult]:
-    """Argmin of k / pr_max(k) over the budget range, ties to the earlier k."""
-    best = min(
-        enumerate_budgets(space, k_range),
-        key=lambda res: res.expected_iterations,
-        default=None,
-    )
-    if best is None:
-        raise ParameterError("empty k_tot range")
-    return best.k_tot, best
 
 
 def is_grk_form(seq: OperatorSequence) -> bool:

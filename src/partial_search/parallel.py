@@ -116,14 +116,6 @@ def _query_min(
     return SchemeResult(kind=kind, l=l, k1=k, k2=None, queries=k, e_min=k / pr, pr_at_opt=pr)
 
 
-def inner_expected(N: int, l: int, k: int) -> float:
-    """k queries per QPU on a sub-database of N/l items."""
-    _check_inner(N, l)
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    return _expectation(k, _inner_success(N, l, k))
-
-
 def inner_min(N: int, l: int) -> SchemeResult:
     _check_inner(N, l)
     return _query_min(INNER, N, l, grover_angle(N // l), 1, _inner_success)

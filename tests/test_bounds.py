@@ -15,13 +15,10 @@ from partial_search import (
     block_success_probability,
     bound_constants,
     grk_optimal_parameters,
-    grover_kmin,
-    min_expected_bound,
     min_expected_sweep,
     new_search_space,
     pr_bound_comparison,
     pr_max_bound,
-    predicted_optimal_ktot,
 )
 import partial_search.bounds as bounds
 from partial_search.bounds import bisect_root, continuous_kmin
@@ -145,23 +142,30 @@ def test_hybrid_l2_coefficient():
     assert bound_constants().hybrid_l2_coeff == pytest.approx(0.4833, abs=5e-5)
 
 
-# -- grover_kmin -----------------------------------------------------------------
+# -- full-search k_min ------------------------------------------------------------
+
+
+# full search is continuous_kmin at l = 1, with pr = sin^2((2k+1) theta1)
+# and E = k / pr
 
 
 def test_grover_kmin_large_n_limits():
     N = 2**40
-    k, pr, e = grover_kmin(N)
+    theta1 = grover_angle(N)
+    k = continuous_kmin(theta1, 1)
+    pr = math.sin((2 * k + 1) * theta1) ** 2
     s = math.sqrt(N)
     assert k / s == pytest.approx(0.5828, abs=1e-4)
     assert pr == pytest.approx(0.8446, abs=1e-4)
-    assert e / s == pytest.approx(0.69, abs=1e-3)
+    assert k / pr / s == pytest.approx(0.69, abs=1e-3)
 
 
 def test_grover_kmin_against_integer_scan():
     for n in (4, 6, 10, 16, 20, 30):
         N = 2**n
-        k_cont, _, e_cont = grover_kmin(N)
         theta1 = math.asin(N**-0.5)
+        k_cont = continuous_kmin(theta1, 1)
+        e_cont = k_cont / math.sin((2 * k_cont + 1) * theta1) ** 2
         ks = np.arange(1, math.ceil(math.pi * math.sqrt(N) / 4) + 2)
         es = ks / np.sin((2 * ks + 1) * theta1) ** 2
         k_int = int(ks[np.argmin(es)])
@@ -178,10 +182,10 @@ def test_grover_kmin_against_integer_scan():
 
 
 def test_grover_kmin_tiny_database():
-    k, pr, e = grover_kmin(4)
-    assert (k, pr, e) == (1.0, pytest.approx(1.0), pytest.approx(1.0))
-    with pytest.raises(ParameterError):
-        grover_kmin(3)
+    # N = 4: one query finds the item, so k_min = 1 with pr = E = 1
+    k = continuous_kmin(grover_angle(4), 1)
+    pr = math.sin(3 * grover_angle(4)) ** 2
+    assert (k, pr, k / pr) == (1.0, pytest.approx(1.0), pytest.approx(1.0))
 
 
 # -- grk_optimal_parameters --------------------------------------------------------
@@ -256,37 +260,39 @@ def test_optimizing_k2_follows_block_size_rule():
 
 
 def test_min_expected_narrow_branch_values():
-    sp = new_search_space(12, 4)
+    (rec,) = min_expected_sweep(12, [4])
     c = bound_constants()
     expected = c.grover_emin_coeff * 2**6 + c.emin_block_coeff * 2**2
-    assert min_expected_bound(sp) == pytest.approx(expected, abs=1e-12)
+    assert rec.bound_narrow == pytest.approx(expected, abs=1e-12)
+    assert rec.bound_selected == rec.bound_narrow
 
 
 def test_min_expected_wide_branch_values():
     # K - 8 K^2/N, exact substitution (asymptotic in N, so loose at n=8)
-    assert min_expected_bound(new_search_space(8, 7)) == pytest.approx(
-        2 - 8 * 4 / 256, abs=1e-12
-    )  # K=2 -> 1.875
-    assert min_expected_bound(new_search_space(8, 6)) == pytest.approx(
-        4 - 8 * 16 / 256, abs=1e-12
-    )  # K=4 -> 3.5
+    k2, k4 = min_expected_sweep(8, [7, 6])
+    assert k2.bound_wide == pytest.approx(2 - 8 * 4 / 256, abs=1e-12)  # K=2 -> 1.875
+    assert k4.bound_wide == pytest.approx(4 - 8 * 16 / 256, abs=1e-12)  # K=4 -> 3.5
+    assert (k2.bound_selected, k4.bound_selected) == (k2.bound_wide, k4.bound_wide)
 
 
 def test_branch_switch_location():
     # the two branches cross near m = n/2 + 0.5353: the narrow branch is
     # selected through m = n//2 and the wide one after
     n = 20
-    for m in (9, 10):
-        assert min_expected_bound(new_search_space(n, m)) > 2**8
-    wide = min_expected_bound(new_search_space(n, 11))
-    assert wide == pytest.approx(2**9 - 8 * 2**18 / 2**20, abs=1e-9)
+    recs = min_expected_sweep(n, [9, 10, 11])
+    for rec in recs[:2]:
+        assert rec.bound_selected == rec.bound_narrow > 2**8
+    assert recs[2].bound_selected == recs[2].bound_wide
+    assert recs[2].bound_wide == pytest.approx(2**9 - 8 * 2**18 / 2**20, abs=1e-9)
 
 
 def test_predicted_ktot_matches_scan_argmin():
     # dense integer scan of E over the grk family lands within 2 queries
-    # of the two-term formula (n=24, m=8)
+    # of the two-term formula ktot_coeff sqrt(N) + ktot_block_coeff sqrt(b)
+    # (n=24, m=8)
+    c = bound_constants()
     sp = new_search_space(24, 8)
-    pred = predicted_optimal_ktot(sp)
+    pred = c.ktot_coeff * math.sqrt(sp.N) + c.ktot_block_coeff * math.sqrt(sp.b)
     recs = min_expected_sweep(24, [8])
     assert abs(recs[0].k_tot - pred) <= 2.0
 

@@ -24,7 +24,6 @@ from partial_search import (
     ParameterError,
     apply_sequence,
     block_success_probability,
-    full_target_probability,
     grk_parallel_expected,
     grk_parallel_min,
     hybrid_expected,
@@ -353,7 +352,8 @@ def test_simulate_clamps_probabilities(capsys):
     assert float(row["amp_t"]) > 1.0
     assert row["target_probability"] == "1" and row["block_probability"] == "1"
     space = new_search_space(2, 1)
-    assert full_target_probability(space, OperatorSequence.from_token_spec(seq)) == 1.0
+    state = apply_sequence(space, OperatorSequence.from_token_spec(seq))
+    assert state.probabilities()[1] == 1.0
 
 
 def test_simulate_token_normalization(capsys):

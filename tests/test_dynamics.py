@@ -13,10 +13,8 @@ from partial_search import (
     angles,
     apply_sequence,
     block_success_probability,
-    full_target_probability,
     global_grover_matrix,
     grover_full_search_probability,
-    grover_only_block_probability,
     initial_state,
     local_grover_matrix,
     new_search_space,
@@ -256,14 +254,16 @@ def test_table_corner_values():
 
 def test_target_probability_of_uniform_state():
     sp = new_search_space(8, 2)
-    assert full_target_probability(sp, seq()) == pytest.approx(1 / sp.N, abs=1e-16)
+    target = apply_sequence(sp, seq()).probabilities()[1]
+    assert target == pytest.approx(1 / sp.N, abs=1e-16)
 
 
 def test_global_only_equals_closed_form():
     for m in range(0, 8):
         sp = new_search_space(8, m)
         for k in (0, 1, 5, 12):
-            assert full_target_probability(sp, seq((G, k))) == pytest.approx(
+            target = apply_sequence(sp, seq((G, k))).probabilities()[1]
+            assert target == pytest.approx(
                 grover_full_search_probability(8, k), abs=1e-12
             )
 
@@ -278,12 +278,20 @@ def test_grover_rejects_negative_k():
         grover_full_search_probability(8, -1)
 
 
+def only_block(sp, k):
+    """Block success after k global queries: sin^2 u + (b-1)/(N-1) cos^2 u
+    with u = (2k+1) theta1, the target amplitude plus the uniform
+    remainder falling inside the block."""
+    s2 = math.sin((2 * k + 1) * angles(sp).theta1) ** 2
+    return s2 + (sp.b - 1) / (sp.N - 1) * (1.0 - s2)
+
+
 def test_only_block_formula_uniform_and_degenerate():
     sp = new_search_space(8, 2)
-    assert grover_only_block_probability(sp, 0) == pytest.approx(1 / sp.K, abs=1e-14)
+    assert only_block(sp, 0) == pytest.approx(1 / sp.K, abs=1e-14)
     sp0 = new_search_space(8, 0)
     for k in (0, 3, 9):
-        assert grover_only_block_probability(sp0, k) == pytest.approx(
+        assert only_block(sp0, k) == pytest.approx(
             grover_full_search_probability(8, k), abs=1e-16
         )
 
@@ -291,6 +299,6 @@ def test_only_block_formula_uniform_and_degenerate():
 def test_only_block_formula_matches_dynamics():
     sp = new_search_space(8, 2)
     for k in (1, 3, 7):
-        assert grover_only_block_probability(sp, k) == pytest.approx(
-            block_success_probability(sp, seq((G, k))), abs=1e-14
+        assert only_block(sp, k) == pytest.approx(
+            apply_sequence(sp, seq((G, k))).probabilities()[0], abs=1e-14
         )

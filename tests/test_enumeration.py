@@ -21,7 +21,6 @@ from partial_search import (
     initial_state,
     is_grk_form,
     local_grover_matrix,
-    min_expected_over_budget,
     new_search_space,
     render_fixed,
     render_percent,
@@ -39,6 +38,7 @@ from partial_search.enumeration import (
     _boxes,
     _grid,
     _kd_order,
+    _levels,
     _mask_to_sequence,
     _plan,
     _run_counts,
@@ -120,8 +120,9 @@ def test_grid_sequences_round_trip_and_end_globally():
 def test_column_minima_locations():
     for m, k_ref in zip(range(2, 8), REFERENCE_E_MIN_K):
         sp = new_search_space(8, m)
-        k_best, res = min_expected_over_budget(sp, range(2, 12))
-        assert k_best == k_ref
+        budgets = enumerate_budgets(sp, range(2, 12))
+        res = min(budgets, key=lambda r: r.expected_iterations)
+        assert res.k_tot == k_ref
         assert render_fixed(res.expected_iterations) == REFERENCE_E[k_ref][m - 2]
 
 
@@ -264,7 +265,7 @@ def test_sweep_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     sp = new_search_space(4, 2)
-    prefixes, suffixes = _plan(sp, 20)[2:]
+    prefixes, suffixes = _plan(sp, 20, _levels(sp, 20))[2:]
     assert prefixes.size * suffixes.shape[1] > _CHUNK_CELLS
     assert enumerate_max_probability(sp, 20).pr_max == 1.0
 
@@ -288,7 +289,8 @@ def test_sweep_does_not_depend_on_the_ufunc_buffer(monkeypatch, n, m, k_tot):
     # (4, 2, 24) is the dense stop and (8, 0, 12) has many ties
     from partial_search import enumeration
 
-    plan = _plan(new_search_space(n, m), k_tot)
+    sp = new_search_space(n, m)
+    plan = _plan(sp, k_tot, _levels(sp, k_tot))
     top, ties = _sweep(*plan)
     for size in (16, 64, 8192, 65536):
         monkeypatch.setattr(enumeration, "_SWEEP_BUFSIZE", size)
@@ -364,8 +366,8 @@ def test_budget_range_matches_one_call_per_budget():
         assert row.pr_max == one.pr_max
         assert row.expected_iterations == one.expected_iterations
     sp = new_search_space(10, 4)
-    k_best, res = min_expected_over_budget(sp, range(2, 19))
-    one = enumerate_max_probability(sp, k_best)
+    res = min(enumerate_budgets(sp, range(2, 19)), key=lambda r: r.expected_iterations)
+    one = enumerate_max_probability(sp, res.k_tot)
     assert res.tie_masks.tolist() == one.tie_masks.tolist()
     assert (res.pr_max, res.expected_iterations) == (one.pr_max, one.expected_iterations)
 
@@ -427,7 +429,7 @@ def test_pruned_sweep_matches_the_full_grid():
     for n, m, k in REFERENCE_CASES:
         sp = new_search_space(n, m)
         top, masks = full_enumeration(sp, k)
-        assert _sweep(*_plan(sp, k))[0] == top, (n, m, k)
+        assert _sweep(*_plan(sp, k, _levels(sp, k)))[0] == top, (n, m, k)
         res = enumerate_max_probability(sp, k)
         assert res.tie_masks.tolist() == list(masks), (n, m, k)
         assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
@@ -462,7 +464,8 @@ def test_every_product_is_bounded(monkeypatch):
 
 def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
     def swept(n, m, k):
-        prefixes, suffixes = _plan(new_search_space(n, m), k)[2:]
+        sp = new_search_space(n, m)
+        prefixes, suffixes = _plan(sp, k, _levels(sp, k))[2:]
         return prefixes.size * suffixes.shape[1] / 2**k, prefixes.shape[1]
 
     share, rows = swept(16, 8, 20)
@@ -493,7 +496,7 @@ def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
     for n, m, k in REFERENCE_CASES + [(62, 31, 20), (12, 9, 30), (16, 8, 30)]:
         sp = new_search_space(n, m)
         pr, _, k2 = grk_max_block_probability(sp, k)
-        v, u_t = _grid(sp, k)
+        v, u_t = _grid(k, _levels(sp, k))
         s = k - k // 2
         mask = ((1 << k2) - 1) << 1
         prefix, suffix = mask >> s, mask & ((1 << s) - 1)
@@ -511,7 +514,7 @@ def test_grid_columns_are_the_prefix_states_and_suffix_covectors():
         sp = new_search_space(n, m)
         gn, lm = global_grover_matrix(sp), local_grover_matrix(sp)
         p, s = k // 2, k - k // 2
-        v, u_t = _grid(sp, k)
+        v, u_t = _grid(k, _levels(sp, k))
         assert v.shape == (3, 1 << p) and u_t.shape == (3, 1 << s)
         for prefix in [0, (1 << p) - 1, *rng.integers(1 << p, size=4).tolist()]:
             state = apply_sequence(sp, _mask_to_sequence(prefix, p)).as_array()
@@ -543,7 +546,7 @@ def test_kd_order_splits_every_aligned_block_at_its_median():
     rng = np.random.default_rng(11)
     _assert_kd_cells(rng.normal(size=(3, 1024)) * np.array([[1.0], [3.0], [2.0]]), 4)
     for k in (23, 24):
-        v, u_t = _grid(new_search_space(16, 8), k)
+        v, u_t = _grid(k, _levels(new_search_space(16, 8), k))
         _assert_kd_cells(v, _LEAF_ROWS)
         _assert_kd_cells(u_t, _LEAF_ROWS * u_t.shape[1] // v.shape[1])
 
@@ -559,7 +562,7 @@ def _swept(states, covectors):
 def test_tile_intervals_hold_every_computed_amplitude():
     rng = np.random.default_rng(7)
     for n, m, k in [(16, 8, 20), (8, 3, 18), (6, 2, 17), (2, 0, 20), (40, 20, 22), (62, 31, 16)]:
-        v, u_t = _grid(new_search_space(n, m), k)
+        v, u_t = _grid(k, _levels(new_search_space(n, m), k))
         # random sets of rows and columns
         for _ in range(40):
             rows = rng.choice(v.shape[1], size=int(rng.integers(1, 40)), replace=False)
@@ -649,20 +652,18 @@ def test_expected_iterations_tiny_space():
 
 def test_min_expected_prefers_smaller_budget_on_ties():
     sp = new_search_space(8, 3)
-    k_best, res = min_expected_over_budget(sp, [8, 8, 8])
-    assert k_best == 8 and res.k_tot == 8
-    with pytest.raises(ParameterError):
-        min_expected_over_budget(sp, [])
+    results = list(enumerate_budgets(sp, [8, 8, 8]))
+    assert min(results, key=lambda r: r.expected_iterations) is results[0]
 
 
 def test_min_expected_matches_direct_scan():
     sp = new_search_space(6, 3)
-    k_best, res = min_expected_over_budget(sp, range(1, 11))
+    res = min(enumerate_budgets(sp, range(1, 11)), key=lambda r: r.expected_iterations)
     direct = min(
         (enumerate_max_probability(sp, k).expected_iterations, k)
         for k in range(1, 11)
     )
-    assert (res.expected_iterations, k_best) == direct
+    assert (res.expected_iterations, res.k_tot) == direct
 
 
 # -- classification and rendering ------------------------------------------------

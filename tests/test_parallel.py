@@ -16,16 +16,16 @@ from partial_search import (
     grk_parallel_expected,
     grk_parallel_min,
     grover_full_search_probability,
-    grover_kmin,
     hybrid_expected,
     hybrid_min,
-    inner_expected,
     inner_min,
     new_search_space,
     outer_expected,
     outer_min,
     space_for_parallelism,
 )
+from partial_search.bounds import continuous_kmin
+from partial_search.space import grover_angle
 
 
 # -- inner -----------------------------------------------------------------------
@@ -34,7 +34,7 @@ from partial_search import (
 def test_inner_reduces_database_per_qpu():
     N, l = 2**10, 4
     res = inner_min(N, l)
-    k_cont, _, _ = grover_kmin(N // l)
+    k_cont = continuous_kmin(grover_angle(N // l), 1)
     assert abs(res.k1 - k_cont) <= 1.0
     assert res.e_min == pytest.approx(res.queries / res.pr_at_opt, rel=1e-12)
 
@@ -52,8 +52,6 @@ def test_inner_degenerate_full_parallelism():
 def test_inner_requires_power_of_two():
     with pytest.raises(ConstraintError):
         inner_min(2**6, 3)
-    with pytest.raises(ConstraintError):
-        inner_expected(2**6, 3, 2)
     with pytest.raises(ConstraintError):
         inner_min(2**6, 2**7)
 
@@ -141,7 +139,9 @@ def test_inner_and_outer_reach_the_full_range():
     for scheme_min, n, l in [*cases, (inner_min, 56, 1)]:
         res = scheme_min(1 << n, l)
         items = (1 << n) // l if scheme_min is inner_min else 1 << n
-        k_cont, _, e_cont = grover_kmin(items)
+        theta = grover_angle(items)
+        k_cont = continuous_kmin(theta, 1)
+        e_cont = k_cont / math.sin((2 * k_cont + 1) * theta) ** 2
         # k / pr varies by less than an ulp across the three candidates
         # here, so rounding picks among them
         assert abs(res.k1 - k_cont) < 2.0
