@@ -27,7 +27,6 @@ from .enumeration import (
     EnumerationResult,
     TableRow,
     enumerate_max_probability,
-    expected_iterations,
     is_grk_form,
     render_fixed,
     render_percent,

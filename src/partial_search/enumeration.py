@@ -19,19 +19,24 @@ of them is a k-d cell, and the componentwise boxes of a tile's rows and
 columns bound u . v over the tile. The closed-form amp^2 of the best GRK
 leaf bounds the least amp^2 from above (up to _BOUND_SLACK), so a tile
 whose amplitudes all lie farther from 0 holds neither the maximum nor a
-tie and is dropped. The rest are bisected down to _LEAF_ROWS rows. Once
-a level keeps more than _DENSE_SHARE of the tiles it bounds, the
-survivors of the level above are swept instead: tiles 4x larger and at
+tie and is dropped. The rest are bisected down to _LEAF_ROWS rows. Then
+an exact stage bounds each of a leaf tile's covectors on its own against
+the tile's row box and drops, by the same test, every (tile, covector)
+pair that holds no candidate: a tile's interval spans the box of all of
+its covectors, a pair's only its one covector. Once a level keeps more
+than _DENSE_SHARE of the tiles it bounds, the survivors of the level
+above are swept instead, every pair of them: tiles 4x larger and at
 most 1/_DENSE_SHARE as many cells.
 
 The surviving tiles touch few suffix blocks, so they are swept one
-suffix block at a time: the block's covectors against the prefix rows
-of all of its tiles, the rows along the long, contiguous axis, in
-batches of at most _CHUNK_CELLS cells, one after another on the calling
-thread, under a small ufunc buffer so that numpy computes each row in
-place instead of copying it through the buffer. Each amplitude is
-written out as (u0 v0 + u1 v1) + u2 v2, the order the tile bounds
-assume, whatever the layout. Dropped tiles hold no tie, batches only
+suffix block at a time: the block's covectors that some tile keeps
+against the prefix rows of all of its tiles that keep one, the rows
+along the long, contiguous axis, in batches of at most _CHUNK_CELLS
+cells, one after another on the calling thread, under a small ufunc
+buffer so that numpy computes each row in place instead of copying it
+through the buffer. Each amplitude is written out as
+(u0 v0 + u1 v1) + u2 v2, the order the tile and pair bounds assume,
+whatever the layout. Dropped tiles and pairs hold no tie, batches only
 gather the ties and their order is undone by the final sort, and no
 amplitude passes through BLAS: results are bit-identical to a sweep of
 every leaf, for any number of BLAS threads and any ufunc buffer size.
@@ -64,7 +69,7 @@ from .space import SearchSpace, check_qubits, new_search_space
 K_TOT_CAP = 30  # 2^30 leaves; beyond this the exhaustive contract is off
 TIE_TOL = 1e-9  # sequences this close to the maximum count as co-optimal
 _CHUNK_CELLS = 1 << 16  # amplitude-grid cells per batch
-_LEAF_ROWS = 16  # prefix rows per tile where bisection stops
+_LEAF_ROWS = 32  # prefix rows per tile where bisection stops
 _TOP_LEVEL = 4  # bisection starts from 2^4 x 2^4 tiles
 _DENSE_SHARE = 0.9  # a level that keeps more of the tiles it bounds stops there
 _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
@@ -72,9 +77,9 @@ _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
 # reference's gap from its leaf on the grid (under 1e-14 where measured)
 _BOUND_SLACK = 1e-12
 _TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 24)
-# numpy's ufunc buffer, in elements, while _sweep runs: at (16, 8, 24) its six
-# products of 16 covectors x 320-2,736 prefix rows took 1.52 ms under the
-# default 8192 and 0.99 ms under 16 to 1024 (2-vCPU host, numpy 2.4.6)
+# numpy's ufunc buffer, in elements, while _sweep runs: at (8, 0, 24) its 129
+# products of up to 32 covectors x 32-2,304 prefix rows took 9.7 ms under the
+# default 8192 and 7.8-8.2 ms under 16 to 1024 (2-vCPU host, numpy 2.4.6)
 _SWEEP_BUFSIZE = 64
 
 
@@ -229,15 +234,19 @@ def _amp_interval(
     return (lo[0] + lo[1]) + lo[2], (hi[0] + hi[1]) + hi[2]
 
 
-def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, np.ndarray]:
+def _tiles(
+    v: np.ndarray, u_t: np.ndarray, sq_ref: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Branch and bound over tiles of prefix rows x suffix columns.
 
-    Returns (prefixes, suffixes), one row per surviving tile, all tiles
-    of one size: its h prefix and its w suffix indices. sq_ref is amp^2
+    Returns (prefixes, suffixes, pairs): one row per surviving tile, all
+    tiles of one size, of its h prefix and its w suffix indices, and the
+    w x tiles mask of _pairs, which keeps suffix j of tile t unless that
+    one covector is dropped against the tile's row box. sq_ref is amp^2
     of one leaf, within _BOUND_SLACK of that leaf's value on the grid. A
-    tile is dropped when every amplitude it can hold squares to more
-    than sq_ref + 2 TIE_TOL: none of its leaves is then the least amp^2
-    or within TIE_TOL of it.
+    tile, or a (tile, covector) pair, is dropped when every amplitude it
+    can hold squares to more than sq_ref + 2 TIE_TOL: none of its leaves
+    is then the least amp^2 or within TIE_TOL of it.
     """
     bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
     rows_leaf = _LEAF_ROWS
@@ -272,19 +281,57 @@ def _tiles(v: np.ndarray, u_t: np.ndarray, sq_ref: float) -> tuple[np.ndarray, n
         level += 1
 
     height, width = v.shape[1] >> level, u_t.shape[1] >> level
-    return row_order.reshape(-1, height)[rows], col_order.reshape(-1, width)[cols]
+    prefixes = row_order.reshape(-1, height)[rows]
+    suffixes = col_order.reshape(-1, width)[cols]
+    if level < levels:
+        # a dense stop: the few pairs that the stage would drop from tiles
+        # this large seldom empty a covector of its whole suffix block,
+        # so they would leave the sweep's products as they are
+        return prefixes, suffixes, np.ones((width, len(cols)), dtype=bool)
+    v_lo, v_hi = (np.take(box, rows, axis=1) for box in row_boxes[level])
+    covectors = np.take(u_t, suffixes.T, axis=1)  # 3 x w x tiles
+    return prefixes, suffixes, _pairs(v_lo, v_hi, covectors, bound)
+
+
+def _pairs(
+    v_lo: np.ndarray, v_hi: np.ndarray, covectors: np.ndarray, bound: float
+) -> np.ndarray:
+    """keep, a w x tiles bool array: keep[j, t] unless every amplitude of
+    covector j of tile t (covectors is 3 x w x tiles) against a state in
+    the tile's row box [v_lo, v_hi] (3 x tiles each) squares to more
+    than `bound`. This is _amp_interval with u_lo = u_hi = u: with u_i
+    fixed, the rounded product u_i v_i is monotone in v_i, so each term
+    lies between its products at the box's two ends, and the terms are
+    summed in the order of _amplitudes, (t0 + t1) + t2. The tiles lie
+    along the contiguous axis, and five w x tiles buffers hold every
+    step."""
+    lo, hi, at_lo, at_hi, term = (np.empty(covectors.shape[1:]) for _ in range(5))
+    for i in range(3):
+        np.multiply(covectors[i], v_lo[i], out=at_lo)
+        np.multiply(covectors[i], v_hi[i], out=at_hi)
+        if i == 0:
+            np.minimum(at_lo, at_hi, out=lo)
+            np.maximum(at_lo, at_hi, out=hi)
+        else:
+            np.add(lo, np.minimum(at_lo, at_hi, out=term), out=lo)
+            np.add(hi, np.maximum(at_lo, at_hi, out=term), out=hi)
+    gap = np.maximum(lo, np.negative(hi, out=hi), out=lo)  # distance from 0
+    np.maximum(gap, 0.0, out=gap)
+    return np.square(gap, out=gap) <= bound
 
 
 def _plan(
     space: SearchSpace, k_tot: int, levels: _Levels
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u_t, prefixes, suffixes): the grid (taken from `levels`) and,
-    one row per tile, the prefix and suffix indices of the tiles that may
-    hold the maximum or a tie; a grid of at most _CHUNK_CELLS cells is
-    one tile."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(v, u_t, prefixes, suffixes, pairs): the grid (taken from
+    `levels`), one row per tile, the prefix and suffix indices of the
+    tiles that may hold the maximum or a tie, and which (covector, tile)
+    pairs of them may (_tiles); a grid of at most _CHUNK_CELLS cells is
+    one tile, every pair kept."""
     v, u_t = _grid(k_tot, levels)
     if v.shape[1] * u_t.shape[1] <= _CHUNK_CELLS:
-        return v, u_t, np.arange(v.shape[1])[None], np.arange(u_t.shape[1])[None]
+        pairs = np.ones((u_t.shape[1], 1), dtype=bool)
+        return v, u_t, np.arange(v.shape[1])[None], np.arange(u_t.shape[1])[None], pairs
     return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
 
 
@@ -303,18 +350,27 @@ def _amplitudes(
 
 
 def _sweep(
-    v: np.ndarray, u_t: np.ndarray, prefixes: np.ndarray, suffixes: np.ndarray
+    v: np.ndarray,
+    u_t: np.ndarray,
+    prefixes: np.ndarray,
+    suffixes: np.ndarray,
+    pairs: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """(top, ties): the largest 1 - amp^2 over the tiles' cells and the
     masks of every cell within TIE_TOL of it, in no particular order.
 
     The tiles are grouped by their suffix block. Each group is one
-    product of the block's w covectors, one row each, with the prefix
-    rows of all of the group's tiles along the long, contiguous axis. It
-    is taken in batches of at most _CHUNK_CELLS cells, as many rows and
-    as few covectors per batch as that allows. The two scratch arrays
-    hold no more cells than the plan, and a one-tile plan (k_tot <= 16)
-    is one group, with no sort. Each batch keeps the cells within
+    product of the block's covectors that `pairs` (w x tiles) keeps for
+    at least one of the group's tiles, one row each, with the prefix
+    rows of the group's tiles that keep at least one of them along the
+    long, contiguous axis. Where every pair is kept (a dense stop, a
+    one-tile plan) that is the block's w covectors against all of the
+    group's rows. The product may hold cells of dropped pairs: each is
+    a leaf, swept exactly. It is taken in batches of at most
+    _CHUNK_CELLS cells, as many rows and as few covectors per batch as
+    that allows. The two scratch arrays hold no more cells than the
+    largest product, and a one-tile plan (k_tot <= 16) is one group,
+    with no sort. Each batch keeps the cells within
     2 TIE_TOL of the least amp^2 seen so far (a superset of the ties;
     max(1 - sq) = 1 - min(sq), rounding is monotone), so later batches
     keep fewer.
@@ -323,14 +379,12 @@ def _sweep(
     and the caller's size is restored on return and on error. numpy 2
     copies a broadcast product whose rows are shorter than about a third
     of its buffer (8192 elements by default) through that buffer, at
-    several times the cost per cell, and most groups' rows are 2-3K long;
-    under a buffer shorter than a row, each row is computed in place.
+    several times the cost per cell, and most groups' rows are 32 to a
+    few thousand long; under a buffer shorter than a row, each row is
+    computed in place.
     Every step of a batch is elementwise or a min, so no result depends
     on the buffer size."""
     s = u_t.shape[1].bit_length() - 1
-    width = suffixes.shape[1]
-    cells = min(_CHUNK_CELLS, prefixes.size * width)  # the largest batch at most
-    out, tmp = np.empty(cells), np.empty(cells)
     if len(suffixes) == 1:
         order, bounds = np.zeros(1, dtype=np.intp), [0, 1]
     else:
@@ -338,14 +392,24 @@ def _sweep(
         order = np.argsort(suffixes[:, 0], kind="stable")
         names = suffixes[order, 0]
         bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
+    pairs = pairs[:, order]
+    groups = []  # per suffix block: its kept suffixes and the tiles that keep one
+    for start, end in zip(bounds, bounds[1:]):
+        kept = pairs[:, start:end]
+        q = np.flatnonzero(kept.any(axis=1))
+        if len(q):
+            group = order[start:end][kept.any(axis=0)]
+            groups.append((suffixes[group[0], q], group))
+    most = max(len(q) * len(group) for q, group in groups) * prefixes.shape[1]
+    cells = min(_CHUNK_CELLS, most)  # the largest batch at most
+    out, tmp = np.empty(cells), np.empty(cells)
     low, batches, held = np.inf, [], 0
     old_bufsize = np.setbufsize(_SWEEP_BUFSIZE)
     try:
-        for start, end in zip(bounds, bounds[1:]):
-            group = order[start:end]
-            q = suffixes[group[0]]
+        for q, group in groups:
             covectors = np.take(u_t, q, axis=1)
             rows = prefixes[group].ravel()
+            width = len(q)
             span = min(len(rows), _CHUNK_CELLS)  # prefix rows per batch
             step = min(width, _CHUNK_CELLS // span)  # covectors per batch
             for first in range(0, len(rows), span):
@@ -447,14 +511,6 @@ def _enumerate(space: SearchSpace, k_tot: int, levels: _Levels) -> EnumerationRe
         tie_masks=kept,
         expected_iterations=k_tot / pr_max,
     )
-
-
-def expected_iterations(space: SearchSpace, seq: OperatorSequence) -> float:
-    """Mean queries under restart-on-failure: total_queries / block pr."""
-    pr = block_success_probability(space, seq)
-    if pr <= 0.0:
-        raise NumericalError("zero success probability, expectation diverges")
-    return seq.total_queries / pr
 
 
 def is_grk_form(seq: OperatorSequence) -> bool:

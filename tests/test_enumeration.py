@@ -16,7 +16,6 @@ from partial_search import (
     apply_sequence,
     block_success_probability,
     enumerate_max_probability,
-    expected_iterations,
     global_grover_matrix,
     initial_state,
     is_grk_form,
@@ -40,6 +39,7 @@ from partial_search.enumeration import (
     _kd_order,
     _levels,
     _mask_to_sequence,
+    _pairs,
     _plan,
     _run_counts,
     _sweep,
@@ -265,7 +265,7 @@ def test_sweep_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     sp = new_search_space(4, 2)
-    prefixes, suffixes = _plan(sp, 20, _levels(sp, 20))[2:]
+    prefixes, suffixes = _plan(sp, 20, _levels(sp, 20))[2:4]
     assert prefixes.size * suffixes.shape[1] > _CHUNK_CELLS
     assert enumerate_max_probability(sp, 20).pr_max == 1.0
 
@@ -462,10 +462,29 @@ def test_every_product_is_bounded(monkeypatch):
     assert set(products) == {(8, 8192)}
 
 
+def test_exact_stage_sweeps_few_cells(monkeypatch):
+    # the box-against-box bound keeps 189,184 cells at (16, 8, 24) and
+    # 724,224 at (16, 8, 30); bounding each covector against its tile's
+    # row box leaves a few of each tile's covectors to sweep
+    from partial_search import enumeration
+
+    amplitudes, cells = enumeration._amplitudes, []
+
+    def spy(states, covectors, out, tmp):
+        cells.append(out.size)
+        return amplitudes(states, covectors, out, tmp)
+
+    monkeypatch.setattr(enumeration, "_amplitudes", spy)
+    for (n, m, k), most in [((16, 8, 24), 8192), ((16, 8, 30), 2048)]:
+        cells.clear()
+        enumerate_max_probability(new_search_space(n, m), k)
+        assert 0 < sum(cells) <= most, (n, m, k)
+
+
 def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
     def swept(n, m, k):
         sp = new_search_space(n, m)
-        prefixes, suffixes = _plan(sp, k, _levels(sp, k))[2:]
+        prefixes, suffixes = _plan(sp, k, _levels(sp, k))[2:4]
         return prefixes.size * suffixes.shape[1] / 2**k, prefixes.shape[1]
 
     share, rows = swept(16, 8, 20)
@@ -475,18 +494,90 @@ def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
 
 
 def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
-    # 16 copies of each of 4 states and of 4 covectors: every leaf tile is
-    # one point, so its interval is its amplitude
+    # _LEAF_ROWS copies of each of 4 states and of 4 covectors: every leaf
+    # tile is one point, so its interval is its amplitude
     rng = np.random.default_rng(3)
     states, covectors = rng.normal(size=(4, 3)), rng.normal(size=(3, 4))
     sq = times(states, covectors) ** 2
-    v, u_t = np.repeat(states.T, 16, axis=1), np.repeat(covectors, 16, axis=1)
+    copies = _LEAF_ROWS
+    v, u_t = np.repeat(states.T, copies, axis=1), np.repeat(covectors, copies, axis=1)
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[1, 2]) - margin
-        prefixes, suffixes = _tiles(v, u_t, sq_ref)
-        kept = {(int(p[0]) // 16, int(c) // 16) for p, q in zip(prefixes, suffixes) for c in q}
+        prefixes, suffixes, _ = _tiles(v, u_t, sq_ref)
+        kept = {
+            (int(p[0]) // copies, int(c) // copies)
+            for p, q in zip(prefixes, suffixes)
+            for c in q
+        }
         assert kept == set(zip(*np.nonzero(sq <= sq_ref + 2 * TIE_TOL + _BOUND_SLACK)))
         assert ((1, 2) in kept) == (margin < 2 * TIE_TOL)
+
+
+def test_exact_stage_keeps_every_pair_within_two_tie_tolerances_of_the_reference():
+    # _LEAF_ROWS copies of each of 4 states against 128 distinct covectors
+    # of both signs: every leaf tile's row box is one point, so the exact
+    # stage's interval for a (tile, covector) pair is its amplitude as
+    # swept, while the tile's box-against-box interval spans its 32
+    # covectors. sq_ref near the median keeps about half of the leaves
+    rng = np.random.default_rng(17)
+    states, covectors = rng.normal(size=(3, 4)), rng.normal(size=(3, 128))
+    assert (covectors < 0).any(axis=1).all() and (covectors > 0).any(axis=1).all()
+    sq = _swept(states, covectors) ** 2  # a row per state
+    copies = _LEAF_ROWS
+    v = np.repeat(states, copies, axis=1)
+    target = tuple(np.argwhere(sq == np.sort(sq, axis=None)[sq.size // 2])[0])
+    for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
+        sq_ref = float(sq[target]) - margin
+        prefixes, suffixes, pairs = _tiles(v, covectors, sq_ref)
+        assert pairs.shape == (suffixes.shape[1], len(suffixes))
+        assert all(len(set((p // copies).tolist())) == 1 for p in prefixes)
+        kept = {
+            (int(p[0]) // copies, int(c))
+            for t, (p, q) in enumerate(zip(prefixes, suffixes))
+            for c in q[pairs[:, t]]
+        }
+        assert kept == set(zip(*np.nonzero(sq <= sq_ref + 2 * TIE_TOL + _BOUND_SLACK)))
+        assert (target in kept) == (margin < 2 * TIE_TOL)
+        # the tiles alone keep pairs that the stage drops
+        tiled = {(int(p[0]) // copies, int(c)) for p, q in zip(prefixes, suffixes) for c in q}
+        assert len(kept) < len(tiled)
+
+
+def test_exact_stage_keeps_every_pair_that_holds_a_leaf_within_the_bound():
+    # row boxes of 32 states against single covectors with components of
+    # both signs, on a grid and on random points: a pair is kept whenever
+    # one of its computed amplitudes squares to at most the bound, here
+    # the least amp^2 of every 12th pair in order, up to the largest
+    rng = np.random.default_rng(23)
+    v, u_t = _grid(20, _levels(new_search_space(16, 8), 20))
+    grids = [(v, u_t), (rng.normal(size=(3, 1024)), rng.normal(size=(3, 1024)))]
+    for v, u_t in grids:
+        assert (u_t < 0).any()
+        tiles, width = 24, 8
+        rows = rng.integers(v.shape[1], size=(tiles, 32))
+        cols = rng.integers(u_t.shape[1], size=(width, tiles))
+        blocks = np.take(v, rows, axis=1)  # 3 x tiles x 32
+        v_lo, v_hi = blocks.min(axis=2), blocks.max(axis=2)
+        covectors = np.take(u_t, cols, axis=1)  # 3 x w x tiles
+        least = np.empty((width, tiles))
+        for j, t in np.ndindex(width, tiles):
+            least[j, t] = np.square(_swept(v[:, rows[t]], covectors[:, j, t : t + 1])).min()
+        for bound in np.sort(least, axis=None)[11::12]:
+            keep = _pairs(v_lo, v_hi, covectors, float(bound))
+            assert keep.shape == (width, tiles)
+            assert keep[least <= bound].all()
+        # a row box of one state: the pair's interval is its amplitude as
+        # swept, so the pair is kept at its amp^2 and dropped one ulp below
+        state = v[:, rows[:, 0]]
+        amp = np.empty((width, tiles))
+        for j, t in np.ndindex(width, tiles):
+            amp[j, t] = _swept(state[:, t : t + 1], covectors[:, j, t : t + 1])[0, 0]
+        sq = np.square(amp)
+        for j, t in zip(range(width), rng.permutation(tiles)):
+            at = _pairs(state, state, covectors, float(sq[j, t]))
+            below = _pairs(state, state, covectors, float(np.nextafter(sq[j, t], -1.0)))
+            assert at[j, t] and not below[j, t]
+            assert np.array_equal(at, sq <= sq[j, t])
 
 
 def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
@@ -633,19 +724,24 @@ def test_grk_is_optimal_at_the_expectation_optimal_budget():
 # -- expected iterations --------------------------------------------------------
 
 
+def _expected_iterations(space, seq):
+    """Mean queries under restart-on-failure: total_queries / block pr."""
+    return seq.total_queries / block_success_probability(space, seq)
+
+
 def test_expected_iterations_reference_points():
     sp = new_search_space(8, 2)
     seq = OperatorSequence.from_product_string("G_8G_2G_8^6", sp)
-    assert render_fixed(expected_iterations(sp, seq)) == "10.4175"
+    assert render_fixed(_expected_iterations(sp, seq)) == "10.4175"
     sp6 = new_search_space(8, 6)
     seq6 = OperatorSequence.from_product_string("G_8G_6", sp6)
-    assert render_fixed(expected_iterations(sp6, seq6)) == "5.8919"
+    assert render_fixed(_expected_iterations(sp6, seq6)) == "5.8919"
 
 
 def test_expected_iterations_tiny_space():
     # n=1: one global query rotates to sin^2(3 pi/4) = 1/2, so E = 2
     sp = new_search_space(1, 0)
-    assert expected_iterations(sp, OperatorSequence([(G, 1)])) == pytest.approx(
+    assert _expected_iterations(sp, OperatorSequence([(G, 1)])) == pytest.approx(
         2.0, abs=1e-13
     )
 
