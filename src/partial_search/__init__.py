@@ -58,7 +58,6 @@ from .statevec import (
     apply_global_diffusion,
     apply_local_diffusion,
     apply_oracle,
-    simulate_sequence,
     verify_subspace,
 )
 

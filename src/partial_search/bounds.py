@@ -260,7 +260,7 @@ def min_expected_sweep(
     c = bound_constants()
     out = []
     for space in spaces:
-        e, k1, k2, _, _ = grk_scan_min(space, lambda q, prb, prt: q / prb)
+        e, k1, k2, _, _ = grk_scan_min(space, lambda prb, prt: prb)
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
         narrow = c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b
         wide = space.K - 8.0 * space.K**2 / space.N

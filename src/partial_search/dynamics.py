@@ -93,13 +93,6 @@ class OperatorSequence:
     def total_queries(self) -> int:
         return sum(c for _, c in self.runs)
 
-    def kinds(self) -> list[Kind]:
-        """Flat application-order list, one entry per oracle query."""
-        out: list[Kind] = []
-        for kind, count in self.runs:
-            out.extend([kind] * count)
-        return out
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OperatorSequence) and self.runs == other.runs
 

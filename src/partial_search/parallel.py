@@ -179,7 +179,7 @@ def _block_scan_min(
 ) -> SchemeResult:
     _check_block_scheme(space, l)
     e, k1, k2, pr_b, pr_t = grk_scan_min(
-        space, lambda q, prb, prt: q / success(l, prb, prt), allow_k2=allow_k2
+        space, lambda prb, prt: success(l, prb, prt), allow_k2=allow_k2
     )
     pr = success(l, pr_b, pr_t)
     return SchemeResult(

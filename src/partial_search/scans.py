@@ -8,18 +8,16 @@ optimizers. The scan box k1+k2+1 <= ceil(pi sqrt(N)/4) + ceil(sqrt(b)),
 k2 <= ceil(pi sqrt(b)/2) covers every optimum seen at desk scale; widen
 the arguments if exploring elsewhere.
 
-grk_scan_min does not visit the whole box. It first evaluates the
-one-query cell (k1, k2) = (0, 0), the seed. The objective is
-non-decreasing in queries and non-increasing in both probabilities, so
-a cell of q queries is worth at least objective(q, 1, 1), and a cell
-worth at most the seed, a tie with the optimum included, has no more
-queries than the largest q with objective(q, 1, 1) <= seed. The scan
-cuts the box to that many queries; for the expectation q / pr that is
-floor(seed), which makes the wide blocks (m > n/2), whose optimum is
+grk_scan_min does not visit the whole box. It minimizes the expected
+query count q / success(pr_block, pr_target), with success non-decreasing
+in both probabilities and at most 1, so a cell of q queries is worth at
+least q. It first evaluates the one-query cell (k1, k2) = (0, 0), the
+seed, and cuts the box to floor(seed) queries: no cell with more can
+beat or tie it. That makes the wide blocks (m > n/2), whose optimum is
 the one-query cell, a box of a few cells. Then, along one k2 column,
 each amplitude is R sin((2 k1 + 1) theta1 + phi), so over a k1 interval
 its square is extreme at an end or at a zero or peak of the sine; that
-bounds the objective on the whole interval, and bisection keeps only
+bounds the expectation on the whole interval, and bisection keeps only
 the intervals that can hold the optimum. Two caps keep a scan to
 seconds: a box of more than _SCAN_COLUMN_CAP k2 columns, counted
 before the cut, is refused before it starts, and a scan is stopped with
@@ -36,8 +34,6 @@ import numpy as np
 from .dynamics import _uniform_complement, global_grover_matrix
 from .errors import ParameterError, ResourceLimitError
 from .space import SearchSpace, angles
-
-Objective = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def default_budget(space: SearchSpace) -> int:
@@ -72,8 +68,9 @@ def scan_shape(
     """(budget, k2 columns) of the grk_scan_min box with these arguments.
 
     Raises ResourceLimitError when the box has more than _SCAN_COLUMN_CAP
-    k2 columns, each of which the scan bounds at least once, so a caller
-    about to run several scans can refuse before the first one starts.
+    k2 columns, so a caller about to run several scans can refuse before
+    the first one starts. The cap counts the uncut box: a scan bounds
+    only min(columns, cut) of them, the cut known only once the seed is.
     """
     if budget is None:
         budget = default_budget(space)
@@ -121,32 +118,9 @@ def _probabilities(
     return 1.0 - (a_b * sin_y + b_b * cos_y) ** 2, (a_t * sin_y + b_t * cos_y) ** 2
 
 
-def _query_cut(objective: Objective, budget: int, seed: float) -> int:
-    """The most queries q in [1, budget] at which objective(q, 1, 1) does
-    not exceed seed, or 1 if none does. No cell with more queries is worth
-    seed or less.
-
-    q = budget is tried first, so a box that the seed does not cut costs
-    one objective call. Each further call tries 64 evenly spaced q, so a
-    budget of 2^31 takes at most six more.
-    """
-    ones = np.ones(64)
-    if not objective(np.array([float(budget)]), ones[:1], ones[:1])[0] > seed:
-        return budget
-    lo, hi = 1, budget - 1  # the answer is in [lo, hi]
-    while lo < hi:
-        qs = lo + (hi - lo) * np.arange(1, 65) // 64  # rising to hi, all of (lo, hi] if short
-        fit = int(np.count_nonzero(~(objective(qs.astype(float), ones, ones) > seed)))
-        if fit:
-            lo = int(qs[fit - 1])
-        if fit < 64:
-            hi = int(qs[fit]) - 1
-    return lo
-
-
 def _interval_bounds(
     space: SearchSpace,
-    objective: Objective,
+    success: Callable[[np.ndarray, np.ndarray], np.ndarray],
     budget: int,
     size: int,
     blocks: np.ndarray,
@@ -160,11 +134,11 @@ def _interval_bounds(
     Along the interval each amplitude is R sin(y + phi), so its square
     is least and greatest at an end, unless the interval holds a zero
     (a sign change of the amplitude) or a peak (one of its slope).
-    lower is the objective at the fewest queries and the largest
+    lower is q / success at the fewest queries and the largest
     probabilities: at most its value on any cell of the interval. upper
     is at least its value on one of the two end cells. Each probability
     is widened by _PROB_SLACK, so both hold against rounding, also where
-    the objective is 0.
+    a probability is 0.
     """
     lo = blocks * size
     hi = np.minimum(lo + size, budget - k2s) - 1
@@ -182,21 +156,15 @@ def _interval_bounds(
     pr_t_hi = np.where(peak, a_t * a_t + b_t * b_t, np.maximum(t_lo, t_hi))
     q_lo, q_hi = 1.0 + k2s + lo, 1.0 + k2s + hi
     with np.errstate(divide="ignore"):  # a probability bound of 0 is worth inf, as in the cells
-        lower = objective(
-            q_lo,
-            np.minimum(pr_b_hi + _PROB_SLACK, 1.0),
-            np.minimum(pr_t_hi + _PROB_SLACK, 1.0),
+        lower = q_lo / success(
+            np.minimum(pr_b_hi + _PROB_SLACK, 1.0), np.minimum(pr_t_hi + _PROB_SLACK, 1.0)
         )
         upper = np.minimum(
-            objective(
-                q_lo,
-                np.maximum(1.0 - bb_lo - _PROB_SLACK, 0.0),
-                np.maximum(t_lo - _PROB_SLACK, 0.0),
+            q_lo / success(
+                np.maximum(1.0 - bb_lo - _PROB_SLACK, 0.0), np.maximum(t_lo - _PROB_SLACK, 0.0)
             ),
-            objective(
-                q_hi,
-                np.maximum(1.0 - bb_hi - _PROB_SLACK, 0.0),
-                np.maximum(t_hi - _PROB_SLACK, 0.0),
+            q_hi / success(
+                np.maximum(1.0 - bb_hi - _PROB_SLACK, 0.0), np.maximum(t_hi - _PROB_SLACK, 0.0)
             ),
         )
     return lower, upper
@@ -204,28 +172,29 @@ def _interval_bounds(
 
 def grk_scan_min(
     space: SearchSpace,
-    objective: Objective,
+    success: Callable[[np.ndarray, np.ndarray], np.ndarray],
     allow_k2: bool = True,
     budget: int | None = None,
     k2_cap: int | None = None,
 ) -> tuple[float, int, int, float, float]:
-    """Minimize objective(queries, pr_block, pr_target) over the grid.
+    """Minimize the expectation queries / success(pr_block, pr_target)
+    over the grid.
 
     queries = 1 + k1 + k2. Returns (value, k1, k2, pr_block, pr_target)
     at the optimum; ties break toward smaller (queries, k2).
 
-    Precondition: the objective is non-decreasing in queries and
-    non-increasing in pr_block and pr_target on [0, 1], as every
-    objective in the package is. The scan relies on it to skip cells.
-    First the one-query cell, evaluated as the leaf sweep evaluates it,
-    seeds the incumbent, and the box is cut to the most queries q with
-    objective(q, 1, 1) <= seed: a cell of more queries is worth more than
-    the seed, so it can neither beat nor tie the optimum, and the cut
-    keeps the argmin and the tie rule. Then each k2 column is bisected
-    into aligned k1 intervals, level by level for all live intervals at
-    once, and an interval is dropped when the objective at (its fewest
+    Precondition: success is non-decreasing in pr_block and pr_target on
+    [0, 1] and at most 1, as every success in the package is. The scan
+    relies on it to skip cells. First the one-query cell, evaluated as
+    the leaf sweep evaluates it, seeds the incumbent, and the box is cut
+    to floor(seed) queries (the whole budget for a seed of inf): a cell
+    of q queries is worth at least q, so one of more is worth more than
+    the seed, can neither beat nor tie the optimum, and the cut keeps
+    the argmin and the tie rule. Then each k2 column is bisected into
+    aligned k1 intervals, level by level for all live intervals at once,
+    and an interval is dropped when the expectation at (its fewest
     queries, the largest probabilities in it) exceeds the incumbent, the
-    best objective bounded at an interval end. Surviving leaves of _LEAF
+    best expectation bounded at an interval end. Surviving leaves of _LEAF
     rows are swept flat with the same closed form, _CHUNK_CELLS cells at
     a time, so the result is that of a sweep over every cell. A box of
     at most _CHUNK_CELLS columns computes their _sine_coefficients once,
@@ -243,9 +212,10 @@ def grk_scan_min(
     pr_b, pr_t = _probabilities(
         theta1, zero, _sine_coefficients(space, zero) if table is None else table[:, :1]
     )
-    with np.errstate(divide="ignore"):  # a one-query probability of 0 is worth inf
-        seed = float(objective(np.ones(1), pr_b, pr_t)[0])
-    budget = _query_cut(objective, budget, seed)
+    with np.errstate(divide="ignore"):  # a one-query success of 0 is worth inf
+        seed = float(1.0 / success(pr_b, pr_t)[0])
+    if seed < budget:
+        budget = math.floor(seed)
     columns = min(columns, budget)
     if table is None and columns <= _CHUNK_CELLS:
         table = _sine_coefficients(space, np.arange(columns))
@@ -279,7 +249,7 @@ def grk_scan_min(
             k2s, blocks = k2s[inside], blocks[inside]
             evaluated += 2 * len(k2s)
             lower, upper = _interval_bounds(
-                space, objective, budget, size, blocks, k2s, coefficients(k2s)
+                space, success, budget, size, blocks, k2s, coefficients(k2s)
             )
             incumbent = min(incumbent, float(upper.min(initial=math.inf)))
             keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
@@ -308,7 +278,7 @@ def grk_scan_min(
         pr_b, pr_t = _probabilities(theta1, k1, column)
         pr_b, pr_t, q = pr_b[keep], pr_t[keep], q[keep]
         k2 = q - 1 - k1[keep]
-        vals = objective(q.astype(float), pr_b, pr_t)
+        vals = q / success(pr_b, pr_t)
         ties = np.flatnonzero(vals == vals.min())
         j = ties[np.lexsort((k2[ties], q[ties]))[0]]
         cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))
@@ -333,8 +303,6 @@ def grk_max_block_probability(
         raise ParameterError("k_tot must be >= 1")
     check_splits(k_tot)
     k2s = np.arange(k_tot)
-    _, _, a_b, b_b = _sine_coefficients(space, k2s)
-    y = (2.0 * (k_tot - 1 - k2s) + 1.0) * angles(space).theta1
-    pr = 1.0 - (a_b * np.sin(y) + b_b * np.cos(y)) ** 2
+    pr, _ = _probabilities(angles(space).theta1, k_tot - 1 - k2s, _sine_coefficients(space, k2s))
     j = int(np.argmax(pr))
     return float(pr[j]), k_tot - 1 - j, j

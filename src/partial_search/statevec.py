@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .dynamics import Kind, OperatorSequence, State3, _apply_sequences
+from .dynamics import Kind, OperatorSequence, _apply_sequences
 from .errors import ParameterError, ResourceLimitError
 from .space import new_search_space
 
@@ -223,29 +223,6 @@ def _run_rows(
             else:
                 np.subtract(twice_block[:, :, None], blocks, out=blocks)
     return amp
-
-
-def simulate_sequence(
-    n: int, m: int, target_index: int, seq: OperatorSequence
-) -> tuple[float, float, State3]:
-    """Run the sequence on the full vector.
-
-    Returns (block probability, target probability, projection on the
-    3D basis). The projection's residual is guaranteed small only because
-    the dynamics never leave the span; callers verifying that property
-    should use verify_subspace.
-    """
-    _check_size(n)
-    new_search_space(n, m)  # validates m
-    if not 0 <= target_index < 1 << n:
-        raise ParameterError("target_index out of range")
-    _check_work(n, seq.total_queries)
-    targets = np.array([target_index])
-    local = np.array([kind is Kind.LOCAL for kind in seq.kinds()], dtype=bool)
-    amp = _run_rows(n, m, targets, local[:, None], np.array([len(local)]))
-    block_prob, proj, _ = _project(amp, targets, m)
-    amp_t, amp_bt, amp_bbar = proj[0].tolist()
-    return float(block_prob[0]), amp_t**2, State3(amp_t, amp_bt, amp_bbar)
 
 
 def _project(

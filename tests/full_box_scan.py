@@ -2,8 +2,8 @@
 evaluates every cell of the (k1, k2) box with no pruning and no cap.
 
 Chunks of whole k1 rows, 4096 cells each, are one (rows x 3)(3 x k2)
-product per amplitude; the objective sees their in-budget cells, and ties
-break toward smaller (queries, k2). Test-only: a box at n = 28 holds
+product per amplitude; the expectation q / success is taken on their
+in-budget cells, and ties break toward smaller (queries, k2). Test-only: a box at n = 28 holds
 4.5e8 cells and takes seconds.
 """
 
@@ -34,7 +34,7 @@ def final_rows(space, k2s, row):
     return np.stack([r[0] * c - r[1] * s, r[0] * s + r[1] * c, np.full(len(k2s), r[2])])
 
 
-def full_box_scan_min(space, objective, allow_k2=True, budget=None, k2_cap=None):
+def full_box_scan_min(space, success, allow_k2=True, budget=None, k2_cap=None):
     """(value, k1, k2, pr_block, pr_target) at the minimum over every cell."""
     if budget is None:
         budget = default_budget(space)
@@ -52,7 +52,7 @@ def full_box_scan_min(space, objective, allow_k2=True, budget=None, k2_cap=None)
         pr_t = (states @ w_t)[keep] ** 2
         k2 = np.broadcast_to(k2s, keep.shape)[keep]
         q = (k1s[:, None] + 1 + k2s)[keep]
-        vals = objective(q.astype(float), pr_b, pr_t)
+        vals = q / success(pr_b, pr_t)
         ties = np.flatnonzero(vals == vals.min())
         j = ties[np.lexsort((k2[ties], q[ties]))[0]]
         cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))

@@ -25,8 +25,6 @@ TEST_REFERENCES = {
     "for verify's batched kernel",
     "apply_local_diffusion": "one-vector statevector step, the reference "
     "for verify's batched kernel",
-    "simulate_sequence": "one-vector statevector run, the reference for "
-    "verify's batched kernel",
 }
 
 

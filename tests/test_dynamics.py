@@ -36,10 +36,6 @@ def test_sequence_normalizes_runs():
     assert s.total_queries == 6
 
 
-def test_sequence_kinds_flatten():
-    assert seq((L, 2), (G, 1)).kinds() == [L, L, G]
-
-
 def test_sequence_rejects_negative_count():
     with pytest.raises(ParameterError):
         seq((G, -1))

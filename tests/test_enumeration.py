@@ -83,9 +83,8 @@ def _independent_enumerate(space, k_tot):
     best = max(pr for pr, _ in leaves)
     ties = [(pr, kinds) for pr, kinds in leaves if pr >= best - TIE_TOL]
     ties = [(pr, kinds) for pr, kinds in ties if kinds[-1] is G] or ties
-    pairs = [(OperatorSequence.from_kinds(kinds), pr) for pr, kinds in ties]
-    pairs.sort(key=lambda sp: (len(sp[0].runs), [k is L for k in sp[0].kinds()]))
-    return best, tuple(pairs)
+    ties.sort(key=lambda t: (len(OperatorSequence.from_kinds(t[1]).runs), [k is L for k in t[1]]))
+    return best, tuple((OperatorSequence.from_kinds(kinds), pr) for pr, kinds in ties)
 
 
 # -- golden grids --------------------------------------------------------------

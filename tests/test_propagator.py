@@ -194,10 +194,10 @@ def test_random_batches_are_apply_sequence(data):
 # -- vectorized scans against one apply_sequence per cell ------------------------
 
 L_QPU = 3
-OBJECTIVES = {
-    "expectation": lambda q, prb, prt: q / prb,
-    "grk": lambda q, prb, prt: q / prb**L_QPU,
-    "hybrid": lambda q, prb, prt: q / (1.0 - (1.0 - prb**L_QPU) * (1.0 - prt) ** L_QPU),
+SUCCESSES = {
+    "expectation": lambda prb, prt: prb,
+    "grk": lambda prb, prt: prb**L_QPU,
+    "hybrid": lambda prb, prt: 1.0 - (1.0 - prb**L_QPU) * (1.0 - prt) ** L_QPU,
 }
 SPACES = [(n, m) for n in range(1, 13) for m in range(n)]
 
@@ -225,26 +225,26 @@ def assert_same_optimum(got, cells):
         assert any(got == pytest.approx(r, rel=1e-12, abs=1e-14) for r in near)
 
 
-def scan_cells(space, objective, budget, k2_cap):
+def scan_cells(space, success, budget, k2_cap):
     cells = []
     for k1 in range(budget):
         for k2 in range(min(k2_cap, budget - 1 - k1) + 1):
             pr_b, pr_t = _grk_probabilities(space, k1, k2)
-            value = float(objective(np.float64(1 + k1 + k2), pr_b, pr_t))
+            value = float(np.float64(1 + k1 + k2) / success(pr_b, pr_t))
             result = (value, k1, k2, float(pr_b), float(pr_t))
             cells.append((value, 1 + k1 + k2, k2, result))
     return cells
 
 
 @pytest.mark.parametrize("allow_k2", [True, False])
-@pytest.mark.parametrize("name", sorted(OBJECTIVES))
+@pytest.mark.parametrize("name", sorted(SUCCESSES))
 def test_scan_min_matches_cell_loop(name, allow_k2):
-    objective = OBJECTIVES[name]
+    success = SUCCESSES[name]
     for n, m in SPACES:
         space = new_search_space(n, m)
         k2_cap = default_k2_cap(space) if allow_k2 else 0
-        cells = scan_cells(space, objective, default_budget(space), k2_cap)
-        assert_same_optimum(grk_scan_min(space, objective, allow_k2=allow_k2), cells)
+        cells = scan_cells(space, success, default_budget(space), k2_cap)
+        assert_same_optimum(grk_scan_min(space, success, allow_k2=allow_k2), cells)
 
 
 def first_cell_reaching(space, budget, k2_cap, tau):
@@ -257,52 +257,56 @@ def first_cell_reaching(space, budget, k2_cap, tau):
     raise AssertionError("no cell reaches tau")
 
 
+def step_success(lo, hi):
+    """A success of 1 where the block probability reaches hi, 0.5 where it
+    reaches only lo, 2^-20 elsewhere: q / success is exact, and a cell of
+    q queries at 0.5 ties one of 2q queries at 1."""
+    return lambda prb, prt: np.where(prb >= hi, 1.0, np.where(prb >= lo, 0.5, 2.0**-20))
+
+
 def test_scan_min_tie_order_across_chunks():
-    # every cell whose block probability reaches tau is worth floor(q / step),
-    # the rest 1e9: with step 4098 all of them tie at 0, with step 64 each
-    # run of 64 query counts ties. The peaks of pr_block drift, so a higher
-    # tau is first reached later: at 11, 539 and 3453 queries with k2 <= 1
-    # (leaves of 2048 rows, one level), at 12 (k2 = 0 and 2 tie) and 82
-    # with k2 <= 127 (leaves of 32 rows under three levels of bisection).
-    # The pick is the fewest queries, then the smallest k2, wherever the
-    # leaf and level boundaries fall. No tau is within 1e-10 of any cell.
+    # every cell whose block probability reaches tau is worth its query
+    # count, the rest 2^20 times theirs. The peaks of pr_block drift, so a
+    # higher tau is first reached later: at 11, 539 and 3453 queries with
+    # k2 <= 1 (leaves of 2048 rows, one level), at 12 (k2 = 0 and 2 tie)
+    # and 82 with k2 <= 127 (leaves of 32 rows under three levels of
+    # bisection). The pick is the fewest queries, then the smallest k2,
+    # wherever the leaf and level boundaries fall. No tau is within 1e-10
+    # of any cell.
     space = new_search_space(8, 3)
     cases = [(1, 0.99), (1, 0.9999999), (1, 0.99999999), (127, 0.999), (127, 0.99999999)]
     for k2_cap, tau in cases:
         k1, k2 = first_cell_reaching(space, 4097, k2_cap, tau)
-        for step in (64, 4098):
-
-            def objective(q, prb, prt):
-                return np.where(prb >= tau, np.floor(q / step), 1e9)
-
-            got = grk_scan_min(space, objective, budget=4097, k2_cap=k2_cap)
-            assert got[:3] == ((1 + k1 + k2) // step, k1, k2)
+        got = grk_scan_min(space, step_success(tau, tau), budget=4097, k2_cap=k2_cap)
+        assert got[:3] == (1 + k1 + k2, k1, k2)
     for budget in (1, 2, 3, 2049, 4097):
-        objective = OBJECTIVES["expectation"]
-        cells = scan_cells(space, objective, budget, 1)
-        got = grk_scan_min(space, objective, budget=budget, k2_cap=1)
+        success = SUCCESSES["expectation"]
+        cells = scan_cells(space, success, budget, 1)
+        got = grk_scan_min(space, success, budget=budget, k2_cap=1)
         assert_same_optimum(got, cells)
 
 
 def test_scan_min_refuses_more_cells_than_the_cap(monkeypatch):
     # the cap counts cells evaluated: each interval's two end cells, then
-    # every cell of the surviving leaves. A constant objective prunes
-    # nothing: the 4 x 3 box is one interval per column (6 end cells) and
-    # 9 in-budget cells, so a cap of 15 admits it and 14 does not
+    # every cell of the surviving leaves. A success of 0 makes every cell
+    # worth inf, so the seed cuts nothing and nothing is pruned: the 4 x 3
+    # box is one interval per column (6 end cells) and 9 in-budget cells,
+    # so a cap of 15 admits it and 14 does not
     space = new_search_space(8, 3)
-    flat = lambda q, prb, prt: np.zeros_like(q)  # noqa: E731
+    never = lambda prb, prt: np.zeros_like(prb)  # noqa: E731
     monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 15)
-    assert grk_scan_min(space, flat, budget=4, k2_cap=2)[:3] == (0.0, 0, 0)
+    with np.errstate(divide="ignore"):
+        assert grk_scan_min(space, never, budget=4, k2_cap=2)[:3] == (math.inf, 0, 0)
     monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 14)
     with pytest.raises(ResourceLimitError, match="cap of 2\\^3 evaluated cells"):
-        grk_scan_min(space, flat, budget=4, k2_cap=2)
+        grk_scan_min(space, never, budget=4, k2_cap=2)
     monkeypatch.undo()
     # a box of 2^20 x 513 cells, four times the old box cap, costs only
     # the cells that can beat the optimum: none past 16 queries can, as
     # the expectation exceeds the query count
-    objective = OBJECTIVES["expectation"]
-    got = grk_scan_min(space, objective, budget=1 << 20, k2_cap=512)
-    want = full_box_scan_min(space, objective, budget=16, k2_cap=512)
+    success = SUCCESSES["expectation"]
+    got = grk_scan_min(space, success, budget=1 << 20, k2_cap=512)
+    want = full_box_scan_min(space, success, budget=16, k2_cap=512)
     assert want[0] < 16 and got == want
 
 
@@ -355,23 +359,24 @@ def test_budget_comparison_refuses_an_oversized_range_before_any_budget(monkeypa
 
 
 def test_scan_min_prefers_fewer_queries_over_smaller_k2():
-    # cells whose block probability reaches tau are worth floor(q / 8): 0
-    # up to 7 queries. At tau = 0.55 they start with (q, k2) = (6, 1) and
-    # (7, 0), which tie: the fewest queries beat the smaller k2. At
-    # tau = 0.305 they start with (4, 1) and (4, 2): at equal queries the
-    # smaller k2 wins. No tau is within 5e-4 of a cell's probability
+    # the block probability first reaches 0.305 at (q, k2) = (4, 1) and
+    # (4, 2), and 0.75 at (8, 0), (8, 1) and (8, 2). With success 1 from
+    # 0.305 the two 4-query cells tie at 4: at equal queries the smaller
+    # k2 wins. With success 0.5 from 0.305 and 1 from 0.75 they are worth
+    # 8, exactly as (8, 0) is: the fewest queries beat the smaller k2. No
+    # threshold is within 5e-4 of a cell's probability
     space = new_search_space(8, 3)
-    for tau, want in ((0.55, (0.0, 4, 1)), (0.305, (0.0, 2, 1))):
-        objective = lambda q, prb, prt: np.where(prb >= tau, np.floor(q / 8), 1e9)  # noqa: E731
-        assert grk_scan_min(space, objective, budget=10, k2_cap=3)[:3] == want
+    for lo, hi, want in ((0.305, 0.305, (4.0, 2, 1)), (0.305, 0.75, (8.0, 2, 1))):
+        got = grk_scan_min(space, step_success(lo, hi), budget=10, k2_cap=3)
+        assert got[:3] == want
 
 
-BLOCK_OBJECTIVES = {
-    "expectation": lambda q, prb, prt: q / prb,
-    "target": lambda q, prb, prt: q / prt,
-    **{f"grk-{l}": lambda q, prb, prt, l=l: q / prb**l for l in (2, 3, 4)},
+BLOCK_SUCCESSES = {
+    "expectation": lambda prb, prt: prb,
+    "target": lambda prb, prt: prt,
+    **{f"grk-{l}": lambda prb, prt, l=l: prb**l for l in (2, 3, 4)},
     **{
-        f"hybrid-{l}": lambda q, prb, prt, l=l: q / (1.0 - (1.0 - prb**l) * (1.0 - prt) ** l)
+        f"hybrid-{l}": lambda prb, prt, l=l: 1.0 - (1.0 - prb**l) * (1.0 - prt) ** l
         for l in (2, 3, 4)
     },
 }
@@ -381,17 +386,17 @@ BLOCK_OBJECTIVES = {
 def test_scan_min_matches_full_box(n):
     # the pruned scan against the sweep over every cell, for every m, the
     # expectation (of the block, and of the target itself) and the grk
-    # and hybrid objectives at l = 2..4, with and without k2: the same
+    # and hybrid successes at l = 2..4, with and without k2: the same
     # cell, and the same value up to the rounding of the products. Far
     # cells where a success rounds to 0 are worth inf; the pruned scan
     # evaluates them too where a leaf spans the whole budget (few columns)
     for m in range(n):
         space = new_search_space(n, m)
-        for name, objective in BLOCK_OBJECTIVES.items():
+        for name, success in BLOCK_SUCCESSES.items():
             for allow_k2 in (True, False):
                 with np.errstate(divide="ignore"):
-                    want = full_box_scan_min(space, objective, allow_k2)
-                    got = grk_scan_min(space, objective, allow_k2)
+                    want = full_box_scan_min(space, success, allow_k2)
+                    got = grk_scan_min(space, success, allow_k2)
                 assert got[1:3] == want[1:3], (m, name, allow_k2)
                 assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
@@ -404,7 +409,7 @@ def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut):
     # m = 19 the one interval of the one-cell box, where the whole box
     # takes `uncut`. The result is still the full sweep's
     space = new_search_space(20, m)
-    objective = BLOCK_OBJECTIVES["expectation"]
+    success = BLOCK_SUCCESSES["expectation"]
     bounded = []
     interval_bounds = scans._interval_bounds
 
@@ -413,48 +418,56 @@ def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut):
         return interval_bounds(*args)
 
     monkeypatch.setattr(scans, "_interval_bounds", record)
-    got = grk_scan_min(space, objective)
-    want = full_box_scan_min(space, objective)
+    got = grk_scan_min(space, success)
+    want = full_box_scan_min(space, success)
     assert sum(bounded) <= uncut // 50
     assert got[1:3] == want[1:3] == (0, 0)
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
 
-def test_query_cut_is_the_last_query_count_within_the_seed():
-    # floor(q / 3) <= seed holds up to q = 3 floor(seed) + 2; the cut is
-    # that count, clipped to [1, budget], across the 64-way search's steps
-    calls = []
+def test_query_cut_is_the_floor_of_the_seed_within_the_budget(monkeypatch):
+    # a constant success c makes the one-query seed 1 / c: every level is
+    # bounded in the box cut to floor(1 / c) queries, clipped to the
+    # budget, and a success of 0 (a seed of inf) keeps the whole budget
+    space = new_search_space(8, 3)
+    budgets = []
+    interval_bounds = scans._interval_bounds
 
-    def objective(q, prb, prt):
-        calls.append(len(q))
-        return np.floor(q / 3) + 0.0 * prb
+    def record(*args):
+        budgets.append(args[2])
+        return interval_bounds(*args)
 
+    monkeypatch.setattr(scans, "_interval_bounds", record)
     for budget in (1, 2, 63, 64, 65, 200, 4097, 1 << 31):
-        for seed in (-1.0, 0.0, 0.5, 20.0, 21.9, 1365.0, 1 << 29, math.inf):
-            calls.clear()
-            want = min(budget, max(1, 3 * math.floor(seed) + 2)) if seed < math.inf else budget
-            assert scans._query_cut(objective, budget, seed) == want, (budget, seed)
-            assert len(calls) <= 7
-            if want == budget:
-                assert calls == [1]
+        for c in (1.0, 0.75, 0.5, 1 / 21.9, 1 / 1365, 0.0):
+            if c == 0.0 and budget > 4097:
+                continue  # the uncut box would reach the cell cap
+            budgets.clear()
+            with np.errstate(divide="ignore"):
+                got = grk_scan_min(
+                    space, lambda prb, prt: np.full_like(prb, c), budget=budget, k2_cap=1
+                )
+            seed = 1.0 / c if c else math.inf
+            assert set(budgets) == {min(budget, math.floor(seed)) if c else budget}
+            assert got[:3] == (seed, 0, 0)
 
 
 def test_one_query_seed_leaves_a_narrow_box_whole(monkeypatch):
     # at (20, 5) the one-query cell is worth 26,214 queries, far above
     # the box's 811: the cut keeps the whole budget
     space = new_search_space(20, 5)
-    objective = BLOCK_OBJECTIVES["expectation"]
-    cuts = []
-    query_cut = scans._query_cut
+    success = BLOCK_SUCCESSES["expectation"]
+    budgets = []
+    interval_bounds = scans._interval_bounds
 
     def record(*args):
-        cuts.append(query_cut(*args))
-        return cuts[-1]
+        budgets.append(args[2])
+        return interval_bounds(*args)
 
-    monkeypatch.setattr(scans, "_query_cut", record)
-    got = grk_scan_min(space, objective)
-    want = full_box_scan_min(space, objective)
-    assert cuts == [default_budget(space)]
+    monkeypatch.setattr(scans, "_interval_bounds", record)
+    got = grk_scan_min(space, success)
+    want = full_box_scan_min(space, success)
+    assert set(budgets) == {default_budget(space)}
     assert got[1:3] == want[1:3]
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
@@ -463,12 +476,13 @@ def test_one_query_seed_leaves_a_narrow_box_whole(monkeypatch):
 @pytest.mark.parametrize("n, m", [(6, 2), (8, 7), (12, 6), (16, 3)])
 def test_interval_bounds_hold_against_the_products(n, m, size):
     # an interval's lower bound, from the closed form R sin(y + phi), lies
-    # below the objective on every cell as the products compute it, and
-    # its upper bound above the objective on one of its two end cells. Intervals of one
-    # cell show that the slack covers the rounding of the closed form;
-    # longer ones (past a zero of amp_b~ or a peak of amp_t) that the
-    # extremes inside are found. The budget of 3 pi sqrt(N) / 4 covers
-    # more than one period of y
+    # below q / pr on every cell as the products compute it, and its upper
+    # bound above q / pr on one of its two end cells, for pr the block
+    # and, separately, the target probability. Intervals of one cell show
+    # that the slack covers the rounding of the closed form; longer ones
+    # (past a zero of amp_b~ or a peak of amp_t) that the extremes inside
+    # are found. The budget of 3 pi sqrt(N) / 4 covers more than one
+    # period of y
     space = new_search_space(n, m)
     budget = 3 * default_budget(space)
     k2s = np.arange(min(default_k2_cap(space), budget - 1) + 1)
@@ -480,14 +494,17 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
     blocks, cols = blocks[inside], cols[inside]
     lo = blocks * size
     hi = np.minimum(lo + size, budget - cols) - 1
+    queries = 1.0 + np.arange(budget)[:, None] + k2s
     for probability in (pr_b, pr_t):
         in_block = probability is pr_b
-        objective = lambda q, prb, prt: -(prb if in_block else prt)  # noqa: E731
+        success = lambda prb, prt: prb if in_block else prt  # noqa: E731
+        with np.errstate(divide="ignore"):
+            values = queries / probability
         lower, upper = scans._interval_bounds(
-            space, objective, budget, size, blocks, cols, scans._sine_coefficients(space, cols)
+            space, success, budget, size, blocks, cols, scans._sine_coefficients(space, cols)
         )
         for i in range(len(cols)):
-            cells = -probability[lo[i] : hi[i] + 1, cols[i]]
+            cells = values[lo[i] : hi[i] + 1, cols[i]]
             assert lower[i] <= cells.min()
             assert upper[i] >= min(cells[0], cells[-1])
 
@@ -495,10 +512,10 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
 def test_scan_bound_is_quiet_where_a_probability_bound_is_0():
     # at n = 44, m = 0 the first k1 interval starts at pr_block = 9/2^44,
     # below the bound's slack, so that end's probability is lowered to 0
-    # and its objective is inf, with no divide warning (Tier-1 turns one
+    # and its expectation is inf, with no divide warning (Tier-1 turns one
     # into an error)
     space = new_search_space(44, 0)
-    value, k1, k2, _, _ = grk_scan_min(space, OBJECTIVES["expectation"], allow_k2=False)
+    value, k1, k2, _, _ = grk_scan_min(space, SUCCESSES["expectation"], allow_k2=False)
     near = {
         j: (1 + j + k2) / float(_grk_probabilities(space, j, k2)[0])
         for j in range(max(0, k1 - 3), k1 + 4)

@@ -24,7 +24,6 @@ from partial_search import (
     grover_full_search_probability,
     local_grover_matrix,
     new_search_space,
-    simulate_sequence,
     verify_subspace,
 )
 from partial_search.cli import OutputRecord, render_json, run
@@ -112,25 +111,13 @@ def test_local_query_matrix_element():
     assert overlap == pytest.approx(-math.sin(2 * angles(sp).theta2), abs=1e-13)
 
 
-# -- simulate_sequence ---------------------------------------------------------
+# -- the one-vector reference against the reduced dynamics ---------------------
 
 
 def test_simulate_table_corner():
-    seq = OperatorSequence([(L, 1), (G, 1)])
-    block, target, st3 = simulate_sequence(8, 2, target_index=77, seq=seq)
+    block, target, st3, _ = reference_project(reference_run(8, 2, 77, [L, G]), 77, 2)
     assert block == pytest.approx(0.105747, abs=5e-7)
     assert target == pytest.approx(st3.amp_t**2, abs=1e-14)
-
-
-def test_simulate_empty_sequence():
-    block, target, _ = simulate_sequence(6, 2, 5, OperatorSequence(()))
-    assert block == pytest.approx(1 / 2**4, abs=1e-14)
-    assert target == pytest.approx(1 / 2**6, abs=1e-16)
-
-
-def test_simulate_rejects_oversized_space():
-    with pytest.raises(ResourceLimitError):
-        simulate_sequence(15, 3, 0, OperatorSequence([(G, 1)]))
 
 
 def test_projection_is_complete_and_matches_dynamics():
@@ -141,7 +128,7 @@ def test_projection_is_complete_and_matches_dynamics():
         kinds = [rng.choice((G, L)) for _ in range(rng.randint(0, 25))]
         seq = OperatorSequence.from_kinds(kinds)
         t = rng.randrange(2**n)
-        block, target, st3 = simulate_sequence(n, m, t, seq)
+        _, _, st3, _ = reference_project(reference_run(n, m, t, kinds), t, m)
         assert st3.norm_sq() == pytest.approx(1.0, abs=1e-12)
         ref = apply_sequence(sp, seq)
         assert np.max(np.abs(st3.as_array() - ref.as_array())) < 1e-12
@@ -149,8 +136,8 @@ def test_projection_is_complete_and_matches_dynamics():
 
 def test_target_index_invariance():
     n, m = 8, 3
-    seq = OperatorSequence([(G, 2), (L, 3), (G, 1)])
-    probs = {simulate_sequence(n, m, t, seq)[:2] for t in (0, 37, 255)}
+    kinds = [G, G, L, L, L, G]
+    probs = {reference_project(reference_run(n, m, t, kinds), t, m)[:2] for t in (0, 37, 255)}
     blocks = [p[0] for p in probs]
     targets = [p[1] for p in probs]
     assert max(blocks) - min(blocks) < 1e-13
@@ -161,7 +148,8 @@ def test_grk_parameter_sequence_agrees_both_ways():
     sp = new_search_space(8, 4)
     p = grk_optimal_parameters(sp)
     seq = OperatorSequence([(G, p.k1), (L, p.k2), (G, 1)])
-    block, _, _ = simulate_sequence(8, 4, 200, seq)
+    kinds = [G] * p.k1 + [L] * p.k2 + [G]
+    block, _, _, _ = reference_project(reference_run(8, 4, 200, kinds), 200, 4)
     assert block == pytest.approx(block_success_probability(sp, seq), abs=1e-12)
 
 
@@ -169,7 +157,7 @@ def test_degenerate_blocks_reduce_to_full_search():
     # m = 0: every item is its own block, so a global-only sequence is
     # plain Grover and the projection carries no block component.
     for k in (1, 4):
-        block, target, st3 = simulate_sequence(6, 0, 13, OperatorSequence([(G, k)]))
+        block, target, st3, _ = reference_project(reference_run(6, 0, 13, [G] * k), 13, 0)
         assert block == pytest.approx(target, abs=1e-14)
         assert target == pytest.approx(grover_full_search_probability(6, k), abs=1e-13)
         assert st3.amp_bt == 0.0
@@ -281,20 +269,6 @@ def test_shared_mean_is_numpy_mean_bit_for_bit(shape):
         a = x.reshape(*shape[:-1], -1, width)
         assert np.array_equal(statevec._mean(a), a.mean(axis=-1)), width
     assert np.array_equal(statevec._mean(x), x.mean(axis=-1))
-
-
-@pytest.mark.parametrize("n, m", [(1, 0), (5, 0), (6, 3), (9, 8)])
-def test_simulate_sequence_is_the_kernel_with_one_row(n, m):
-    rng = np.random.default_rng(n + m)
-    for k in (0, 1, 7):
-        kinds = [L if bit else G for bit in rng.integers(0, 2, k)]
-        t = int(rng.integers(0, 1 << n))
-        seq = OperatorSequence.from_kinds(kinds)
-        block, target, st3 = simulate_sequence(n, m, t, seq)
-        ref_block, ref_target, ref_st3, _ = reference_project(
-            reference_run(n, m, t, kinds), t, m
-        )
-        assert (block, target, st3) == (ref_block, ref_target, ref_st3)
 
 
 # -- verify_subspace against the per-query loop ---------------------------------
@@ -432,15 +406,3 @@ def test_verify_refuses_work_above_cap_before_drawing(monkeypatch, n, sequences,
     monkeypatch.setattr(statevec, "_apply_sequences", boom)
     with pytest.raises(ResourceLimitError, match="work cap of 2\\^29"):
         verify_subspace(n, n // 2, num_random_sequences=sequences, max_k=max_k)
-
-
-def test_simulate_sequence_refuses_work_above_cap_before_running(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("simulated before refusing")
-
-    monkeypatch.setattr(statevec, "_run_rows", boom)
-    seq = OperatorSequence([(G, 10**12), (L, 1)])  # never expanded to kinds
-    with pytest.raises(ResourceLimitError, match="work cap"):
-        simulate_sequence(14, 7, 0, seq)
-    with pytest.raises(ResourceLimitError, match="work cap"):
-        simulate_sequence(3, 1, 0, OperatorSequence([(G, (2**29 >> 11) + 1)]))
