@@ -44,7 +44,6 @@ class OutputRecord:
     command: str
     parameters: dict[str, Any]
     rows: list[dict[str, Any]]
-    schema_version: str = SCHEMA_VERSION
     exit_code: int = 0
 
 
@@ -68,7 +67,7 @@ def _csv_cell(value: Any) -> str:
 
 def render_csv(record: OutputRecord) -> str:
     out = io.StringIO()
-    out.write(f"# schema_version={record.schema_version}\n")
+    out.write(f"# schema_version={SCHEMA_VERSION}\n")
     out.write(f"# command={record.command}\n")
     for key, value in record.parameters.items():
         out.write(f"# {key}={_csv_cell(value)}\n")
@@ -113,7 +112,7 @@ def _json_value(value: Any, indent: int) -> str:
 
 def render_json(record: OutputRecord) -> str:
     payload = {
-        "schema_version": record.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "command": record.command,
         "parameters": record.parameters,
         "rows": record.rows,

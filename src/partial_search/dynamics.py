@@ -54,9 +54,6 @@ class State3:
     def as_array(self) -> np.ndarray:
         return np.array([self.amp_t, self.amp_bt, self.amp_bbar])
 
-    def norm_sq(self) -> float:
-        return self.amp_t**2 + self.amp_bt**2 + self.amp_bbar**2
-
     def probabilities(self) -> tuple[float, float]:
         """(block, target): 1 - amp_bbar^2 and amp_t^2, each clamped to [0, 1]."""
         return _clamp_probability(1.0 - self.amp_bbar**2), _clamp_probability(self.amp_t**2)
@@ -141,34 +138,6 @@ class OperatorSequence:
             sub = space.n if kind is Kind.GLOBAL else space.m
             parts.append(f"G_{sub}" + (f"^{count}" if count > 1 else ""))
         return "".join(parts) if parts else "I"
-
-    @classmethod
-    def from_product_string(cls, text: str, space: SearchSpace) -> "OperatorSequence":
-        """Inverse of product_string for flat products (no parentheses)."""
-        text = text.strip()
-        if text in ("", "I"):
-            return cls(())
-        runs = []
-        pos = 0
-        pat = re.compile(r"G_(\d{1,16})(?:\^0*(\d{1,16}))?")  # as in from_token_spec
-        while pos < len(text):
-            mobj = pat.match(text, pos)
-            if not mobj:
-                raise ParameterError(f"cannot parse product string at {_echo(text[pos:])}")
-            sub = int(mobj.group(1))
-            count = int(mobj.group(2) or 1)
-            if sub == space.n:
-                kind = Kind.GLOBAL
-            elif sub == space.m:
-                kind = Kind.LOCAL
-            else:
-                raise ParameterError(
-                    f"subscript {sub} is neither n={space.n} nor m={space.m}"
-                )
-            runs.append((kind, count))
-            pos = mobj.end()
-        runs.reverse()  # product order -> application order
-        return cls(runs)
 
 
 # -- operators ---------------------------------------------------------

@@ -111,11 +111,15 @@ def _probabilities(
     theta1: float, k1: np.ndarray, coefficients: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pr_block, pr_target) at the cells k1 of the columns whose
-    _sine_coefficients are `coefficients`, broadcast together."""
+    _sine_coefficients are `coefficients`, broadcast together, each
+    clipped into [0, 1]: rounding can carry a squared amplitude past 1."""
     a_t, b_t, a_b, b_b = coefficients
     y = (2.0 * k1 + 1.0) * theta1
     sin_y, cos_y = np.sin(y), np.cos(y)
-    return 1.0 - (a_b * sin_y + b_b * cos_y) ** 2, (a_t * sin_y + b_t * cos_y) ** 2
+    pr_block = 1.0 - (a_b * sin_y + b_b * cos_y) ** 2
+    pr_target = (a_t * sin_y + b_t * cos_y) ** 2
+    # 1 - x^2 <= 1 and x^2 >= 0 hold exactly: one bound each clips into [0, 1]
+    return np.maximum(pr_block, 0.0, out=pr_block), np.minimum(pr_target, 1.0, out=pr_target)
 
 
 def _interval_bounds(

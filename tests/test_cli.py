@@ -5,6 +5,7 @@ stderr are all observable; one subprocess test covers the installed
 entry point.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -18,6 +19,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partial_search import (
     OperatorSequence,
@@ -761,6 +764,67 @@ def test_verify_is_seed_deterministic(capsys):
     rc2, out2, _ = run_cli(capsys, *args)
     assert rc == rc2 == 0
     assert out1 == out2
+
+
+# -- drawn argv: an exit code, never a traceback ---------------------------------
+
+_HUGE_INTS = [2**53, 2**53 + 1, 10**15, 10**20, 2**70]
+# each leading branch draws valid values, so that some calls run
+_qubits = st.one_of(
+    st.integers(1, 14), st.integers(-3, 70), st.sampled_from([2**53, 2**53 + 1, 10**20])
+)
+_block_bits = st.one_of(st.integers(0, 7), _qubits)
+_budget = st.one_of(st.integers(1, 14), st.integers(-3, 14), st.sampled_from(_HUGE_INTS))
+_count = st.one_of(st.integers(1, 3), st.integers(-3, 3), st.sampled_from(_HUGE_INTS))
+_tol = st.one_of(st.just("1e-10"), st.sampled_from(["nan", "inf", "-inf", "-1", "0", "2e-308", "x"]))
+_seed = st.one_of(st.integers(-3, 5), st.sampled_from(_HUGE_INTS))
+_token = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from("gl"), st.integers(0, 10**20)),
+    st.builds("{}:{}".format, st.sampled_from("gl"), st.integers(0, 5)),
+    st.sampled_from(["x:1", "g:", "g:-3", "gl:2", "g:1.5", "l: 7", "g:" + "9" * 40, ""]),
+)
+
+
+def _range(values):
+    return st.one_of(
+        values.map(str),
+        st.builds("{}..{}".format, values, values),
+        st.sampled_from(["x", "3..", "..3", "1..2..3", ""]),
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["angles", "simulate", "enumerate", "tables", "verify"]))
+    argv = [command, "--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "tables":
+        if draw(st.booleans()):
+            argv += ["--n", str(draw(_qubits))]
+        argv += ["--which", draw(st.sampled_from(["pr", "e"]))]
+        if draw(st.booleans()):
+            argv += ["--m-range", draw(_range(_qubits))]
+        if draw(st.booleans()):
+            argv += ["--k-range", draw(_range(_budget))]
+        return argv
+    argv += ["--n", str(draw(_qubits)), "--m", str(draw(_block_bits))]
+    if command == "simulate":
+        argv += ["--seq", ",".join(draw(st.lists(_token, max_size=4)))]
+    elif command == "enumerate":
+        argv += ["--ktot", draw(_range(_budget))]
+    elif command == "verify":
+        # few and short sequences, so a call that runs stays fast
+        argv += ["--sequences", str(draw(_count)), "--max-k", str(draw(_count))]
+        argv += ["--tol", draw(_tol), "--seed", str(draw(_seed))]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_drawn_argv_exits_0_1_or_2(argv):
+    # ROADMAP aim 3: bad input leaves through an exit code, never a
+    # traceback, and Tier-1's warnings-as-errors filter holds here too
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)
 
 
 # -- output destinations -------------------------------------------------------

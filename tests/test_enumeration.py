@@ -107,10 +107,10 @@ def test_expected_iteration_grid():
             assert got[(m, k)] == ref, (m, k)
 
 
-def test_grid_sequences_round_trip_and_end_globally():
+def test_grid_sequences_render_the_optimum_and_end_globally():
     for row in table_sweep(8, [2, 5, 7], [2, 6, 11]):
         sp = new_search_space(row.n, row.m)
-        seq = OperatorSequence.from_product_string(row.sequence, sp)
+        seq = enumerate_max_probability(sp, row.k_tot).canonical
         assert seq.product_string(sp) == row.sequence
         assert seq.total_queries == row.k_tot
         assert seq.runs[-1][0] is G
@@ -140,7 +140,8 @@ def test_saturated_optimum_beats_plain_grk():
     assert res.pr_max > 0.999999
     assert render_percent(res.pr_max) == "99.9999"
     # the published non-GRK winner is co-optimal with our canonical pick
-    alt = OperatorSequence.from_product_string("G_8G_5G_8^2G_5G_8^2G_5G_8G_5^2", sp)
+    alt = OperatorSequence.from_token_spec("l:2,g:1,l:1,g:2,l:1,g:2,l:1,g:1")
+    assert alt.product_string(sp) == "G_8G_5G_8^2G_5G_8^2G_5G_8G_5^2"
     assert alt.total_queries == 11
     assert block_success_probability(sp, alt) >= res.pr_max - 1e-9
 
@@ -730,10 +731,12 @@ def _expected_iterations(space, seq):
 
 def test_expected_iterations_reference_points():
     sp = new_search_space(8, 2)
-    seq = OperatorSequence.from_product_string("G_8G_2G_8^6", sp)
+    seq = OperatorSequence.from_token_spec("g:6,l:1,g:1")
+    assert seq.product_string(sp) == "G_8G_2G_8^6"
     assert render_fixed(_expected_iterations(sp, seq)) == "10.4175"
     sp6 = new_search_space(8, 6)
-    seq6 = OperatorSequence.from_product_string("G_8G_6", sp6)
+    seq6 = OperatorSequence.from_token_spec("l:1,g:1")
+    assert seq6.product_string(sp6) == "G_8G_6"
     assert render_fixed(_expected_iterations(sp6, seq6)) == "5.8919"
 
 
@@ -766,13 +769,23 @@ def test_min_expected_matches_direct_scan():
 
 def test_is_grk_form_cases():
     sp = new_search_space(8, 2)
-    yes = ["G_8G_2G_8^6", "G_8", "G_8^4", "G_8G_2^3"]
-    for text in yes:
-        assert is_grk_form(OperatorSequence.from_product_string(text, sp))
+    # (application-order tokens, the paper's product notation)
+    yes = [
+        ("g:6,l:1,g:1", "G_8G_2G_8^6"),
+        ("g:1", "G_8"),
+        ("g:4", "G_8^4"),
+        ("l:3,g:1", "G_8G_2^3"),
+    ]
+    for spec, text in yes:
+        seq = OperatorSequence.from_token_spec(spec)
+        assert seq.product_string(sp) == text
+        assert is_grk_form(seq)
     sp7 = new_search_space(8, 7)
-    no = ["G_8G_7^6G_8G_7", "G_7", "G_8^2G_7"]
-    for text in no:
-        assert not is_grk_form(OperatorSequence.from_product_string(text, sp7))
+    no = [("l:1,g:1,l:6,g:1", "G_8G_7^6G_8G_7"), ("l:1", "G_7"), ("l:1,g:2", "G_8^2G_7")]
+    for spec, text in no:
+        seq = OperatorSequence.from_token_spec(spec)
+        assert seq.product_string(sp7) == text
+        assert not is_grk_form(seq)
     assert not is_grk_form(OperatorSequence(()))
 
 

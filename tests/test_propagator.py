@@ -13,6 +13,7 @@ from partial_search import (
     Kind,
     OperatorSequence,
     ResourceLimitError,
+    angles,
     apply_sequence,
     grk_optimal_parameters,
     new_search_space,
@@ -109,7 +110,7 @@ def test_huge_global_runs_return(capsys):
     space = new_search_space(62, 31)
     seq = OperatorSequence.from_token_spec("g:1686629712,l:1,g:1")
     state = apply_sequence(space, seq)
-    assert abs(state.norm_sq() - 1.0) < 1e-14
+    assert abs(np.sum(state.as_array() ** 2) - 1.0) < 1e-14
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -507,6 +508,19 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
             cells = values[lo[i] : hi[i] + 1, cols[i]]
             assert lower[i] <= cells.min()
             assert upper[i] >= min(cells[0], cells[-1])
+
+
+def test_cell_probabilities_are_clipped_into_the_unit_interval():
+    # at (2, 1) the target amplitude of the cells (k1, k2) = (0, 128),
+    # (2, 21) and (2, 81) squares to 1.0000000000000004; a scan's
+    # pr_target is a probability, at most 1
+    space = new_search_space(2, 1)
+    k = np.arange(200)
+    pr_b, pr_t = scans._probabilities(
+        angles(space).theta1, k[:, None], scans._sine_coefficients(space, k)
+    )
+    assert pr_t[[0, 2, 2], [128, 21, 81]].tolist() == [1.0, 1.0, 1.0]
+    assert 0.0 <= pr_b.min() and pr_b.max() <= 1.0 and 0.0 <= pr_t.min() and pr_t.max() <= 1.0
 
 
 def test_scan_bound_is_quiet_where_a_probability_bound_is_0():
