@@ -17,6 +17,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -143,8 +144,10 @@ class OperatorSequence:
 # -- operators ---------------------------------------------------------
 
 
+@cache
 def initial_state(space: SearchSpace) -> State3:
-    """Uniform superposition projected on the 3D basis."""
+    """Uniform superposition projected on the 3D basis. Computed once per
+    geometry, as angles() is: SearchSpace and State3 are frozen."""
     a = angles(space)
     sg, cg = math.sin(a.gamma), math.cos(a.gamma)
     s2, c2 = math.sin(a.theta2), math.cos(a.theta2)
@@ -229,10 +232,6 @@ def apply_sequence(space: SearchSpace, seq: OperatorSequence) -> State3:
     return State3(*_apply_runs(space, runs, [len(runs)])[0])
 
 
-# sequences up to this many queries are keyed by one int64 in _apply_sequences
-_KEYED_QUERIES = 62
-
-
 def _apply_sequences(
     space: SearchSpace, local: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
@@ -243,41 +242,25 @@ def _apply_sequences(
     len(local). Returns the final (amp_t, amp_bt, amp_bbar) of every
     sequence as a (rows, 3) array.
 
-    A sequence of at most _KEYED_QUERIES queries is keyed by its
-    (length, mask) as the mask under a leading 1 bit (first query
-    highest); a longer one keeps a key of its own. Each distinct key is
-    applied once and its state copied to every row that has it. numpy
-    cuts the distinct sequences into runs, each distinct run's _rotation
-    is taken once, and one _apply_runs call applies them.
+    numpy cuts every sequence into runs, each distinct run's _rotation is
+    taken once, and one _apply_runs call applies every row, a repeated
+    sequence as often as it is drawn.
     """
-    rows, lengths = len(lengths), lengths.astype(np.int64, copy=False)
-    # bit j of a mask is the query j places from its sequence's end
-    from_end = np.repeat(np.cumsum(lengths), lengths) - np.arange(1, len(local) + 1)
-    bits = local & (from_end < _KEYED_QUERIES)
-    keys = np.left_shift(1, np.minimum(lengths, _KEYED_QUERIES))
-    np.bitwise_or.at(keys, np.repeat(np.arange(rows), lengths)[bits], 1 << from_end[bits])
-    keys = np.where(lengths <= _KEYED_QUERIES, keys, -1 - np.arange(rows))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # each distinct sequence once, in row order, and where each row's is
-    unique = np.zeros(rows, dtype=bool)
-    unique[first] = True
-    inverse = (np.cumsum(unique) - 1)[first[inverse]]
-    local, lengths = local[np.repeat(unique, lengths)], lengths[unique]
-
+    lengths = lengths.astype(np.int64, copy=False)
+    ends = np.cumsum(lengths)
     # a run starts at each change of kind and at each row's first query
     is_start = np.ones(len(local), dtype=bool)
     np.not_equal(local[1:], local[:-1], out=is_start[1:])
-    is_start[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    is_start[(ends - lengths)[lengths > 0]] = True
     starts = np.flatnonzero(is_start)
     counts = np.diff(starts, append=len(local))
-    row_ends = np.searchsorted(starts, np.cumsum(lengths)).tolist()
+    row_ends = np.searchsorted(starts, ends).tolist()
     # runs keyed by 2 * count + is_local, one _rotation per distinct key
     run_keys, run_of = np.unique(2 * counts + local[starts], return_inverse=True)
     a = angles(space)
     rotations = [_rotation(a, bool(key & 1), key >> 1) for key in run_keys.tolist()]
     runs = [rotations[i] for i in run_of.tolist()]
-    states = np.array(_apply_runs(space, runs, row_ends)).reshape(len(row_ends), 3)
-    return states[inverse]
+    return np.array(_apply_runs(space, runs, row_ends)).reshape(len(row_ends), 3)
 
 
 def _clamp_probability(p: float) -> float:

@@ -12,8 +12,9 @@ order; the k-d order, the boxes and the sweep all read that layout as
 it is, with no transpose or copy. A range of budgets builds the levels
 once, up to its largest budget, and takes each budget's grid from them.
 
-A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile. A larger
-one is a branch and bound over tiles of prefix rows x suffix columns.
+A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile, swept as
+one product of every covector against every state. A larger one is a
+branch and bound over tiles of prefix rows x suffix columns.
 States and covectors are each ordered once so that every aligned block
 of them is a k-d cell, and the componentwise boxes of a tile's rows and
 columns bound u . v over the tile. The closed-form amp^2 of the best GRK
@@ -349,6 +350,12 @@ def _amplitudes(
     return np.add(out, tmp, out=out)
 
 
+def _check_ties(held: int) -> None:
+    """Refuse a call once the candidate ties it holds exceed _TIE_CAP."""
+    if held > _TIE_CAP:
+        raise ResourceLimitError(f"more than {_TIE_CAP} candidate ties; the tie set is capped")
+
+
 def _sweep(
     v: np.ndarray,
     u_t: np.ndarray,
@@ -359,21 +366,23 @@ def _sweep(
     """(top, ties): the largest 1 - amp^2 over the tiles' cells and the
     masks of every cell within TIE_TOL of it, in no particular order.
 
-    The tiles are grouped by their suffix block. Each group is one
-    product of the block's covectors that `pairs` (w x tiles) keeps for
-    at least one of the group's tiles, one row each, with the prefix
-    rows of the group's tiles that keep at least one of them along the
-    long, contiguous axis. Where every pair is kept (a dense stop, a
-    one-tile plan) that is the block's w covectors against all of the
-    group's rows. The product may hold cells of dropped pairs: each is
-    a leaf, swept exactly. It is taken in batches of at most
+    A one-tile plan (k_tot <= 16, every prefix row in its one tile) is
+    one product of every covector against every state, under the
+    caller's ufunc buffer (_sweep_grid): its grid of at most _CHUNK_CELLS
+    cells is one batch, and the buffer switch below cost more than it
+    saved there. Otherwise the tiles are grouped by their suffix block.
+    Each group is one product of the block's covectors that `pairs`
+    (w x tiles) keeps for at least one of the group's tiles, one row
+    each, with the prefix rows of the group's tiles that keep at least
+    one of them along the long, contiguous axis. Where every pair is
+    kept (a dense stop) that is the block's w covectors against all of
+    the group's rows. The product may hold cells of dropped pairs: each
+    is a leaf, swept exactly. It is taken in batches of at most
     _CHUNK_CELLS cells, as many rows and as few covectors per batch as
     that allows. The two scratch arrays hold no more cells than the
-    largest product, and a one-tile plan (k_tot <= 16) is one group,
-    with no sort. Each batch keeps the cells within
-    2 TIE_TOL of the least amp^2 seen so far (a superset of the ties;
-    max(1 - sq) = 1 - min(sq), rounding is monotone), so later batches
-    keep fewer.
+    largest product. Each batch keeps the cells within 2 TIE_TOL of the
+    least amp^2 seen so far (a superset of the ties; max(1 - sq) =
+    1 - min(sq), rounding is monotone), so later batches keep fewer.
 
     The batches run with numpy's ufunc buffer at _SWEEP_BUFSIZE elements,
     and the caller's size is restored on return and on error. numpy 2
@@ -384,14 +393,13 @@ def _sweep(
     computed in place.
     Every step of a batch is elementwise or a min, so no result depends
     on the buffer size."""
+    if prefixes.shape[1] == v.shape[1]:
+        return _sweep_grid(v, u_t)
     s = u_t.shape[1].bit_length() - 1
-    if len(suffixes) == 1:
-        order, bounds = np.zeros(1, dtype=np.intp), [0, 1]
-    else:
-        # a block's first suffix names it: aligned blocks are disjoint
-        order = np.argsort(suffixes[:, 0], kind="stable")
-        names = suffixes[order, 0]
-        bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
+    # a block's first suffix names it: aligned blocks are disjoint
+    order = np.argsort(suffixes[:, 0], kind="stable")
+    names = suffixes[order, 0]
+    bounds = [0, *(np.flatnonzero(names[1:] != names[:-1]) + 1).tolist(), len(order)]
     pairs = pairs[:, order]
     groups = []  # per suffix block: its kept suffixes and the tiles that keep one
     for start, end in zip(bounds, bounds[1:]):
@@ -430,10 +438,7 @@ def _sweep(
                         continue  # no candidate in this batch
                     cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
                     held += len(cells)
-                    if held > _TIE_CAP:
-                        raise ResourceLimitError(
-                            f"more than {_TIE_CAP} candidate ties; the tie set is capped"
-                        )
+                    _check_ties(held)
                     cols, at = np.divmod(cells, len(p))  # cell = col * len(p) + row
                     batches.append(((p[at] << s) | q[col + cols], 1.0 - sq.ravel()[cells]))
     finally:
@@ -445,6 +450,21 @@ def _sweep(
         masks, prs = batches.pop()
         ties.append(masks[prs >= top - TIE_TOL])
     return top, np.concatenate(ties)
+
+
+def _sweep_grid(v: np.ndarray, u_t: np.ndarray) -> tuple[float, np.ndarray]:
+    """_sweep of a one-tile plan: every cell of the grid, at most
+    _CHUNK_CELLS, in one product."""
+    width, rows = u_t.shape[1], v.shape[1]
+    sq = _amplitudes(v, u_t, np.empty((width, rows)), np.empty((width, rows)))
+    np.square(sq, out=sq)
+    low = float(sq.min())
+    cells = np.flatnonzero(sq <= low + 2.0 * TIE_TOL)
+    _check_ties(len(cells))
+    cols, at = np.divmod(cells, rows)  # cell = col * rows + row
+    top = 1.0 - low
+    masks = (at << (width.bit_length() - 1)) | cols
+    return top, masks[1.0 - sq.ravel()[cells] >= top - TIE_TOL]
 
 
 def enumerate_max_probability(
@@ -499,7 +519,8 @@ def _enumerate(space: SearchSpace, k_tot: int, levels: _Levels) -> EnumerationRe
     # stable sort of the sorted masks by run count is that order, and it
     # does not depend on the order in which the sweep met them
     kept = np.sort(kept)
-    kept = kept[np.argsort(_run_counts(kept, k_tot), kind="stable")]
+    if len(kept) > 1:
+        kept = kept[np.argsort(_run_counts(kept, k_tot), kind="stable")]
     kept.flags.writeable = False
 
     pr_max = block_success_probability(space, _mask_to_sequence(int(kept[0]), k_tot))

@@ -19,7 +19,9 @@ batches, sized per n by _BATCH_DOUBLES.
 A batch step negates each running row's marked item through one flat
 index, then reflects each row about its own mean (global) or about its
 blocks' means (local), computing the row means only if a row is global and
-the block means only if a row is local. Every sum behind a mean, in the
+the block means only if a row is local. A batch of one row runs on one
+flat vector, with a scalar oracle flip and a scalar row mean. Every sum
+behind a mean, in the
 kernel and in the one-vector reference alike, comes from _sum, in numpy's
 own order (strided column adds up to 8 entries, numpy's pairwise
 reduction above). The reference's _mean scales it by 1/width and doubles
@@ -27,7 +29,10 @@ it; the kernel scales it once by 2/width. Both are exact power-of-two
 scalings, so the batch reproduces the reference bit for bit.
 
 The projection gathers every row's entries outside its marked block with
-one flat bool mask and sums them in order. The residual around a level c
+one flat bool mask, or joins the two slices around it in a one-row batch,
+and sums them in order. verify_subspace keeps each row's block
+probability, projection and residual, and takes the deviations from them
+once per call. The residual around a level c
 is max(x_max - c, c - x_min), two reductions and no pass that writes:
 rounding is monotone, so that is the largest |x - c| bit for bit.
 
@@ -52,38 +57,41 @@ MAX_STATEVEC_QUBITS = 14
 # amplitudes per batch of sequences run in lockstep, per n. A step makes the
 # same few numpy calls whatever the batch holds, so larger batches pay less
 # per query, until a batch of large rows mixes global and local rows: every
-# step then takes both the row sums and the block sums of every row, and
-# one row per batch is fastest at n = 14. verify_subspace with the default
-# 200 x 40 draws, summed over every m (3 seeds each) for n <= 10 and over
-# m = 0, 3, n // 2, n - 2 for n >= 11; ms, best of 3, 2-vCPU host:
+# step then takes both the row sums and the block sums of every row. A batch
+# of one row runs on a flat vector (_run_row) and never mixes, and from
+# n = 13 it is fastest. verify_subspace with the default 200 x 40 draws,
+# summed over every m (3 seeds each) for n <= 10 and over m = 0, 3, n // 2,
+# n - 2 for n >= 11; ms, best of 5, 2-vCPU host, numpy 2.4.6:
 #
 #     n     2^14   2^15   2^16  one row
 #     1-6      equal: all 200 rows fit in one batch of 2^14
-#     7       68.4   64.4   62.7
-#     8      116.3  105.7  105.1
-#     9      179.0  161.7  160.3
-#    10      350.7  312.0  308.7
-#    11      114.5   98.0   91.8
-#    12      207.5  171.3  157.5
-#    13      258.4  270.0  265.0  277.1
-#    14      387.4  418.1  439.1  (one row is 2^14)
+#     7       53.5   51.2   50.0  384.8
+#     8       88.3   79.2   80.7  447.3
+#     9      151.3  135.5  141.6  515.0
+#    10      311.0  263.6  259.4  633.6
+#    11      192.2  172.4  167.3  266.6
+#    12      369.2  304.9  297.9  306.6
+#    13      584.3  568.7  567.7  426.2
+#    14      729.1  948.5 1078.8  (one row is 2^14)
 #
-# For n <= 10, 2^16 gains at most 1 % over 2^15 and raised the peak memory
-# of the benchmark's desk session by 1.3 MB over 2^14, against 0.6 MB for
-# 2^15.
+# For n <= 10, 2^16 gains at most 2.4 % over 2^15 (and loses at n = 8, 9)
+# and raised the peak memory of the benchmark's desk session by 1.3 MB over
+# 2^14, against 0.6 MB for 2^15.
 _BATCH_DOUBLES = {n: 1 << 15 for n in range(1, 11)} | {
-    11: 1 << 16, 12: 1 << 16, 13: 1 << 14, 14: 1 << 14
+    11: 1 << 16, 12: 1 << 16, 13: 1 << 13, 14: 1 << 14
 }
 
 # amplitude updates one call may ask for: queries x 2^n, where verify's
 # queries are sequences x max_k (its longest draw) and a query counts at
 # least 2^11 amplitudes, for the reduced side and the per-sequence work. On
-# a 2-vCPU host a query took 0.41 us at n = 1 in 1..20-query sequences
-# (1.1 us in 1-query ones, most of it the per-sequence probabilities) and
-# an amplitude 1.4 ns at n = 14. The default verify at n = 14 asks for
-# 200 x 40 x 2^14 < 2^27. Calls at the cap took 0.36 s (n = 14, 800 x 40),
-# 0.35 s (n = 10, 6400 x 40) and 0.21 s with the most memory, 84 MB peak
-# (n = 1, 2^18 x 1).
+# a 2-vCPU host a query took 0.30 us at n = 1 in 1..20-query sequences
+# (1.4 us in 1-query ones, most of it the reduced side's run loop and the
+# per-sequence probabilities) and an amplitude 1.1 ns at n = 14. The default
+# verify at n = 14 asks for 200 x 40 x 2^14 < 2^27. Calls at the cap took
+# 0.29 s (n = 14, 800 x 40), 0.39 s (n = 10, 6400 x 40) and 0.37-0.40 s
+# with the most memory, 126 MB peak (n = 1, 2^18 x 1: every draw is applied
+# as drawn; applying each distinct sequence once took 0.18 s and 85 MB, and
+# cost desk-size calls more than it saved them).
 _WORK_CAP = 1 << 29
 _QUERY_MIN_DOUBLES = 1 << 11
 
@@ -188,10 +196,12 @@ def _run_rows(
     m = 0): the arithmetic of apply_oracle and
     apply_global_diffusion/apply_local_diffusion. A step takes the row
     means only if one of its rows is global and the block means only if
-    one is local.
+    one is local. A batch of one row runs on one flat vector (_run_row).
     """
     rows, size, b = len(targets), 1 << n, 1 << m
     steps = int(lengths[0])
+    if rows == 1:
+        return _run_row(n, m, int(targets[0]), kinds[:steps, 0])[None]
     # rows still running at each step: lengths fall, so a sorted search
     active_rows = np.searchsorted(-lengths, -np.arange(steps)).tolist()
     local_rows = kinds[:steps].sum(axis=1).tolist()
@@ -216,13 +226,37 @@ def _run_rows(
             twice_block *= 2.0 / b
             if locals_ < active:
                 np.copyto(twice_block, twice_mean, where=~kinds[step, :active, None])
-            if b <= 4:  # b strided subtracts beat a broadcast with b-long inner loops
-                for j in range(b):
-                    col = blocks[:, :, j]
-                    np.subtract(twice_block, col, out=col)
-            else:
-                np.subtract(twice_block[:, :, None], blocks, out=blocks)
+            _reflect_blocks(twice_block, blocks)
     return amp
+
+
+def _reflect_blocks(twice_block: np.ndarray, blocks: np.ndarray) -> None:
+    """blocks -> twice_block - blocks in place, twice_block one entry per
+    block (blocks' shape without its last axis)."""
+    if blocks.shape[-1] <= 4:  # b strided subtracts beat a broadcast with b-long inner loops
+        for j in range(blocks.shape[-1]):
+            col = blocks[..., j]
+            np.subtract(twice_block, col, out=col)
+    else:
+        np.subtract(twice_block[..., None], blocks, out=blocks)
+
+
+def _run_row(n: int, m: int, target: int, kinds: np.ndarray) -> np.ndarray:
+    """_run_rows for one row: its 2^n vector after the queries kinds
+    (True: local), with the oracle a scalar flip and the row mean a
+    scalar, through the same _sum and the same power-of-two scalings."""
+    size, b = 1 << n, 1 << m
+    x = np.full(size, size**-0.5)
+    blocks = x.reshape(-1, b)
+    for is_local in kinds.tolist():
+        x[target] = -x[target]
+        if not is_local:
+            np.subtract(_sum(x) * (2.0 / size), x, out=x)
+        elif m:  # single-item blocks: a local query is the oracle alone
+            twice_block = _sum(blocks)
+            twice_block *= 2.0 / b
+            _reflect_blocks(twice_block, blocks)
+    return x
 
 
 def _project(
@@ -233,17 +267,23 @@ def _project(
     rows, size = amp.shape
     b = 1 << m
     index = np.arange(rows)
-    blocks = amp.reshape(rows, -1, b)
     home = targets >> m
-    block = blocks[index, home]
-    # every entry but the home block's, in order; a (rows, blocks) mask
-    # gathers b-entry chunks one by one, up to 20x slower at small b
-    keep = np.ones(blocks.shape, dtype=bool)
-    keep[index, home] = False
-    outside = amp[keep.reshape(rows, size)].reshape(rows, -1)
+    if rows == 1:  # the two slices around the home block
+        start = int(home[0]) << m
+        block = amp[:, start : start + b].copy()
+        outside = np.concatenate((amp[:, :start], amp[:, start + b :]), axis=1)
+    else:
+        blocks = amp.reshape(rows, -1, b)
+        block = blocks[index, home]
+        # every entry but the home block's, in order; a (rows, blocks) mask
+        # gathers b-entry chunks one by one, up to 20x slower at small b
+        keep = np.ones(blocks.shape, dtype=bool)
+        keep[index, home] = False
+        outside = amp[keep.reshape(rows, size)].reshape(rows, -1)
+    in_block = targets - (home << m)
 
     proj = np.empty((rows, 3))
-    proj[:, 0] = amp_t = amp[index, targets]
+    proj[:, 0] = amp_t = block[index, in_block]
     # |bt~> is absent for single-item blocks
     proj[:, 1] = (block.sum(axis=1) - amp_t) / math.sqrt(b - 1) if b > 1 else 0.0
     proj[:, 2] = outside.sum(axis=1) / math.sqrt(size - b)
@@ -255,7 +295,7 @@ def _project(
     residual = np.maximum(outside.max(axis=1) - level, level - outside.min(axis=1))
     if b > 1:
         level = proj[:, 1] / math.sqrt(b - 1)
-        block[index, targets - (home << m)] = level  # the target is exact
+        block[index, in_block] = level  # the target is exact
         np.maximum(residual, block.max(axis=1) - level, out=residual)
         np.maximum(residual, level - block.min(axis=1), out=residual)
     return block_prob, proj, residual
@@ -338,18 +378,20 @@ def verify_subspace(
     block_expected = np.array([1.0 - a**2 for a in reduced[:, 2].tolist()])
     target_expected = np.array([a**2 for a in reduced[:, 0].tolist()])
 
-    dev = np.empty(num_random_sequences)
+    block_prob = np.empty(num_random_sequences)
+    proj = np.empty((num_random_sequences, 3))
+    residual = np.empty(num_random_sequences)
     for rows, amp in _simulate_batches(n, m, targets, local, lengths):
-        block_prob, proj, residual = _project(amp, targets[rows], m)
-        target_prob = np.array([a**2 for a in proj[:, 0].tolist()])  # pow, as above
-        dev[rows] = np.maximum.reduce(
-            [
-                np.abs(reduced[rows] - proj).max(axis=1),
-                residual,
-                np.abs(block_prob - block_expected[rows]),
-                np.abs(target_prob - target_expected[rows]),
-            ]
-        )
+        block_prob[rows], proj[rows], residual[rows] = _project(amp, targets[rows], m)
+    target_prob = np.array([a**2 for a in proj[:, 0].tolist()])  # pow, as above
+    dev = np.maximum.reduce(
+        [
+            np.abs(reduced - proj).max(axis=1),
+            residual,
+            np.abs(block_prob - block_expected),
+            np.abs(target_prob - target_expected),
+        ]
+    )
 
     w = int(np.argmax(dev))  # the first of equal maxima
     worst = {

@@ -421,6 +421,10 @@ REFERENCE_CASES = (
     + [(4, 2, 22), (4, 2, 23), (12, 6, 22)]
     + [(16, 8, 24), (12, 6, 24), (4, 2, 24)]
     + [(2, m, k) for m in (0, 1) for k in range(1, 9)]
+    # k_tot = 16 is the last grid swept as one product and 17 the first
+    # planned in tiles: there (8, 0) above, (4, 2) and (1, 0) have many
+    # ties (every leaf ties at (1, 0))
+    + [(4, 2, 16), (4, 2, 17), (1, 0, 16), (1, 0, 17)]
 )
 
 

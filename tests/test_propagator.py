@@ -18,7 +18,7 @@ from partial_search import (
     grk_optimal_parameters,
     new_search_space,
 )
-from partial_search import bounds, dynamics, parallel, scans
+from partial_search import bounds, parallel, scans
 from partial_search.cli import run
 from partial_search.dynamics import _apply_sequences
 from full_box_scan import final_rows, full_box_scan_min, uniform_after_globals
@@ -158,28 +158,16 @@ def test_batched_runs_are_apply_sequence(n, m, max_k):
     assert_rows_are_apply_sequence(new_search_space(n, m), rows)
 
 
-def test_repeated_rows_are_applied_once(monkeypatch):
-    # rows of up to 62 queries are keyed by (length, mask); a longer row,
-    # or an empty one, keeps its own result, and every repeat gets the
-    # state of its first occurrence, bit for bit
+def test_repeated_and_long_rows_are_apply_sequence():
+    # every row is applied as drawn, bit for bit: repeats of one sequence,
+    # an empty row, and rows of 61 to 100 queries side by side
     rng = np.random.default_rng(62)
     distinct = [[], [True], [False], [False, True], [True] * 62, [False] * 62]
     distinct += [rng.integers(0, 2, k).astype(bool).tolist() for k in (5, 61, 62, 63, 100)]
     distinct += [[False] * 63, [False] * 64, [True] + [False] * 61, [True] + [False] * 62]
     picks = rng.integers(0, len(distinct), 200)
     rows = [distinct[i] for i in picks] + distinct
-    applied = []
-    apply_runs = dynamics._apply_runs
-
-    def counting(space, runs, row_ends):
-        applied.append(len(row_ends))
-        return apply_runs(space, runs, row_ends)
-
-    monkeypatch.setattr(dynamics, "_apply_runs", counting)
     assert_rows_are_apply_sequence(new_search_space(12, 5), rows)
-    # the rows over 62 queries each count once, repeats or not
-    long_repeats = sum(len(distinct[i]) > 62 for i in picks)
-    assert applied[0] == len(distinct) + long_repeats
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -222,42 +222,61 @@ def reference_run(n, m, target, kinds):
     [
         (1, 0, 6), (4, 0, 9), (6, 2, 12), (7, 6, 9), (9, 4, 1),
         # row means and blocks of 2, 4 and 8, summed as strided columns
-        (2, 1, 9), (3, 2, 9), (8, 1, 12), (9, 2, 12), (10, 3, 12),
-        (12, 3, 9),  # one-row batches
+        (2, 1, 9), (3, 2, 9), (8, 1, 12), (9, 2, 12), (10, 3, 12), (12, 3, 9),
+        # the sizes that verify runs one row per batch, at single-item,
+        # two-item and half-space blocks
+        (13, 0, 9), (13, 1, 9), (13, 12, 9), (14, 0, 9), (14, 1, 9), (14, 13, 9),
     ],
 )
 def test_batch_kernel_matches_per_query_primitives(monkeypatch, n, m, max_k):
-    # bit for bit: the same arithmetic, one row or one vector at a time
+    # bit for bit: the same arithmetic, one row or one vector at a time,
+    # through the 2-D batch kernel and the flat one-row path alike, and
+    # the same projection as the one-vector reference
     rng = np.random.default_rng(n * 100 + m)
     count = 17
     local = [rng.integers(0, 2, 1 + i % max_k).astype(bool) for i in range(count)]
     local[0][:] = False  # an all-global and an all-local row, whatever the draw
     local[1][:] = True
-    targets = rng.permutation(np.arange(count) % (1 << n))  # distinct where 2^n >= 17
-    # five rows per batch, so the 17 sequences span four batches; from
-    # n = 12 one row, as verify runs n = 14
-    per_batch = 1 if n >= 12 else 5
-    monkeypatch.setattr(statevec, "_BATCH_DOUBLES", {n: per_batch << n})
+    # distinct where 2^n >= 17, in the first and the last block: the edges
+    # of the one-row projection's two slices
+    targets = rng.permutation((np.arange(count) - count // 2) % (1 << n))
     flat, lengths = np.concatenate(local), np.array([len(bits) for bits in local])
-    batches = list(statevec._simulate_batches(n, m, targets, flat, lengths))
-    sizes = [min(per_batch, count - start) for start in range(0, count, per_batch)]
-    assert [len(rows) for rows, _ in batches] == sizes
-    for rows, amp in batches:
-        for row, r in zip(amp, rows):
-            kinds = [L if bit else G for bit in local[r]]
-            assert np.array_equal(row, reference_run(n, m, int(targets[r]), kinds))
-    assert sorted(r for rows, _ in batches for r in rows) == list(range(count))
+    want = [reference_run(n, m, int(targets[r]), [L if bit else G for bit in local[r]])
+            for r in range(count)]
+    # five rows per batch, so the 17 sequences span four batches, and one
+    for per_batch in (5, 1):
+        monkeypatch.setattr(statevec, "_BATCH_DOUBLES", {n: per_batch << n})
+        batches = list(statevec._simulate_batches(n, m, targets, flat, lengths))
+        sizes = [min(per_batch, count - start) for start in range(0, count, per_batch)]
+        assert [len(rows) for rows, _ in batches] == sizes
+        for rows, amp in batches:
+            block_prob, proj, residual = statevec._project(amp, targets[rows], m)
+            for i, r in enumerate(rows):
+                assert np.array_equal(amp[i], want[r])
+                ref_block, _, ref_state, ref_residual = reference_project(
+                    want[r], int(targets[r]), m
+                )
+                assert block_prob[i] == ref_block and residual[i] == ref_residual
+                assert np.array_equal(proj[i], ref_state.as_array())
+        assert sorted(r for rows, _ in batches for r in rows) == list(range(count))
 
 
-@pytest.mark.parametrize("n, m", [(1, 0), (7, 3), (10, 4), (14, 7)])
+@pytest.mark.parametrize(
+    "n, m",
+    # the flat one-row path at single-item, two-item and half-space blocks
+    [(1, 0), (7, 3), (10, 4), (14, 7)] + [(n, m) for n in (13, 14) for m in (0, 1, n - 1)],
+)
 def test_batch_size_does_not_change_reports(monkeypatch, n, m):
-    # one row per batch, the former flat 2^14 amplitudes, and the per-n rule
+    # one row per batch, two rows of the 2-D kernel, the former flat 2^14
+    # amplitudes and the per-n rule; from n = 13, the per-query loop too
     reports = []
-    for doubles in (1 << n, 1 << 14, statevec._BATCH_DOUBLES[n]):
+    for doubles in (1 << n, 2 << n, 1 << 14, statevec._BATCH_DOUBLES[n]):
         monkeypatch.setattr(statevec, "_BATCH_DOUBLES", {n: doubles})
         reports.append(verify_subspace(n, m, seed=n + m))
     assert reports[0]["passed"]
-    assert reports[0] == reports[1] == reports[2]
+    assert all(report == reports[0] for report in reports)
+    if n >= 13:
+        assert reports[0] == reference_verify(n, m, seed=n + m)
 
 
 @pytest.mark.parametrize("shape", [(1 << 14,), (3, 1 << 13), (5, 2, 1 << 12)])
@@ -333,8 +352,8 @@ def reference_verify(n, m, num_random_sequences=200, max_k=40, tol=1e-10, seed=4
         # multi-row batches at n = 10: strided subtracts (b <= 4), the
         # strided 8-entry mean and np.add.reduce block means (b >= 16)
         (10, 1, 3), (10, 2, 42), (10, 3, 3), (10, 5, 42), (10, 7, 3)]]
-    # 3,000 draws of at most 2 queries: six distinct sequences, so the
-    # reduced side applies each once and copies it to every repeat
+    # 3,000 draws of at most 2 queries: six distinct sequences, each
+    # repeated hundreds of times side by side
     + [pytest.param(5, 2, 7, {"num_random_sequences": 3000, "max_k": 2}, id="5-2-7-short")],
 )
 def test_verify_report_equals_per_query_loop(n, m, seed, sizes):
