@@ -14,14 +14,22 @@ in both probabilities and at most 1, so a cell of q queries is worth at
 least q. It first evaluates the one-query cell (k1, k2) = (0, 0), the
 seed, and cuts the box to floor(seed) queries: no cell with more can
 beat or tie it. That makes the wide blocks (m > n/2), whose optimum is
-the one-query cell, a box of a few cells. Then, along one k2 column,
-each amplitude is R sin((2 k1 + 1) theta1 + phi), so over a k1 interval
-its square is extreme at an end or at a zero or peak of the sine; that
-bounds the expectation on the whole interval, and bisection keeps only
-the intervals that can hold the optimum. Two caps keep a scan to
-seconds: a box of more than _SCAN_COLUMN_CAP k2 columns, counted
-before the cut, is refused before it starts, and a scan is stopped with
-ResourceLimitError once it would evaluate more than _SCAN_CELL_CAP cells.
+the one-query cell, a box of a few cells. A cut box of at most
+_SWEEP_CELLS cells is swept whole, in one product of its rows and
+columns: y = (2 k1 + 1) theta1 depends only on the row, so each row
+takes sin y and cos y once. In a larger box, along one k2 column, each
+amplitude is R sin(y + phi), so over a k1 interval its square is
+extreme at an end or at a zero or peak of the sine; that bounds the
+expectation on the whole interval, and bisection keeps only the
+intervals that can hold the optimum. Its interval ends and leaf cells
+take sin y and cos y per cell until they would reach the number of
+rows; from there on they gather them from a table of every row, at most
+_TRIG_ROWS (2^16) rows and 1 MB, so longer budgets (the narrow blocks
+from n = 34) stay per cell. Two caps keep a scan to seconds: a box of more than
+_SCAN_COLUMN_CAP k2 columns, counted before the cut, is refused before
+it starts, and a scan is stopped with ResourceLimitError once it would
+evaluate more than _SCAN_CELL_CAP cells, interval ends and swept cells
+alike.
 """
 
 from __future__ import annotations
@@ -45,12 +53,17 @@ def default_k2_cap(space: SearchSpace) -> int:
 
 
 _LEAF = 32  # k1 cells per leaf interval, where bisection stops
-_CHUNK_CELLS = 4096  # intervals, or leaf cells, per chunk; larger ones cost peak memory
+_CHUNK_CELLS = 4096  # intervals per chunk; larger ones cost peak memory
+_LEAF_CHUNK = 2 * _CHUNK_CELLS  # leaf cells per chunk of the sweep
+_SWEEP_CELLS = _LEAF_CHUNK  # a cut box of at most this many cells skips bisection
+# rows of a bisected scan's table of sin y and cos y (1 MB at most); a
+# scan of more rows takes them per cell
+_TRIG_ROWS = 1 << 16
 _PROB_SLACK = 1e-12  # the closed form is within ~1e-15 of exact in a probability
-# On a 2-vCPU host the bounds run at ~6M intervals/s (12M end cells/s) and
-# the leaves at 12-15M cells/s, so 2^25 evaluated cells is about 3 s; the
-# largest scans of `bounds --n 40` and `parallel --scheme compare --n 40`
-# evaluate 3.6M and 25M. The first level bounds every column of the box
+# On a 2-vCPU host the bounds run at ~10M intervals/s (20M end cells/s) and
+# the leaves at 25-30M cells/s, with sines per cell, so 2^25 evaluated
+# cells is about 2 s; the largest scans of `bounds --n 40` and `parallel
+# --scheme compare --n 40` evaluate 3.6M and 25M (1.4-1.6 s). The first level bounds every column of the box
 # that the seed leaves: 2^22 of them would take about 1.3 s and 40 MB.
 _SCAN_CELL_CAP = 1 << 25
 _SCAN_COLUMN_CAP = 1 << 22
@@ -107,15 +120,39 @@ def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> np.ndarray:
     return out
 
 
+Rows = tuple[np.ndarray, np.ndarray]  # (sin y, cos y) at k1 = 0, 1, ..., budget - 1
+
+
+def _sin_cos(theta1: float, k1: np.ndarray, rows: Rows | None) -> Rows:
+    """(sin y, cos y) at y = (2 k1 + 1) theta1: gathered from `rows`, a
+    scan's table of both, where it has one, and computed otherwise. Both
+    give the same bits: the table's y is the same product, and np.sin
+    and np.cos are elementwise."""
+    if rows is not None:
+        return rows[0].take(k1), rows[1].take(k1)
+    y = (2.0 * k1 + 1.0) * theta1
+    return np.sin(y), np.cos(y)
+
+
+def _row_table(theta1: float, budget: int, cells: int) -> Rows | None:
+    """A bisected scan's row table, once `cells`, the cells it will have
+    evaluated with its next level or its leaves, reach its `budget` of
+    rows, and None before: the sines taken per cell until then are fewer
+    than the table's. None past _TRIG_ROWS rows as well."""
+    if cells < budget or budget > _TRIG_ROWS:
+        return None
+    return _sin_cos(theta1, np.arange(budget), None)
+
+
 def _probabilities(
-    theta1: float, k1: np.ndarray, coefficients: np.ndarray
+    theta1: float, k1: np.ndarray, coefficients: np.ndarray, rows: Rows | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(pr_block, pr_target) at the cells k1 of the columns whose
     _sine_coefficients are `coefficients`, broadcast together, each
-    clipped into [0, 1]: rounding can carry a squared amplitude past 1."""
+    clipped into [0, 1]: rounding can carry a squared amplitude past 1.
+    The sines come from _sin_cos with the row table `rows`."""
     a_t, b_t, a_b, b_b = coefficients
-    y = (2.0 * k1 + 1.0) * theta1
-    sin_y, cos_y = np.sin(y), np.cos(y)
+    sin_y, cos_y = _sin_cos(theta1, k1, rows)
     pr_block = 1.0 - (a_b * sin_y + b_b * cos_y) ** 2
     pr_target = (a_t * sin_y + b_t * cos_y) ** 2
     # 1 - x^2 <= 1 and x^2 >= 0 hold exactly: one bound each clips into [0, 1]
@@ -130,10 +167,12 @@ def _interval_bounds(
     blocks: np.ndarray,
     k2s: np.ndarray,
     coefficients: np.ndarray,
+    rows: Rows | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) per interval: k1 in block `blocks` of `size` cells,
     cut at the budget, in column k2s, whose _sine_coefficients are the
-    columns of `coefficients`.
+    columns of `coefficients`. The end cells' sines come from _sin_cos
+    with the row table `rows`.
 
     Along the interval each amplitude is R sin(y + phi), so its square
     is least and greatest at an end, unless the interval holds a zero
@@ -147,14 +186,20 @@ def _interval_bounds(
     lo = blocks * size
     hi = np.minimum(lo + size, budget - k2s) - 1
     theta1 = angles(space).theta1
-    y_lo, y_hi = (2.0 * lo + 1.0) * theta1, (2.0 * hi + 1.0) * theta1
-    s_lo, c_lo, s_hi, c_hi = np.sin(y_lo), np.cos(y_lo), np.sin(y_hi), np.cos(y_hi)
+    s_lo, c_lo = _sin_cos(theta1, lo, rows)
+    s_hi, c_hi = _sin_cos(theta1, hi, rows)
     a_t, b_t, a_b, b_b = coefficients
     t_lo, t_hi = a_t * s_lo + b_t * c_lo, a_t * s_hi + b_t * c_hi
     bb_lo, bb_hi = a_b * s_lo + b_b * c_lo, a_b * s_hi + b_b * c_hi
-    wide = y_hi - y_lo >= np.pi  # may hold two zeros or two peaks
-    zero = (bb_lo * bb_hi <= 0.0) | wide
-    peak = ((a_t * c_lo - b_t * s_lo) * (a_t * c_hi - b_t * s_hi) <= 0.0) | wide
+    zero = bb_lo * bb_hi <= 0.0
+    peak = (a_t * c_lo - b_t * s_lo) * (a_t * c_hi - b_t * s_hi) <= 0.0
+    # an interval that spans pi in y may hold two zeros or two peaks. It
+    # spans less than 2 size theta1, so below 3 the level holds none, by
+    # a margin far past the rounding of y
+    if 2.0 * size * theta1 >= 3.0:
+        wide = (2.0 * hi + 1.0) * theta1 - (2.0 * lo + 1.0) * theta1 >= np.pi
+        zero |= wide
+        peak |= wide
     t_lo, t_hi, bb_lo, bb_hi = t_lo * t_lo, t_hi * t_hi, bb_lo * bb_lo, bb_hi * bb_hi
     pr_b_hi = 1.0 - np.where(zero, 0.0, np.minimum(bb_lo, bb_hi))
     pr_t_hi = np.where(peak, a_t * a_t + b_t * b_t, np.maximum(t_lo, t_hi))
@@ -172,6 +217,116 @@ def _interval_bounds(
             ),
         )
     return lower, upper
+
+
+def _best_cell(
+    success: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    theta1: float,
+    budget: int,
+    k1: np.ndarray,
+    k2: np.ndarray,
+    coefficients: np.ndarray,
+    rows: Rows | None,
+) -> tuple[float, int, int, float, float]:
+    """(value, queries, k2, pr_block, pr_target) at the least value
+    q / success over a block of cells of at most `budget` queries; ties
+    break toward fewer queries, then smaller k2. Row i of the block is
+    column k2[i], whose _sine_coefficients are coefficients[:, i], at the
+    k1 of row i of `k1` (or of its one row, for every column). `rows` is
+    the scan's row table, if any: k1 past its end is clamped for the
+    gather, on cells that the budget drops anyway."""
+    q = k1 + (k2[:, None] + 1.0)  # exact, and the division needs no cast
+    pr_b, pr_t = _probabilities(
+        theta1, np.minimum(k1, budget - 1), coefficients[:, :, None], rows
+    )
+    vals = np.where(q <= budget, q, np.inf)  # a cell past the budget is worth inf
+    vals /= success(pr_b, pr_t)
+    value = vals.min()
+    i, j = np.divmod(np.flatnonzero(vals == value), vals.shape[1])
+    t = np.lexsort((k2[i], q[i, j]))[0]  # past the budget only where all are inf
+    i, j = i[t], j[t]
+    return float(value), int(q[i, j]), int(k2[i]), float(pr_b[i, j]), float(pr_t[i, j])
+
+
+def _check_cells(cells: int) -> None:
+    """Refuse a scan before it builds the arrays that take it to `cells`
+    evaluated cells, if that is past _SCAN_CELL_CAP."""
+    if cells > _SCAN_CELL_CAP:
+        raise ResourceLimitError(
+            f"scan exceeds the cap of 2^{_SCAN_CELL_CAP.bit_length() - 1} "
+            "evaluated cells at this n"
+        )
+
+
+def _bisect(
+    space: SearchSpace,
+    success: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    budget: int,
+    columns: int,
+    incumbent: float,
+    coefficients: Callable[[np.ndarray], np.ndarray],
+) -> tuple[float, int, int, float, float]:
+    """_best_cell over the box of `columns` k2 columns cut at `budget`
+    queries, reached by bisecting each column into k1 intervals and
+    sweeping the leaves that can beat or tie `incumbent`."""
+    theta1 = angles(space).theta1
+    rows = None  # the row table, built once the cells evaluated reach the budget
+    evaluated = 0  # cells evaluated so far: interval ends, then leaf cells
+    # the first level is one chunk of intervals, or one interval per
+    # column, well inside the cap for at most _SCAN_COLUMN_CAP columns
+    size = _LEAF
+    while size < budget and columns * -(-budget // size) > _CHUNK_CELLS:
+        size *= 2
+    per_column = -(-budget // size)  # intervals per column at this level
+    keys = np.arange(columns * per_column)  # k2 * per_column + interval
+    while True:
+        if rows is None:
+            rows = _row_table(theta1, budget, evaluated + 2 * len(keys))
+        keep = np.zeros(len(keys), dtype=bool)
+        for s in range(0, len(keys), _CHUNK_CELLS):
+            k2s, blocks = np.divmod(keys[s : s + _CHUNK_CELLS], per_column)
+            inside = blocks * size < budget - k2s  # the second half may start past the end
+            k2s, blocks = k2s[inside], blocks[inside]
+            evaluated += 2 * len(k2s)
+            lower, upper = _interval_bounds(
+                space, success, budget, size, blocks, k2s, coefficients(k2s), rows
+            )
+            incumbent = min(incumbent, float(upper.min(initial=math.inf)))
+            keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
+        keys = keys[keep]
+        if size == _LEAF:
+            break
+        _check_cells(evaluated + 4 * len(keys))
+        keys = (2 * keys[:, None] + np.arange(2)).ravel()
+        size //= 2
+        per_column *= 2
+
+    k2s, blocks = np.divmod(keys, per_column)
+    evaluated += int(np.minimum(_LEAF, budget - k2s - blocks * _LEAF).sum())
+    _check_cells(evaluated)
+    if rows is None:
+        rows = _row_table(theta1, budget, evaluated)
+    # the leaves' columns, each computed or gathered once: keys rise, so k2s does
+    first = np.ones(len(k2s), dtype=bool)
+    np.not_equal(k2s[1:], k2s[:-1], out=first[1:])
+    live = k2s[first]
+    live_coefficients = coefficients(live)
+    best: tuple[float, int, int, float, float] | None = None
+    for s in range(0, len(keys), _LEAF_CHUNK // _LEAF):
+        cut = slice(s, s + _LEAF_CHUNK // _LEAF)  # whole leaves, one per row
+        cand = _best_cell(
+            success,
+            theta1,
+            budget,
+            blocks[cut, None] * _LEAF + np.arange(_LEAF),
+            k2s[cut],
+            live_coefficients[:, np.searchsorted(live, k2s[cut])],
+            rows,
+        )
+        if best is None or cand[:3] < best[:3]:
+            best = cand
+    assert best is not None
+    return best
 
 
 def grk_scan_min(
@@ -194,17 +349,27 @@ def grk_scan_min(
     to floor(seed) queries (the whole budget for a seed of inf): a cell
     of q queries is worth at least q, so one of more is worth more than
     the seed, can neither beat nor tie the optimum, and the cut keeps
-    the argmin and the tie rule. Then each k2 column is bisected into
-    aligned k1 intervals, level by level for all live intervals at once,
-    and an interval is dropped when the expectation at (its fewest
-    queries, the largest probabilities in it) exceeds the incumbent, the
-    best expectation bounded at an interval end. Surviving leaves of _LEAF
-    rows are swept flat with the same closed form, _CHUNK_CELLS cells at
-    a time, so the result is that of a sweep over every cell. A box of
-    at most _CHUNK_CELLS columns computes their _sine_coefficients once,
-    and every level and the leaves gather them; a wider one computes
-    them per chunk of intervals, and once per column for the leaves.
-    From n of about 53, neighbouring k1 give values within about 1e-15
+    the argmin and the tie rule. A cut box of at most _SWEEP_CELLS cells
+    (columns x budget), as the wide blocks leave, and the one column of
+    a scan without k2 up to n = 26, is swept whole in one product of
+    its rows and columns, each row's sin y and cos y taken once.
+    Otherwise each k2 column is bisected into aligned k1 intervals,
+    level by level for all live intervals at once, and an interval is
+    dropped when the expectation at (its fewest queries, the largest
+    probabilities in it) exceeds the incumbent, the best expectation
+    bounded at an interval end. Surviving leaves of _LEAF rows are swept
+    flat with the same closed form, _LEAF_CHUNK cells at a time, so the
+    result is that of a sweep over every cell. The interval ends and
+    leaf cells take sin y and cos y per cell until, with the next level
+    or the leaves, they would reach the budget's number of rows; from
+    there on they gather them from a table of every row. So a scan takes
+    fewer than twice the sines of the better of the two ways. A budget
+    of more than _TRIG_ROWS rows (the narrow blocks from n = 34) keeps
+    them per cell, so the table stays within 1 MB. A box of at most
+    _CHUNK_CELLS columns computes their _sine_coefficients once, and
+    every level and the leaves gather them; a wider one computes them
+    per chunk of intervals, and once per column for the leaves. From n
+    of about 53, neighbouring k1 give values within about 1e-15
     relative: the reported k1 is then one of several optimal up to
     rounding, and "fewer queries" breaks only exact ties.
     """
@@ -227,68 +392,13 @@ def grk_scan_min(
     def coefficients(k2s: np.ndarray) -> np.ndarray:
         return _sine_coefficients(space, k2s) if table is None else table[:, k2s]
 
-    evaluated = 0  # end cells of the intervals bounded so far
-
-    def check(cells: int) -> None:
-        # before the arrays for `cells` more (a level, or the leaves) are built
-        if evaluated + cells > _SCAN_CELL_CAP:
-            raise ResourceLimitError(
-                f"scan exceeds the cap of 2^{_SCAN_CELL_CAP.bit_length() - 1} "
-                "evaluated cells at this n"
-            )
-
-    # the first level is one chunk of intervals, or one interval per
-    # column, well inside the cap for at most _SCAN_COLUMN_CAP columns
-    size = _LEAF
-    while size < budget and columns * -(-budget // size) > _CHUNK_CELLS:
-        size *= 2
-    per_column = -(-budget // size)  # intervals per column at this level
-    keys = np.arange(columns * per_column)  # k2 * per_column + interval
-    incumbent = seed
-    while True:
-        keep = np.zeros(len(keys), dtype=bool)
-        for s in range(0, len(keys), _CHUNK_CELLS):
-            k2s, blocks = np.divmod(keys[s : s + _CHUNK_CELLS], per_column)
-            inside = blocks * size < budget - k2s  # the second half may start past the end
-            k2s, blocks = k2s[inside], blocks[inside]
-            evaluated += 2 * len(k2s)
-            lower, upper = _interval_bounds(
-                space, success, budget, size, blocks, k2s, coefficients(k2s)
-            )
-            incumbent = min(incumbent, float(upper.min(initial=math.inf)))
-            keep[s : s + _CHUNK_CELLS][inside] = ~(lower > incumbent)
-        keys = keys[keep]
-        if size == _LEAF:
-            break
-        check(4 * len(keys))
-        keys = (2 * keys[:, None] + np.arange(2)).ravel()
-        size //= 2
-        per_column *= 2
-
-    k2s, blocks = np.divmod(keys, per_column)
-    check(int(np.minimum(_LEAF, budget - k2s - blocks * _LEAF).sum()))
-    # the leaves' columns, each computed or gathered once: keys rise, so k2s does
-    first = np.ones(len(k2s), dtype=bool)
-    np.not_equal(k2s[1:], k2s[:-1], out=first[1:])
-    live = k2s[first]
-    live_coefficients = coefficients(live)
-    best: tuple[float, int, int, float, float] | None = None
-    for s in range(0, len(keys), _CHUNK_CELLS // _LEAF):
-        cut = slice(s, s + _CHUNK_CELLS // _LEAF)  # whole leaves, one per row
-        k1 = blocks[cut, None] * _LEAF + np.arange(_LEAF)
-        q = k1 + (k2s[cut, None] + 1)
-        keep = q <= budget
-        column = live_coefficients[:, np.searchsorted(live, k2s[cut]), None]
-        pr_b, pr_t = _probabilities(theta1, k1, column)
-        pr_b, pr_t, q = pr_b[keep], pr_t[keep], q[keep]
-        k2 = q - 1 - k1[keep]
-        vals = q / success(pr_b, pr_t)
-        ties = np.flatnonzero(vals == vals.min())
-        j = ties[np.lexsort((k2[ties], q[ties]))[0]]
-        cand = (float(vals[j]), int(q[j]), int(k2[j]), float(pr_b[j]), float(pr_t[j]))
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-    assert best is not None
+    if columns * budget <= _SWEEP_CELLS:
+        _check_cells(columns * budget - columns * (columns - 1) // 2)
+        k2s = np.arange(columns)
+        # its k1 are one row shared by every column, so each sine is taken once
+        best = _best_cell(success, theta1, budget, np.arange(budget), k2s, coefficients(k2s), None)
+    else:
+        best = _bisect(space, success, budget, columns, seed, coefficients)
     value, q_opt, k2_opt, pr_b_opt, pr_t_opt = best
     return value, q_opt - 1 - k2_opt, k2_opt, pr_b_opt, pr_t_opt
 

@@ -276,19 +276,23 @@ def test_scan_min_tie_order_across_chunks():
 
 
 def test_scan_min_refuses_more_cells_than_the_cap(monkeypatch):
-    # the cap counts cells evaluated: each interval's two end cells, then
-    # every cell of the surviving leaves. A success of 0 makes every cell
-    # worth inf, so the seed cuts nothing and nothing is pruned: the 4 x 3
-    # box is one interval per column (6 end cells) and 9 in-budget cells,
-    # so a cap of 15 admits it and 14 does not
+    # the cap counts cells evaluated. A success of 0 makes every cell
+    # worth inf, so the seed cuts nothing and nothing is pruned. The 4 x 3
+    # box holds at most _SWEEP_CELLS cells, so it is swept whole: its 9
+    # in-budget cells, and a cap of 9 admits it and 8 does not. With no
+    # box swept whole it is bisected: one interval per column (6 end
+    # cells), then the 9 in-budget cells of the leaves, so a cap of 15
+    # admits it and 14 does not
     space = new_search_space(8, 3)
     never = lambda prb, prt: np.zeros_like(prb)  # noqa: E731
-    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 15)
-    with np.errstate(divide="ignore"):
-        assert grk_scan_min(space, never, budget=4, k2_cap=2)[:3] == (math.inf, 0, 0)
-    monkeypatch.setattr(scans, "_SCAN_CELL_CAP", 14)
-    with pytest.raises(ResourceLimitError, match="cap of 2\\^3 evaluated cells"):
-        grk_scan_min(space, never, budget=4, k2_cap=2)
+    for sweep_cells, cap in ((scans._SWEEP_CELLS, 9), (0, 15)):
+        monkeypatch.setattr(scans, "_SWEEP_CELLS", sweep_cells)
+        monkeypatch.setattr(scans, "_SCAN_CELL_CAP", cap)
+        with np.errstate(divide="ignore"):
+            assert grk_scan_min(space, never, budget=4, k2_cap=2)[:3] == (math.inf, 0, 0)
+        monkeypatch.setattr(scans, "_SCAN_CELL_CAP", cap - 1)
+        with pytest.raises(ResourceLimitError, match="cap of 2\\^3 evaluated cells"):
+            grk_scan_min(space, never, budget=4, k2_cap=2)
     monkeypatch.undo()
     # a box of 2^20 x 513 cells, four times the old box cap, costs only
     # the cells that can beat the optimum: none past 16 queries can, as
@@ -390,13 +394,30 @@ def test_scan_min_matches_full_box(n):
                 assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("m, uncut", [(15, 2034), (19, 2671)])
-def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut):
+def record_sweep_budgets(monkeypatch):
+    """The budget of every _best_cell call of the scans to come: the cut
+    box swept whole, or a chunk of its surviving leaves."""
+    budgets = []
+    best_cell = scans._best_cell
+
+    def record(*args):
+        budgets.append(args[2])
+        return best_cell(*args)
+
+    monkeypatch.setattr(scans, "_best_cell", record)
+    return budgets
+
+
+@pytest.mark.parametrize(
+    "m, uncut, cut", [(15, 2034, 31), (19, 2671, 1)], ids=["15-2034", "19-2671"]
+)
+def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut, cut):
     # at m > n/2 the optimum is the one-query cell. A cell worth at most
-    # its value e has q <= q / pr <= e queries, so the scan bounds the
-    # intervals of the box cut to floor(e) queries: 31 at m = 15, and at
-    # m = 19 the one interval of the one-cell box, where the whole box
-    # takes `uncut`. The result is still the full sweep's
+    # its value e has q <= q / pr <= e queries, so the scan sweeps the box
+    # cut to floor(e) queries: 31 at m = 15, and 1 at m = 19, where the
+    # whole box takes `uncut` intervals to bound. Either cut box holds at
+    # most _SWEEP_CELLS cells, so no interval is bounded. The result is
+    # still the full sweep's
     space = new_search_space(20, m)
     success = BLOCK_SUCCESSES["expectation"]
     bounded = []
@@ -407,26 +428,23 @@ def test_one_query_seed_cuts_a_wide_box(monkeypatch, m, uncut):
         return interval_bounds(*args)
 
     monkeypatch.setattr(scans, "_interval_bounds", record)
+    budgets = record_sweep_budgets(monkeypatch)
     got = grk_scan_min(space, success)
     want = full_box_scan_min(space, success)
     assert sum(bounded) <= uncut // 50
+    assert set(budgets) == {cut}
     assert got[1:3] == want[1:3] == (0, 0)
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
 
 
 def test_query_cut_is_the_floor_of_the_seed_within_the_budget(monkeypatch):
-    # a constant success c makes the one-query seed 1 / c: every level is
-    # bounded in the box cut to floor(1 / c) queries, clipped to the
-    # budget, and a success of 0 (a seed of inf) keeps the whole budget
+    # a constant success c makes the one-query seed 1 / c: the cells are
+    # swept in the box cut to floor(1 / c) queries, clipped to the
+    # budget, and a success of 0 (a seed of inf) keeps the whole budget.
+    # The 4097 x 2 box that a seed of inf leaves is past _SWEEP_CELLS, so
+    # it is bisected and its leaves are swept; every other box is swept whole
     space = new_search_space(8, 3)
-    budgets = []
-    interval_bounds = scans._interval_bounds
-
-    def record(*args):
-        budgets.append(args[2])
-        return interval_bounds(*args)
-
-    monkeypatch.setattr(scans, "_interval_bounds", record)
+    budgets = record_sweep_budgets(monkeypatch)
     for budget in (1, 2, 63, 64, 65, 200, 4097, 1 << 31):
         for c in (1.0, 0.75, 0.5, 1 / 21.9, 1 / 1365, 0.0):
             if c == 0.0 and budget > 4097:
@@ -446,19 +464,69 @@ def test_one_query_seed_leaves_a_narrow_box_whole(monkeypatch):
     # the box's 811: the cut keeps the whole budget
     space = new_search_space(20, 5)
     success = BLOCK_SUCCESSES["expectation"]
-    budgets = []
-    interval_bounds = scans._interval_bounds
-
-    def record(*args):
-        budgets.append(args[2])
-        return interval_bounds(*args)
-
-    monkeypatch.setattr(scans, "_interval_bounds", record)
+    budgets = record_sweep_budgets(monkeypatch)
     got = grk_scan_min(space, success)
     want = full_box_scan_min(space, success)
     assert set(budgets) == {default_budget(space)}
     assert got[1:3] == want[1:3]
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_scan_paths_return_the_same_tuples(monkeypatch, n):
+    # the row table against sines per cell, and the whole-box sweep
+    # against bisection. A table of at most 0 rows is never built, one
+    # of 2^30 wherever a bisection's cells reach its budget (no budget
+    # here comes near 2^30 rows), and a box of more than 0 cells is
+    # bisected. Every setting returns the same tuples, bit for bit
+    results, tables = [], []
+    row_table = scans._row_table
+
+    def counting_row_table(*args):
+        rows = row_table(*args)
+        tables[-1] += rows is not None
+        return rows
+
+    monkeypatch.setattr(scans, "_row_table", counting_row_table)
+    for trig_rows in (0, 1 << 30):
+        for sweep_cells in (0, scans._SWEEP_CELLS):
+            monkeypatch.setattr(scans, "_TRIG_ROWS", trig_rows)
+            monkeypatch.setattr(scans, "_SWEEP_CELLS", sweep_cells)
+            tables.append(0)
+            with np.errstate(divide="ignore"):
+                results.append(
+                    [
+                        grk_scan_min(new_search_space(n, m), success, allow_k2)
+                        for m in range(n)
+                        for success in BLOCK_SUCCESSES.values()
+                        for allow_k2 in (True, False)
+                    ]
+                )
+    assert all(got == results[0] for got in results[1:])
+    assert tables[0] == tables[1] == 0 < tables[2]
+
+
+def test_scan_takes_each_rows_sine_once(monkeypatch):
+    # at (20, 10) the expectation scan bisects 52 columns of 837 rows,
+    # bounding 1,342 intervals and sweeping 9,408 leaf cells. Its sines
+    # are the row table's, the columns' and the seed's: none per interval
+    # end or per cell
+    space = new_search_space(20, 10)
+    budget, columns = scan_shape(space)
+    success = BLOCK_SUCCESSES["expectation"]
+    sin = np.sin
+    evaluated = []
+
+    def counting_sin(x, *args, **kwargs):
+        evaluated.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sin", counting_sin)
+    got = grk_scan_min(space, success)
+    monkeypatch.undo()
+    assert sum(evaluated) <= budget + 2 * columns + 2
+    want = full_box_scan_min(space, success)
+    assert got[1:3] == want[1:3]
 
 
 @pytest.mark.parametrize("size", [1, 5, 32])
@@ -471,13 +539,15 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
     # that the slack covers the rounding of the closed form; longer ones
     # (past a zero of amp_b~ or a peak of amp_t) that the extremes inside
     # are found. The budget of 3 pi sqrt(N) / 4 covers more than one
-    # period of y
+    # period of y. The bounds from a row table of sin y and cos y are
+    # those from sines per end cell
     space = new_search_space(n, m)
     budget = 3 * default_budget(space)
     k2s = np.arange(min(default_k2_cap(space), budget - 1) + 1)
     states = uniform_after_globals(space, np.arange(budget))
     pr_b = 1.0 - (states @ final_rows(space, k2s, 2)) ** 2
     pr_t = (states @ final_rows(space, k2s, 0)) ** 2
+    rows = scans._sin_cos(angles(space).theta1, np.arange(budget), None)
     blocks, cols = np.divmod(np.arange(-(-budget // size) * len(k2s)), len(k2s))
     inside = blocks * size < budget - cols
     blocks, cols = blocks[inside], cols[inside]
@@ -489,9 +559,18 @@ def test_interval_bounds_hold_against_the_products(n, m, size):
         success = lambda prb, prt: prb if in_block else prt  # noqa: E731
         with np.errstate(divide="ignore"):
             values = queries / probability
+        coefficients = scans._sine_coefficients(space, cols)
         lower, upper = scans._interval_bounds(
-            space, success, budget, size, blocks, cols, scans._sine_coefficients(space, cols)
+            space, success, budget, size, blocks, cols, coefficients
         )
+        # the ends' sines gathered from a row table give the same bits
+        for got, want in zip(
+            scans._interval_bounds(
+                space, success, budget, size, blocks, cols, coefficients, rows
+            ),
+            (lower, upper),
+        ):
+            assert np.array_equal(got, want)
         for i in range(len(cols)):
             cells = values[lo[i] : hi[i] + 1, cols[i]]
             assert lower[i] <= cells.min()
