@@ -18,12 +18,16 @@ from .scans import check_splits, grk_max_block_probability, grk_scan_min, scan_s
 from .space import SearchSpace, angles, check_qubits, new_search_space
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+def bisect_root(
+    f: Callable[[float], float], lo: float, hi: float, key: Callable[[float], int] | None = None
+) -> float:
     """Plain bisection; requires a sign change on [lo, hi].
 
     Halves until the midpoint rounds to an end, where lo and hi are
     adjacent doubles and every further halving would leave them as they
     are, so the result is as exact as the function evaluation allows.
+    A key, if given, ends the halving early, at the midpoint, once
+    key(lo) == key(hi): a monotone key has that value at the root too.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -33,7 +37,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     if (flo > 0) == (fhi > 0):
         raise NumericalError(f"no sign change on [{lo}, {hi}]")
     mid = 0.5 * (lo + hi)
-    while mid != lo and mid != hi:
+    while mid != lo and mid != hi and not (key and key(lo) == key(hi)):
         fmid = f(mid)
         if fmid == 0.0:
             return mid
@@ -57,7 +61,11 @@ def continuous_kmin(theta: float, l: int) -> float:
     u > pi/4 (tan u <= 4u/pi below), where the slope crosses upward. For
     l > 1 only checked on a grid, not proved.
     """
+    return _kmin(theta, l)
 
+
+def _kmin(theta: float, l: int, key: Callable[[float], int] | None = None) -> float:
+    """continuous_kmin, its bisection ended early by `key` (bisect_root)."""
     def slope(u: float) -> float:
         s = math.sin(u)
         if s == 1.0:  # log1p(-1.0) raises; cos u = 0 here
@@ -69,7 +77,13 @@ def continuous_kmin(theta: float, l: int) -> float:
     lo = 3.0 * theta
     if lo >= 0.5 * math.pi or slope(lo) >= 0.0:
         return 1.0
-    return 0.5 * (bisect_root(slope, lo, 0.5 * math.pi) / theta - 1.0)
+    return 0.5 * (bisect_root(slope, lo, 0.5 * math.pi, key) / theta - 1.0)
+
+
+def _kmin_floor(theta: float, l: int) -> int:
+    """floor(continuous_kmin(theta, l)), its bisection stopped once both ends
+    have the same floor, a key monotone in floating point."""
+    return math.floor(_kmin(theta, l, lambda u: math.floor(0.5 * (u / theta - 1.0))))
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,23 @@ local=1, first query at the most significant bit so numeric order equals
 lexicographic order). The sweep splits each mask after p = k_tot // 2
 queries: mask (P << s) | S, s = k_tot - p, has the outside-block
 amplitude u_S . v_P, where v_P is the state after prefix P and
-u_S = e3^T M_S the covector of suffix S. The 2^p states and 2^s
-covectors are each built by doubling, one level per query, and each
-level is one contiguous 3 x 2^q array, a column per sequence in mask
-order; the k-d order, the boxes and the sweep all read that layout as
-it is, with no transpose or copy. A range of budgets builds the levels
-once, up to its largest budget, and takes each budget's grid from them.
+u_S = e3^T M_S the covector of suffix S. Each geometry has one tree of
+prefix states and one of suffix covectors, built by doubling, one level
+per query, each level one contiguous 3 x 2^q array with a column per
+sequence in mask order that the k-d order, the boxes and the sweep read
+as it is. The trees of the last _TREE_GEOMETRIES geometries are cached,
+so that the budgets of a range and repeated calls at one geometry build
+each level once: a tree grows on demand, from its deepest level, to the
+deepest budget asked for, and is replaced whole, never appended to. A
+level's k-d order and boxes are built by the first budget that tiles
+it, and kept. All of these arrays are read-only.
 
 A grid of at most _CHUNK_CELLS cells (k_tot <= 16) is one tile, swept as
 one product of every covector against every state. A larger one is a
 branch and bound over tiles of prefix rows x suffix columns.
-States and covectors are each ordered once so that every aligned block
-of them is a k-d cell, and the componentwise boxes of a tile's rows and
+Each level is ordered so that every aligned block of it is a k-d cell
+(at an odd budget the covectors' leaf is twice the states', the same
+order one level up), and the componentwise boxes of a tile's rows and
 columns bound u . v over the tile. The closed-form amp^2 of the best GRK
 leaf bounds the least amp^2 from above (up to _BOUND_SLACK), so a tile
 whose amplitudes all lie farther from 0 holds neither the maximum nor a
@@ -50,7 +55,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -78,6 +83,10 @@ _BOUND_TILES = 4096  # tiles bounded per pass; larger passes spill the cache
 # reference's gap from its leaf on the grid (under 1e-14 where measured)
 _BOUND_SLACK = 1e-12
 _TIE_CAP = 1 << 24  # candidate ties a call may hold: all 2^24 leaves of (1, 0, 24)
+# geometries whose trees are kept (LRU): the six of the paper's n = 8 grids, which
+# both grids read, and two more. One geometry's levels, int32 k-d orders and boxes
+# take 478,992 B at k_tot 22..24 and 4,057,088 B with every k_tot <= 30
+_TREE_GEOMETRIES = 8
 # numpy's ufunc buffer, in elements, while _sweep runs: at (8, 0, 24) its 129
 # products of up to 32 covectors x 32-2,304 prefix rows took 9.7 ms under the
 # default 8192 and 7.8-8.2 ms under 16 to 1024 (2-vCPU host, numpy 2.4.6)
@@ -142,18 +151,19 @@ def _run_counts(masks: np.ndarray, k_tot: int) -> np.ndarray:
 
 
 def _doubled(
-    start: np.ndarray, mats: tuple[np.ndarray, np.ndarray], depth: int, axis: int
-) -> list[np.ndarray]:
-    """The products of `start` with 0..depth factors mats[0]/mats[1]
-    (bit 0/1): level j, a contiguous 3 x 2^j array, holds the 2^j
-    products of j factors, one column each in mask order. Each column of
-    level j + 1 is mats[bit]^T times a column of level j: axis=1 appends
-    each new bit as the lowest, axis=0 as the highest. Each product is
-    numpy's own einsum loop, no BLAS kernel, so no thread count touches
-    the bits."""
-    levels = [np.reshape(start, (3, 1))]
-    for _ in range(depth):
-        level = levels[-1]
+    levels: tuple[np.ndarray, ...], mats: tuple[np.ndarray, np.ndarray], depth: int, axis: int
+) -> tuple[np.ndarray, ...]:
+    """`levels`, the products of a start with 0, 1, ... factors
+    mats[0]/mats[1] (bit 0/1), grown from its deepest level to `depth`
+    factors, as a new tuple: level j, a read-only 3 x 2^j array, holds
+    the 2^j products of j factors, one column each in mask order. Each
+    column of level j + 1 is mats[bit]^T times a column of level j:
+    axis=1 appends each new bit as the lowest, axis=0 as the highest.
+    Each product is numpy's own einsum loop, no BLAS kernel, so no thread
+    count touches the bits."""
+    grown = list(levels)
+    while len(grown) <= depth:
+        level = grown[-1]
         width = level.shape[1]
         children = np.empty((3, 2 * width))
         if axis == 1:
@@ -162,31 +172,58 @@ def _doubled(
             pairs = children.reshape(3, 2, width)
         for bit, mat in enumerate(mats):
             np.einsum("jk,ji->ki", mat, level, out=pairs[:, bit])
-        levels.append(children)
-    return levels
+        children.setflags(write=False)
+        grown.append(children)
+    return tuple(grown)
 
 
-_Levels = tuple[list[np.ndarray], list[np.ndarray]]  # (states, covectors) of _levels
-
-
-def _levels(space: SearchSpace, k_max: int) -> _Levels:
-    """(states, covectors): every prefix state of up to k_max // 2
-    queries and every suffix covector of up to k_max - k_max // 2, as
-    the levels of _doubled; the grid of any k_tot <= k_max is one level
-    of each (_grid)."""
+@lru_cache(maxsize=_TREE_GEOMETRIES)
+def _trees(space: SearchSpace) -> list:
+    """[states, covectors, kd, mats] of one geometry: the prefix-state and
+    suffix-covector trees, grown by _grid from the initial state and from
+    e3 by mats, and kd, the _kd of each level that _plan has tiled, by
+    (tree, depth)."""
     gn, lm = global_grover_matrix(space), local_grover_matrix(space)
-    p, s = k_max // 2, k_max - k_max // 2
-    states = _doubled(initial_state(space).as_array(), (gn.T, lm.T), p, axis=1)
-    return states, _doubled(np.eye(3)[2], (gn, lm), s, axis=0)
+    start, e3 = initial_state(space).as_array().reshape(3, 1), np.eye(3)[2].reshape(3, 1)
+    for array in (gn, lm, start, e3):
+        array.setflags(write=False)
+    return [(start,), (e3,), {}, ((gn.T, lm.T), (gn, lm))]
 
 
-def _grid(k_tot: int, levels: _Levels) -> tuple[np.ndarray, np.ndarray]:
+def _grid(space: SearchSpace, k_tot: int) -> tuple[np.ndarray, np.ndarray]:
     """(v, u_t): the 2^p prefix states and the 2^s suffix covectors, each
     a contiguous 3 x 2^q array with one column per sequence in mask
-    order, so leaf (P << s) | S has amplitude (v.T @ u_t)[P, S]; taken
-    from `levels` (_levels up to at least k_tot)."""
-    states, covectors = levels
-    return states[k_tot // 2], covectors[k_tot - k_tot // 2]
+    order, so leaf (P << s) | S has amplitude (v.T @ u_t)[P, S]: one
+    level of each of the geometry's trees (_trees), grown first if it is
+    too shallow. A tree grows as a new tuple: a concurrent call reads the
+    old tree or the new one, whole, and two calls that grow it at once
+    each read the levels they built, the last one kept."""
+    trees, p, s = _trees(space), k_tot // 2, k_tot - k_tot // 2
+    states, covectors = trees[0], trees[1]
+    if len(states) <= p:
+        states = trees[0] = _doubled(states, trees[3][0], p, axis=1)
+    if len(covectors) <= s:
+        covectors = trees[1] = _doubled(covectors, trees[3][1], s, axis=0)
+    return states[p], covectors[s]
+
+
+def _kd(points: np.ndarray) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """(order, boxes), read-only: the k-d order of the points at leaf
+    _LEAF_ROWS (_kd_order) and, per level j = 0, 1, ... down to blocks
+    of _LEAF_ROWS points, the componentwise (min, max) of each of its
+    2^j aligned blocks, as two 3 x 2^j arrays."""
+    order = _kd_order(points, _LEAF_ROWS)
+    blocks = np.take(points, order, axis=1).reshape(3, -1, _LEAF_ROWS)
+    lo, hi = blocks.min(axis=2), blocks.max(axis=2)
+    boxes = [(lo, hi)]
+    while lo.shape[1] > 1:
+        lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
+        hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
+        boxes.append((lo, hi))
+    order = order.astype(np.int32)  # half the bytes the cache holds; _tiles widens its picks
+    for array in (order, *(end for box in boxes for end in box)):
+        array.setflags(write=False)
+    return order, tuple(boxes[::-1])
 
 
 def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
@@ -206,21 +243,6 @@ def _kd_order(coords: np.ndarray, leaf: int) -> np.ndarray:
     return order
 
 
-def _boxes(
-    coords: np.ndarray, order: np.ndarray, leaf: int, levels: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per level j = 0..levels, the componentwise (min, max) of each of
-    the 2^j aligned blocks of points in `order`, as two 3 x 2^j arrays."""
-    blocks = np.take(coords, order, axis=1).reshape(3, -1, leaf)
-    lo, hi = blocks.min(axis=2), blocks.max(axis=2)
-    out = [(lo, hi)]
-    for _ in range(levels):
-        lo = np.minimum(lo[:, 0::2], lo[:, 1::2])
-        hi = np.maximum(hi[:, 0::2], hi[:, 1::2])
-        out.append((lo, hi))
-    return out[::-1]
-
-
 def _amp_interval(
     v_lo: np.ndarray, v_hi: np.ndarray, u_lo: np.ndarray, u_hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,26 +258,24 @@ def _amp_interval(
 
 
 def _tiles(
-    v: np.ndarray, u_t: np.ndarray, sq_ref: float
+    v: np.ndarray, u_t: np.ndarray, row_kd: tuple, col_kd: tuple, sq_ref: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Branch and bound over tiles of prefix rows x suffix columns.
+    """Branch and bound over tiles of prefix rows v x suffix columns u_t.
 
-    Returns (prefixes, suffixes, pairs): one row per surviving tile, all
-    tiles of one size, of its h prefix and its w suffix indices, and the
-    w x tiles mask of _pairs, which keeps suffix j of tile t unless that
-    one covector is dropped against the tile's row box. sq_ref is amp^2
-    of one leaf, within _BOUND_SLACK of that leaf's value on the grid. A
-    tile, or a (tile, covector) pair, is dropped when every amplitude it
-    can hold squares to more than sq_ref + 2 TIE_TOL: none of its leaves
-    is then the least amp^2 or within TIE_TOL of it.
+    Each side is read in its _kd, row_kd and col_kd. Returns (prefixes,
+    suffixes, pairs): one row per surviving tile, all tiles of one size,
+    of its h prefix and its w suffix indices, and the w x tiles mask of
+    _pairs, which keeps suffix j of tile t unless that one covector is
+    dropped against the tile's row box. sq_ref is amp^2 of one leaf,
+    within _BOUND_SLACK of that leaf's value on the grid. A tile, or a
+    (tile, covector) pair, is dropped when every amplitude it can hold
+    squares to more than sq_ref + 2 TIE_TOL: none of its leaves is then
+    the least amp^2 or within TIE_TOL of it.
     """
     bound = sq_ref + 2.0 * TIE_TOL + _BOUND_SLACK
-    rows_leaf = _LEAF_ROWS
-    cols_leaf = _LEAF_ROWS * u_t.shape[1] // v.shape[1]
-    levels = (v.shape[1] // rows_leaf).bit_length() - 1
-    row_order, col_order = _kd_order(v, rows_leaf), _kd_order(u_t, cols_leaf)
-    row_boxes = _boxes(v, row_order, rows_leaf, levels)
-    col_boxes = _boxes(u_t, col_order, cols_leaf, levels)
+    (row_order, row_boxes), (col_order, col_boxes) = row_kd, col_kd
+    levels = len(row_boxes) - 1
+    col_boxes = col_boxes[: levels + 1]  # odd k_tot: leaf 2 _LEAF_ROWS, as one level up
 
     top = level = min(_TOP_LEVEL, levels)
     rows, cols = np.divmod(np.arange(1 << 2 * level), 1 << level)
@@ -282,8 +302,8 @@ def _tiles(
         level += 1
 
     height, width = v.shape[1] >> level, u_t.shape[1] >> level
-    prefixes = row_order.reshape(-1, height)[rows]
-    suffixes = col_order.reshape(-1, width)[cols]
+    prefixes = row_order.reshape(-1, height)[rows].astype(np.int64)
+    suffixes = col_order.reshape(-1, width)[cols].astype(np.int64)
     if level < levels:
         # a dense stop: the few pairs that the stage would drop from tiles
         # this large seldom empty a covector of its whole suffix block,
@@ -321,19 +341,23 @@ def _pairs(
     return np.square(gap, out=gap) <= bound
 
 
-def _plan(
-    space: SearchSpace, k_tot: int, levels: _Levels
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(v, u_t, prefixes, suffixes, pairs): the grid (taken from
-    `levels`), one row per tile, the prefix and suffix indices of the
-    tiles that may hold the maximum or a tie, and which (covector, tile)
-    pairs of them may (_tiles); a grid of at most _CHUNK_CELLS cells is
-    one tile, every pair kept."""
-    v, u_t = _grid(k_tot, levels)
+def _plan(space: SearchSpace, k_tot: int) -> tuple:
+    """(v, u_t, prefixes, suffixes, pairs): the grid (_grid), one row per
+    tile, the prefix and suffix indices of the tiles that may hold the
+    maximum or a tie, and which (covector, tile) pairs of them may
+    (_tiles); a grid of at most _CHUNK_CELLS cells is one tile, swept
+    whole, and its prefixes, suffixes and pairs are None. Each level's
+    _kd is built once per geometry, by the first budget that tiles it:
+    any two builds of a level are bit-identical."""
+    v, u_t = _grid(space, k_tot)
     if v.shape[1] * u_t.shape[1] <= _CHUNK_CELLS:
-        pairs = np.ones((u_t.shape[1], 1), dtype=bool)
-        return v, u_t, np.arange(v.shape[1])[None], np.arange(u_t.shape[1])[None], pairs
-    return v, u_t, *_tiles(v, u_t, 1.0 - grk_max_block_probability(space, k_tot)[0])
+        return v, u_t, None, None, None
+    kd, keys = _trees(space)[2], ((0, k_tot // 2), (1, k_tot - k_tot // 2))
+    for key, points in zip(keys, (v, u_t)):
+        if key not in kd:
+            kd[key] = _kd(points)
+    sq_ref = 1.0 - grk_max_block_probability(space, k_tot)[0]
+    return v, u_t, *_tiles(v, u_t, kd[keys[0]], kd[keys[1]], sq_ref)
 
 
 def _amplitudes(
@@ -359,18 +383,17 @@ def _check_ties(held: int) -> None:
 def _sweep(
     v: np.ndarray,
     u_t: np.ndarray,
-    prefixes: np.ndarray,
-    suffixes: np.ndarray,
-    pairs: np.ndarray,
+    prefixes: np.ndarray | None,
+    suffixes: np.ndarray | None,
+    pairs: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
     """(top, ties): the largest 1 - amp^2 over the tiles' cells and the
     masks of every cell within TIE_TOL of it, in no particular order.
 
-    A one-tile plan (k_tot <= 16, every prefix row in its one tile) is
-    one product of every covector against every state, under the
-    caller's ufunc buffer (_sweep_grid): its grid of at most _CHUNK_CELLS
-    cells is one batch, and the buffer switch below cost more than it
-    saved there. Otherwise the tiles are grouped by their suffix block.
+    A one-tile plan (k_tot <= 16, prefixes None) is one product of
+    every covector against every state, under the caller's ufunc buffer
+    (_sweep_grid): its grid of at most _CHUNK_CELLS cells is one batch,
+    and the buffer switch below cost more than it saved there. Otherwise the tiles are grouped by their suffix block.
     Each group is one product of the block's covectors that `pairs`
     (w x tiles) keeps for at least one of the group's tiles, one row
     each, with the prefix rows of the group's tiles that keep at least
@@ -393,7 +416,7 @@ def _sweep(
     computed in place.
     Every step of a batch is elementwise or a min, so no result depends
     on the buffer size."""
-    if prefixes.shape[1] == v.shape[1]:
+    if prefixes is None:
         return _sweep_grid(v, u_t)
     s = u_t.shape[1].bit_length() - 1
     # a block's first suffix names it: aligned blocks are disjoint
@@ -492,9 +515,7 @@ def enumerate_budgets(
 ) -> Iterator[EnumerationResult]:
     """enumerate_max_probability(space, k) for each k in turn, every
     budget checked as it is read (so a huge range stops at the first k
-    past the cap) before the first sweep; the prefix states and suffix
-    covectors are built once, up to the largest k, and each budget's
-    grid is one level of each."""
+    past the cap) before the first sweep."""
     checked = []
     for k in k_values:
         if k < 1:
@@ -502,36 +523,28 @@ def enumerate_budgets(
         if k > K_TOT_CAP:
             raise ResourceLimitError(f"k_tot capped at {K_TOT_CAP} (cost 2^k_tot)")
         checked.append(k)
-    if checked:
-        levels = _levels(space, max(checked))
-        for k in checked:
-            yield _enumerate(space, k, levels)
+    for k_tot in checked:
+        _, ties = _sweep(*_plan(space, k_tot))
+        kept = ties[(ties & 1) == 0]
+        if not len(kept):  # every tie ends in a local query
+            kept = ties
+        # fewest runs first, then mask order: the masks are distinct, so a
+        # stable sort of the sorted masks by run count is that order, and it
+        # does not depend on the order in which the sweep met them
+        if len(kept) > 1:
+            kept = np.sort(kept)
+            kept = kept[np.argsort(_run_counts(kept, k_tot), kind="stable")]
+        kept.setflags(write=False)
 
-
-def _enumerate(space: SearchSpace, k_tot: int, levels: _Levels) -> EnumerationResult:
-    """enumerate_max_probability on the grid taken from `levels`."""
-    _, ties = _sweep(*_plan(space, k_tot, levels))
-
-    kept = ties[(ties & 1) == 0]
-    if not len(kept):  # every tie ends in a local query
-        kept = ties
-    # fewest runs first, then mask order: the masks are distinct, so a
-    # stable sort of the sorted masks by run count is that order, and it
-    # does not depend on the order in which the sweep met them
-    kept = np.sort(kept)
-    if len(kept) > 1:
-        kept = kept[np.argsort(_run_counts(kept, k_tot), kind="stable")]
-    kept.flags.writeable = False
-
-    pr_max = block_success_probability(space, _mask_to_sequence(int(kept[0]), k_tot))
-    if pr_max <= 0.0:
-        raise NumericalError("maximum probability is zero; cannot happen for k>=1")
-    return EnumerationResult(
-        k_tot=k_tot,
-        pr_max=pr_max,
-        tie_masks=kept,
-        expected_iterations=k_tot / pr_max,
-    )
+        pr_max = block_success_probability(space, _mask_to_sequence(int(kept[0]), k_tot))
+        if pr_max <= 0.0:
+            raise NumericalError("maximum probability is zero; cannot happen for k>=1")
+        yield EnumerationResult(
+            k_tot=k_tot,
+            pr_max=pr_max,
+            tie_masks=kept,
+            expected_iterations=k_tot / pr_max,
+        )
 
 
 def is_grk_form(seq: OperatorSequence) -> bool:

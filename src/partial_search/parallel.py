@@ -20,7 +20,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .bounds import continuous_kmin
+from .bounds import _kmin_floor
 from .dynamics import Kind, OperatorSequence, apply_sequence
 from .errors import ConstraintError, NumericalError, ParameterError
 from .scans import grk_scan_min, scan_shape
@@ -106,11 +106,12 @@ def _query_min(
     kind: str, N: int, l: int, theta: float, replicas: int, success: QuerySuccess
 ) -> SchemeResult:
     """Minimize k / success(N, l, k) over k0 - 1..k0 + 1 (k >= 1), k0 the
-    floor of continuous_kmin(theta, replicas); min keeps the first
-    (fewest-query) minimum. From n of about 53 the three give k / pr
-    within about 1e-15 relative: the reported k is then one of several
-    optimal up to rounding, and "fewest queries" breaks only exact ties."""
-    k0 = max(1, math.floor(continuous_kmin(theta, replicas)))
+    floor of continuous_kmin(theta, replicas) (_kmin_floor); min keeps
+    the first (fewest-query) minimum. From n of about 53 the three give
+    k / pr within about 1e-15 relative: the reported k is then one of
+    several optimal up to rounding, and "fewest queries" breaks only
+    exact ties."""
+    k0 = max(1, _kmin_floor(theta, replicas))
     k = min(range(max(1, k0 - 1), k0 + 2), key=lambda k: k / success(N, l, k))
     pr = success(N, l, k)
     return SchemeResult(kind=kind, l=l, k1=k, k2=None, queries=k, e_min=k / pr, pr_at_opt=pr)

@@ -11,7 +11,7 @@ few percent of them.
 
 import numpy as np
 
-from partial_search.enumeration import TIE_TOL, _grid, _levels, _run_counts
+from partial_search.enumeration import TIE_TOL, _grid, _run_counts
 
 CHUNK_CELLS = 1 << 16
 
@@ -25,7 +25,7 @@ def times(rows, mat):
 
 def full_enumeration(space, k_tot):
     """(top, ordered tie masks) over every leaf."""
-    v, u_t = _grid(k_tot, _levels(space, k_tot))
+    v, u_t = _grid(space, k_tot)
     s = k_tot - k_tot // 2
     rows = max(1, CHUNK_CELLS >> s)
     chunks = []

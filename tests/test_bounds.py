@@ -21,7 +21,7 @@ from partial_search import (
     pr_max_bound,
 )
 import partial_search.bounds as bounds
-from partial_search.bounds import bisect_root, continuous_kmin
+from partial_search.bounds import _kmin_floor, bisect_root, continuous_kmin
 from partial_search.space import grover_angle
 
 G, L = Kind.GLOBAL, Kind.LOCAL
@@ -59,7 +59,8 @@ def test_bisect_root_stops_at_adjacent_ends_with_the_same_root(monkeypatch):
     # once the midpoint rounds to an end, further halvings change no bit
     evaluations = []
 
-    def counted(f, lo, hi):
+    def counted(f, lo, hi, key=None):
+        assert key is None  # continuous_kmin halves to adjacent ends
         calls = []
         root = bisect_root(lambda x: calls.append(x) or f(x), lo, hi)
         evaluations.append(len(calls))
@@ -76,6 +77,23 @@ def test_bisect_root_stops_at_adjacent_ends_with_the_same_root(monkeypatch):
     bounds.bound_constants()
     assert len(evaluations) > 100
     assert max(evaluations) <= 64
+
+
+def test_kmin_floor_is_the_floor_of_continuous_kmin():
+    # every theta and replica count the parallel query minima ask for at
+    # n <= 62 and l <= 64: outer (theta of N, l replicas, any l) and
+    # inner (theta of N / l, one replica, l a power of two up to N); the
+    # early stop returns what the full bisection's root floors to
+    cases = set()
+    for n in range(1, 63):
+        N = 2**n
+        for l in range(1, 65):
+            cases.add((grover_angle(N), l))
+            if l & (l - 1) == 0 and l <= N:
+                cases.add((grover_angle(N // l), 1))
+    assert len(cases) > 3900
+    for theta, l in sorted(cases):
+        assert _kmin_floor(theta, l) == math.floor(continuous_kmin(theta, l)), (theta, l)
 
 
 # -- constants ------------------------------------------------------------------

@@ -31,19 +31,20 @@ from partial_search.enumeration import (
     _BOUND_SLACK,
     _CHUNK_CELLS,
     _LEAF_ROWS,
+    _TREE_GEOMETRIES,
     TIE_TOL,
     _amp_interval,
     _amplitudes,
-    _boxes,
     _grid,
+    _kd,
     _kd_order,
-    _levels,
     _mask_to_sequence,
     _pairs,
     _plan,
     _run_counts,
     _sweep,
     _tiles,
+    _trees,
     enumerate_budgets,
 )
 from partial_search.scans import grk_max_block_probability
@@ -265,7 +266,7 @@ def test_sweep_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     sp = new_search_space(4, 2)
-    prefixes, suffixes = _plan(sp, 20, _levels(sp, 20))[2:4]
+    prefixes, suffixes = _plan(sp, 20)[2:4]
     assert prefixes.size * suffixes.shape[1] > _CHUNK_CELLS
     assert enumerate_max_probability(sp, 20).pr_max == 1.0
 
@@ -290,7 +291,7 @@ def test_sweep_does_not_depend_on_the_ufunc_buffer(monkeypatch, n, m, k_tot):
     from partial_search import enumeration
 
     sp = new_search_space(n, m)
-    plan = _plan(sp, k_tot, _levels(sp, k_tot))
+    plan = _plan(sp, k_tot)
     top, ties = _sweep(*plan)
     for size in (16, 64, 8192, 65536):
         monkeypatch.setattr(enumeration, "_SWEEP_BUFSIZE", size)
@@ -378,8 +379,9 @@ def test_budget_range_is_checked_before_the_first_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("swept before every budget was checked")
 
-    monkeypatch.setattr(enumeration, "_levels", refuse)
     sp = new_search_space(8, 2)
+    enumerate_max_probability(sp, 20)  # its trees are cached: every sweep still plans
+    monkeypatch.setattr(enumeration, "_plan", refuse)
     with pytest.raises(ResourceLimitError, match="capped at 30"):
         list(enumerate_budgets(sp, [20, 31]))
     with pytest.raises(ParameterError, match="must be >= 1"):
@@ -393,7 +395,9 @@ def test_table_sweep_checks_every_m_before_the_first_sweep(monkeypatch):
     def refuse(*args):
         raise AssertionError("swept before every m was checked")
 
-    monkeypatch.setattr(enumeration, "_levels", refuse)
+    for m in range(2, 8):  # their trees are cached: every sweep still plans
+        enumerate_max_probability(new_search_space(8, m), 11)
+    monkeypatch.setattr(enumeration, "_plan", refuse)
     with pytest.raises(ParameterError, match="0 <= m < n"):
         table_sweep(8, range(2, 10**15), range(2, 12))
     with pytest.raises(ResourceLimitError, match="capped at 30"):
@@ -406,6 +410,118 @@ def test_table_sweep_checks_every_m_before_the_first_sweep(monkeypatch):
 def test_table_sweep_refuses_an_empty_range(n, m_values, k_values):
     with pytest.raises(ParameterError, match="empty m or k_tot range"):
         table_sweep(n, m_values, k_values)
+
+
+# -- the cached trees ------------------------------------------------------------
+
+# the geometries the enum-deep benchmark draws from
+DRAWN = [(n, m) for n in range(12, 21) for m in range(n // 2 - 2, n // 2 + 3)]
+
+
+def _outcome(res):
+    return res.k_tot, res.pr_max, res.expected_iterations, res.tie_masks.tolist()
+
+
+def _cold(space, k_tot):
+    _trees.cache_clear()
+    return _outcome(enumerate_max_probability(space, k_tot))
+
+
+def test_warm_trees_give_the_cold_results():
+    # each warm call reads trees grown by other budgets, deeper ones
+    # first, and the kd orders and boxes they built; each cold call
+    # starts from an empty cache; the results agree bit for bit
+    cases = [(n, m, (24, 22, 23)) for n, m in DRAWN] + [(16, 8, range(30, 16, -1))]
+    for n, m, k_values in cases:
+        sp = new_search_space(n, m)
+        cold = [_cold(sp, k) for k in k_values]
+        _trees.cache_clear()
+        warm = [_outcome(enumerate_max_probability(sp, k)) for k in k_values]
+        assert warm == cold, (n, m)
+        assert [_outcome(res) for res in enumerate_budgets(sp, k_values)] == cold, (n, m)
+    sp = new_search_space(12, 6)
+    cold = [_cold(sp, k) for k in range(17, 27)]
+    _trees.cache_clear()
+    assert [_outcome(res) for res in enumerate_budgets(sp, range(17, 27))] == cold
+
+
+def test_odd_budgets_bound_the_columns_with_the_even_order():
+    # an odd budget's covector level is ordered at leaf 32 but tiled at
+    # leaf 64: each aligned 64-block of that order holds the points of
+    # the leaf-64 order's block, and the boxes one level up from the
+    # finest are those blocks' boxes, bit for bit (each coarser level is
+    # taken from the one below it, as it was from leaf-64 boxes)
+    leaf = 2 * _LEAF_ROWS
+    for n, m, k in [(16, 8, 23), (6, 2, 17), (12, 6, 25)]:
+        sp = new_search_space(n, m)
+        enumerate_max_probability(sp, k)
+        u_t = _grid(sp, k)[1]
+        order, boxes = _trees(sp)[2][1, k - k // 2]  # the cached kd of those columns
+        wider = _kd_order(u_t, leaf)
+        assert np.array_equal(
+            np.sort(order.reshape(-1, leaf), axis=1), np.sort(wider.reshape(-1, leaf), axis=1)
+        )
+        blocks = np.take(u_t, wider, axis=1).reshape(3, -1, leaf)
+        lo, hi = boxes[-2]
+        assert np.array_equal(lo, blocks.min(axis=2)) and np.array_equal(hi, blocks.max(axis=2))
+
+
+def test_cached_arrays_are_read_only():
+    sp = new_search_space(16, 8)
+    for k in (23, 24):
+        enumerate_max_probability(sp, k)
+    states, covectors, kd, mats = _trees(sp)
+    assert len(states) == 13 and len(covectors) == 13
+    assert set(kd) == {(0, 11), (1, 12), (0, 12)}  # built by the calls above
+    arrays = [*states, *covectors, *mats[0], *mats[1]]
+    for order, boxes in kd.values():
+        arrays += [order, *(end for box in boxes for end in box)]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0
+    with pytest.raises(TypeError):
+        _trees(sp)[0][0] = None  # a tree is a tuple: it is replaced, never changed
+
+
+def test_threads_on_a_fresh_geometry_get_the_serial_results():
+    # more threads than cores, switching often, each growing the same
+    # fresh trees to other depths: every result is the serial one
+    import sys
+    import threading
+
+    sp = new_search_space(16, 8)
+    budgets = ([24, 21, 17, 22], [23, 20, 18, 25], [26, 19, 24], [17, 25, 22, 20])
+    serial = {k: _cold(sp, k) for k in set(sum(budgets, []))}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            _trees.cache_clear()
+            start, got = threading.Barrier(len(budgets)), []
+
+            def run(k_values):
+                start.wait()
+                for k in k_values:
+                    got.append((k, _outcome(enumerate_max_probability(sp, k))))
+
+            threads = [threading.Thread(target=run, args=(ks,)) for ks in budgets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(got) == sum(map(len, budgets))
+            assert all(outcome == serial[k] for k, outcome in got)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tree_cache_holds_at_most_its_bound():
+    _trees.cache_clear()
+    for n in range(4, 6 + 2 * _TREE_GEOMETRIES):
+        enumerate_max_probability(new_search_space(n, n // 2), 18)
+        assert _trees.cache_info().currsize <= _TREE_GEOMETRIES
+    assert _trees.cache_info().currsize == _TREE_GEOMETRIES
 
 
 # -- the pruned sweep against the full grid ------------------------------------
@@ -433,7 +549,7 @@ def test_pruned_sweep_matches_the_full_grid():
     for n, m, k in REFERENCE_CASES:
         sp = new_search_space(n, m)
         top, masks = full_enumeration(sp, k)
-        assert _sweep(*_plan(sp, k, _levels(sp, k)))[0] == top, (n, m, k)
+        assert _sweep(*_plan(sp, k))[0] == top, (n, m, k)
         res = enumerate_max_probability(sp, k)
         assert res.tie_masks.tolist() == list(masks), (n, m, k)
         assert res.pr_max == block_success_probability(sp, _mask_to_sequence(masks[0], k))
@@ -488,7 +604,7 @@ def test_exact_stage_sweeps_few_cells(monkeypatch):
 def test_bound_prunes_where_it_can_and_sweeps_whole_tiles_where_it_cannot():
     def swept(n, m, k):
         sp = new_search_space(n, m)
-        prefixes, suffixes = _plan(sp, k, _levels(sp, k))[2:4]
+        prefixes, suffixes = _plan(sp, k)[2:4]
         return prefixes.size * suffixes.shape[1] / 2**k, prefixes.shape[1]
 
     share, rows = swept(16, 8, 20)
@@ -507,7 +623,7 @@ def test_bound_keeps_every_leaf_within_two_tie_tolerances_of_the_reference():
     v, u_t = np.repeat(states.T, copies, axis=1), np.repeat(covectors, copies, axis=1)
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[1, 2]) - margin
-        prefixes, suffixes, _ = _tiles(v, u_t, sq_ref)
+        prefixes, suffixes, _ = _tiles(v, u_t, _kd(v), _kd(u_t), sq_ref)
         kept = {
             (int(p[0]) // copies, int(c) // copies)
             for p, q in zip(prefixes, suffixes)
@@ -532,7 +648,7 @@ def test_exact_stage_keeps_every_pair_within_two_tie_tolerances_of_the_reference
     target = tuple(np.argwhere(sq == np.sort(sq, axis=None)[sq.size // 2])[0])
     for margin in (1.9 * TIE_TOL, 2.1 * TIE_TOL):
         sq_ref = float(sq[target]) - margin
-        prefixes, suffixes, pairs = _tiles(v, covectors, sq_ref)
+        prefixes, suffixes, pairs = _tiles(v, covectors, _kd(v), _kd(covectors), sq_ref)
         assert pairs.shape == (suffixes.shape[1], len(suffixes))
         assert all(len(set((p // copies).tolist())) == 1 for p in prefixes)
         kept = {
@@ -553,7 +669,7 @@ def test_exact_stage_keeps_every_pair_that_holds_a_leaf_within_the_bound():
     # one of its computed amplitudes squares to at most the bound, here
     # the least amp^2 of every 12th pair in order, up to the largest
     rng = np.random.default_rng(23)
-    v, u_t = _grid(20, _levels(new_search_space(16, 8), 20))
+    v, u_t = _grid(new_search_space(16, 8), 20)
     grids = [(v, u_t), (rng.normal(size=(3, 1024)), rng.normal(size=(3, 1024)))]
     for v, u_t in grids:
         assert (u_t < 0).any()
@@ -591,7 +707,7 @@ def test_closed_form_reference_is_within_the_slack_of_its_grid_leaf():
     for n, m, k in REFERENCE_CASES + [(62, 31, 20), (12, 9, 30), (16, 8, 30)]:
         sp = new_search_space(n, m)
         pr, _, k2 = grk_max_block_probability(sp, k)
-        v, u_t = _grid(k, _levels(sp, k))
+        v, u_t = _grid(sp, k)
         s = k - k // 2
         mask = ((1 << k2) - 1) << 1
         prefix, suffix = mask >> s, mask & ((1 << s) - 1)
@@ -609,7 +725,7 @@ def test_grid_columns_are_the_prefix_states_and_suffix_covectors():
         sp = new_search_space(n, m)
         gn, lm = global_grover_matrix(sp), local_grover_matrix(sp)
         p, s = k // 2, k - k // 2
-        v, u_t = _grid(k, _levels(sp, k))
+        v, u_t = _grid(sp, k)
         assert v.shape == (3, 1 << p) and u_t.shape == (3, 1 << s)
         for prefix in [0, (1 << p) - 1, *rng.integers(1 << p, size=4).tolist()]:
             state = apply_sequence(sp, _mask_to_sequence(prefix, p)).as_array()
@@ -641,7 +757,7 @@ def test_kd_order_splits_every_aligned_block_at_its_median():
     rng = np.random.default_rng(11)
     _assert_kd_cells(rng.normal(size=(3, 1024)) * np.array([[1.0], [3.0], [2.0]]), 4)
     for k in (23, 24):
-        v, u_t = _grid(k, _levels(new_search_space(16, 8), k))
+        v, u_t = _grid(new_search_space(16, 8), k)
         _assert_kd_cells(v, _LEAF_ROWS)
         _assert_kd_cells(u_t, _LEAF_ROWS * u_t.shape[1] // v.shape[1])
 
@@ -657,7 +773,7 @@ def _swept(states, covectors):
 def test_tile_intervals_hold_every_computed_amplitude():
     rng = np.random.default_rng(7)
     for n, m, k in [(16, 8, 20), (8, 3, 18), (6, 2, 17), (2, 0, 20), (40, 20, 22), (62, 31, 16)]:
-        v, u_t = _grid(k, _levels(new_search_space(n, m), k))
+        v, u_t = _grid(new_search_space(n, m), k)
         # random sets of rows and columns
         for _ in range(40):
             rows = rng.choice(v.shape[1], size=int(rng.integers(1, 40)), replace=False)
@@ -671,12 +787,10 @@ def test_tile_intervals_hold_every_computed_amplitude():
             )
             amp = _swept(v[:, rows], np.take(u_t, cols, axis=1))
             assert (lo <= amp).all() and (amp <= hi).all(), (n, m, k)
-        # the aligned k-d blocks the sweep bounds, at every level
-        width = _LEAF_ROWS * u_t.shape[1] // v.shape[1]
-        levels = (v.shape[1] // _LEAF_ROWS).bit_length() - 1
-        row_order, col_order = _kd_order(v, _LEAF_ROWS), _kd_order(u_t, width)
-        row_boxes = _boxes(v, row_order, _LEAF_ROWS, levels)
-        col_boxes = _boxes(u_t, col_order, width, levels)
+        # the aligned k-d blocks the sweep bounds, at every level; at odd k
+        # (6, 2, 17) the columns' blocks are twice as wide as the leaf
+        (row_order, row_boxes), (col_order, col_boxes) = _kd(v), _kd(u_t)
+        levels = len(row_boxes) - 1
         for level in range(levels + 1):
             r, c = rng.integers(1 << level, size=2)
             height, wide = v.shape[1] >> level, u_t.shape[1] >> level
