@@ -14,8 +14,14 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstraintError, NumericalError, ParameterError
-from .scans import check_splits, grk_max_block_probability, grk_scan_min, scan_shape
+from . import scans
+from .scans import block_scan_min, check_splits, grk_max_block_probability
 from .space import SearchSpace, angles, check_qubits, new_search_space
+
+# kept as a name here, though no bounds sweep calls it any more: the
+# benchmark's tracer test (bench/test_selfcheck.py) checks that tracing
+# rebinds this copy
+grk_scan_min = scans.grk_scan_min
 
 
 def bisect_root(
@@ -262,19 +268,18 @@ def min_expected_sweep(
     both analytic branch values, the one that applies (narrow for
     m <= n//2) and the unit-probability reference. The branches are
     estimates, not lower bounds: at n = 12 the exact scan minimum lies
-    below the narrow branch at m = 1, 3 and 6."""
+    below the narrow branch at m = 1, 3 and 6. Every m is scanned in one
+    scans.block_scan_min pass, grk_scan_min's result with the block
+    success, so no m is refused up to n = 62."""
     check_qubits(n)
     if m_values is None:
         m_values = range(1, n)
     if not m_values:
         raise ParameterError(f"empty m range at n={n}")
     spaces = [new_search_space(n, m) for m in m_values]
-    for space in spaces:
-        scan_shape(space)  # refuse an oversized m before scanning any
     c = bound_constants()
     out = []
-    for space in spaces:
-        e, k1, k2, _, _ = grk_scan_min(space, lambda prb, prt: prb)
+    for space, (e, k1, k2, _, _) in zip(spaces, block_scan_min(spaces)):
         sqrt_n, sqrt_b = math.sqrt(space.N), math.sqrt(space.b)
         narrow = c.grover_emin_coeff * sqrt_n + c.emin_block_coeff * sqrt_b
         wide = space.K - 8.0 * space.K**2 / space.N

@@ -29,18 +29,42 @@ from n = 34) stay per cell. Two caps keep a scan to seconds: a box of more than
 _SCAN_COLUMN_CAP k2 columns, counted before the cut, is refused before
 it starts, and a scan is stopped with ResourceLimitError once it would
 evaluate more than _SCAN_CELL_CAP cells, interval ends and swept cells
-alike.
+alike. The bisection and both caps serve only the parallel successes.
+
+block_scan_min finds the block success's minimum, that of `bounds`,
+without bisection, for every m of a sweep in one pass, by this theorem.
+Along column k2, amp_bbar = R sin u with u = y + phi, so pr_block =
+A + B cos 2u with B = R^2/2 and A = 1 - B. In angle units the queries
+are z = u - phi + theta1 (2 k2 + 1) = 2 theta1 q > 0, so
+d(q / pr_block)/du has the sign of g(u) = A + B cos 2u + 2 B z sin 2u,
+with g' = 4 B z cos 2u and g'' = 4 B (cos 2u - 2 z sin 2u).
+- On the convex window [j pi - pi/4, j pi], g is non-decreasing and
+  convex, and g(j pi) = 1. Newton's method started at the window's
+  right end, clipped to the column, therefore falls monotonically onto
+  the root.
+- On [j pi, j pi + pi/4], g >= 1, so the expectation rises there.
+- On the concave windows [j pi + pi/4, j pi + 3 pi/4], g' <= 0: the
+  expectation is quasi-concave, and its minimum over the window lies at
+  an end.
+So the expectation's local minima along a column lie at a convex
+window's clipped root or at a column end, and between two of them it
+rises to one maximum: the column's least cell is the floor or ceil of
+such a root, or k1 = 0, or k1 = kmax. Rounding can tie or beat that cell
+from a few rows off where the expectation is flat (at (62, 3), a
+neighbour 6 rows off rounds to the same value), so block_scan_min
+widens each candidate until its outermost cells clear the minimum by
+more than rounding can hide.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import _uniform_complement, global_grover_matrix
-from .errors import ParameterError, ResourceLimitError
+from .errors import NumericalError, ParameterError, ResourceLimitError
 from .space import SearchSpace, angles
 
 
@@ -70,6 +94,15 @@ _SCAN_COLUMN_CAP = 1 << 22
 # k_tot splits per grk_max_block_probability call or pr_bound_comparison range:
 # ~72 B and 0.1 us each on a 2-vCPU host, so 2^23 is about 1 s and 600 MB
 _SPLIT_CAP = 1 << 23
+# block_scan_min: columns per chunk (on a 2-vCPU host, every m at n = 62
+# takes about 3.4 s and peaks near 40 MB at 2^13, 3.8 s and 100 MB at
+# 2^16); Newton steps per window (6 at most seen up to n = 62) and their
+# tolerance in theta1; the tie width, 4 times twice the ~2^-49 absolute
+# rounding of a computed pr_block
+_BLOCK_COLUMNS = 1 << 13
+_NEWTON_STEPS = 100
+_NEWTON_TOL = 2.0**-20
+_TIE_WIDTH = 2.0**-46
 
 
 def scan_shape(
@@ -109,9 +142,20 @@ def _sine_coefficients(space: SearchSpace, k2s: np.ndarray) -> np.ndarray:
     after G_n (locals)^k2 G_n^k1 the amplitude of |t> is
     a_t sin y + b_t cos y = R sin(y + phi), with y = (2 k1 + 1) theta1
     and R^2 = a_t^2 + b_t^2, and that of |b~> is a_b sin y + b_b cos y."""
-    u_bt, u_bb = _uniform_complement(space)
-    g = global_grover_matrix(space)
-    ang = (2.0 * angles(space).theta2) * k2s
+    return _coefficients(*_geometry_parts(space), k2s)
+
+
+def _geometry_parts(space: SearchSpace) -> tuple[float, np.ndarray, float, float]:
+    """(theta2, G_n matrix, u_bt, u_bb): what _coefficients reads of a geometry."""
+    return (angles(space).theta2, global_grover_matrix(space), *_uniform_complement(space))
+
+
+def _coefficients(theta2, g, u_bt, u_bb, k2s: np.ndarray) -> np.ndarray:
+    """_sine_coefficients from a geometry's _geometry_parts: scalars and a
+    3 x 3 g for one geometry, or arrays with one entry per k2 (g of
+    shape 3 x 3 x len(k2s)) for columns of several. Every op is
+    elementwise, so both give the same bits."""
+    ang = (2.0 * theta2) * k2s
     c, s = np.cos(ang), np.sin(ang)
     out = np.empty((4, len(k2s)))
     for i, r in enumerate((g[0], g[2])):
@@ -153,10 +197,18 @@ def _probabilities(
     The sines come from _sin_cos with the row table `rows`."""
     a_t, b_t, a_b, b_b = coefficients
     sin_y, cos_y = _sin_cos(theta1, k1, rows)
-    pr_block = 1.0 - (a_b * sin_y + b_b * cos_y) ** 2
     pr_target = (a_t * sin_y + b_t * cos_y) ** 2
-    # 1 - x^2 <= 1 and x^2 >= 0 hold exactly: one bound each clips into [0, 1]
-    return np.maximum(pr_block, 0.0, out=pr_block), np.minimum(pr_target, 1.0, out=pr_target)
+    # x^2 >= 0 holds exactly: one bound clips into [0, 1]
+    return _block_probability(a_b, b_b, sin_y, cos_y), np.minimum(pr_target, 1.0, out=pr_target)
+
+
+def _block_probability(
+    a_b: np.ndarray, b_b: np.ndarray, sin_y: np.ndarray, cos_y: np.ndarray
+) -> np.ndarray:
+    """pr_block = 1 - amp_bbar^2, amp_bbar = a_b sin y + b_b cos y, clipped
+    at 0 (1 - x^2 <= 1 holds exactly)."""
+    pr_block = 1.0 - (a_b * sin_y + b_b * cos_y) ** 2
+    return np.maximum(pr_block, 0.0, out=pr_block)
 
 
 def _interval_bounds(
@@ -365,8 +417,9 @@ def grk_scan_min(
     there on they gather them from a table of every row. So a scan takes
     fewer than twice the sines of the better of the two ways. A budget
     of more than _TRIG_ROWS rows (the narrow blocks from n = 34) keeps
-    them per cell, so the table stays within 1 MB. A box of at most
-    _CHUNK_CELLS columns computes their _sine_coefficients once, and
+    them per cell, so the table stays within 1 MB. The seed takes the
+    _sine_coefficients of column 0 alone; a cut box of at most
+    _CHUNK_CELLS columns then computes those of its columns once, and
     every level and the leaves gather them; a wider one computes them
     per chunk of intervals, and once per column for the leaves. From n
     of about 53, neighbouring k1 give values within about 1e-15
@@ -375,22 +428,20 @@ def grk_scan_min(
     """
     budget, columns = scan_shape(space, allow_k2, budget, k2_cap)
     theta1 = angles(space).theta1
-    # the _sine_coefficients of every column, computed once where they fit in a chunk
-    table = _sine_coefficients(space, np.arange(columns)) if columns <= _CHUNK_CELLS else None
+    parts = _geometry_parts(space)
     zero = np.zeros(1, dtype=np.int64)
-    pr_b, pr_t = _probabilities(
-        theta1, zero, _sine_coefficients(space, zero) if table is None else table[:, :1]
-    )
+    pr_b, pr_t = _probabilities(theta1, zero, _coefficients(*parts, zero))
     with np.errstate(divide="ignore"):  # a one-query success of 0 is worth inf
         seed = float(1.0 / success(pr_b, pr_t)[0])
     if seed < budget:
         budget = math.floor(seed)
     columns = min(columns, budget)
-    if table is None and columns <= _CHUNK_CELLS:
-        table = _sine_coefficients(space, np.arange(columns))
+    # the _sine_coefficients of every column the cut leaves, computed
+    # once where they fit in a chunk
+    table = _coefficients(*parts, np.arange(columns)) if columns <= _CHUNK_CELLS else None
 
     def coefficients(k2s: np.ndarray) -> np.ndarray:
-        return _sine_coefficients(space, k2s) if table is None else table[:, k2s]
+        return _coefficients(*parts, k2s) if table is None else table[:, k2s]
 
     if columns * budget <= _SWEEP_CELLS:
         _check_cells(columns * budget - columns * (columns - 1) // 2)
@@ -401,6 +452,202 @@ def grk_scan_min(
         best = _bisect(space, success, budget, columns, seed, coefficients)
     value, q_opt, k2_opt, pr_b_opt, pr_t_opt = best
     return value, q_opt - 1 - k2_opt, k2_opt, pr_b_opt, pr_t_opt
+
+
+# A block scan's candidate runs: the k1 ranges [lo, hi] it must evaluate,
+# each with its column's geometry, k2, last k1 (kmax), theta1 and block
+# coefficients (a_b, b_b), one array per field
+Runs = tuple[np.ndarray, ...]  # (geo, k2, kmax, theta1, a_b, b_b, lo, hi)
+
+
+def _lobe_slope(
+    u: np.ndarray, half: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g(u), g'(u)) with g = A + B cos 2u + 2 B z sin 2u, B = half and
+    A = 1 - B: d(q / pr_block)/du has the sign of g (module docstring)."""
+    two_u = 2.0 * u
+    bz = half * z
+    cos_2u = np.cos(two_u)
+    return (1.0 - half) + half * cos_2u + 2.0 * bz * np.sin(two_u), 4.0 * bz * cos_2u
+
+
+def _lobe_roots(
+    theta1: np.ndarray, phi: np.ndarray, half: np.ndarray, c: np.ndarray,
+    left: np.ndarray, right: np.ndarray,
+) -> np.ndarray:
+    """Per convex window [left, right] of u, the point where q / pr_block
+    is least: the root of _lobe_slope's g, with z = u - phi + c, or the
+    end where g keeps its sign. Newton's method from the right end: g is
+    non-decreasing and convex on the window, so its iterates fall
+    monotonically onto the root. Each stops once its step is below
+    _NEWTON_TOL theta1 plus 8 ulp of u, or is not positive (rounding
+    past the root)."""
+    g_left, _ = _lobe_slope(left, half, left - phi + c)
+    g_right, _ = _lobe_slope(right, half, right - phi + c)
+    root = np.where(g_left >= 0.0, left, right)
+    live = np.flatnonzero((g_left < 0.0) & (g_right > 0.0))
+    u = right[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not len(live):
+                return root
+            value, slope = _lobe_slope(u, half[live], u - phi[live] + c[live])
+            step = value / slope
+            more = step > _NEWTON_TOL * theta1[live] + 8.0 * np.spacing(np.abs(u))
+            root[live[~more]] = u[~more]
+            live, u = live[more], np.maximum(u[more] - step[more], left[live[more]])
+    raise NumericalError(f"{len(live)} Newton iterations did not converge")
+
+
+def _block_candidates(
+    geo: np.ndarray, k2s: np.ndarray, kmax: np.ndarray, theta1: np.ndarray,
+    a_b: np.ndarray, b_b: np.ndarray,
+) -> Runs:
+    """The candidate Runs of block scan columns, in column order: each
+    column's first cell, the floor and ceil of its clipped root in every
+    convex window that meets it, and its last cell."""
+    phi = np.arctan2(b_b, a_b)
+    half = 0.5 * (a_b * a_b + b_b * b_b)
+    u_first = theta1 + phi
+    u_last = (2.0 * kmax + 1.0) * theta1 + phi
+    # convex windows [j pi - pi/4, j pi] that meet [u_first, u_last]; one
+    # lost to rounding at an end holds only that end's cell, a candidate anyway
+    j_first = np.ceil(u_first / np.pi)
+    windows = np.maximum(np.floor((u_last + 0.25 * np.pi) / np.pi) - j_first + 1.0, 0.0)
+    slots = windows.astype(np.int64) + 2
+    column = np.repeat(np.arange(len(k2s)), slots)
+    slot = np.arange(len(column)) - np.repeat(np.cumsum(slots) - slots, slots)
+    last = kmax[column]
+    lo = np.where(slot == 0, 0, last)
+    w = np.flatnonzero((slot > 0) & (slot < slots[column] - 1))
+    wc = column[w]
+    j_pi = (j_first[wc] + (slot[w] - 1)) * np.pi
+    left = np.maximum(j_pi - 0.25 * np.pi, u_first[wc])
+    right = np.minimum(j_pi, u_last[wc])
+    t1 = theta1[wc]
+    u = _lobe_roots(t1, phi[wc], half[wc], (2.0 * k2s[wc] + 1.0) * t1, left, right)
+    k1 = np.floor(0.5 * ((u - phi[wc]) / t1 - 1.0))
+    lo[w] = np.clip(k1, 0, last[w])
+    hi = lo.copy()
+    hi[w] = np.minimum(lo[w] + 1, last[w])
+    return geo[column], k2s[column], last, theta1[column], a_b[column], b_b[column], lo, hi
+
+
+class _BlockBest:
+    """The least (value, queries, k2) cell seen so far per geometry, with
+    its k1."""
+
+    def __init__(self, count: int):
+        self.value = np.full(count, np.inf)
+        self.q = np.zeros(count, dtype=np.int64)
+        self.k2 = np.zeros(count, dtype=np.int64)
+        self.k1 = np.zeros(count, dtype=np.int64)
+
+    def sweep(self, runs: Runs, width: int) -> Runs:
+        """Evaluate every cell of each run widened by `width` cells on
+        each side (within its column), fold them into the best, and
+        return the runs whose outermost cells do not clear the best of
+        their geometry by the float-error width: the cells past them
+        could tie it."""
+        geos, k2s, kmax, theta1, a_b, b_b, lo, hi = runs
+        first = np.maximum(lo - width, 0)
+        end = np.minimum(hi + width, kmax)
+        length = end - first + 1
+        run = np.repeat(np.arange(len(lo)), length)
+        start = np.cumsum(length) - length
+        k1 = first[run] + (np.arange(len(run)) - start[run])
+        y = (2.0 * k1 + 1.0) * theta1[run]
+        pr = _block_probability(a_b[run], b_b[run], np.sin(y), np.cos(y))
+        k2 = k2s[run]
+        q = k1 + k2 + 1
+        with np.errstate(divide="ignore"):  # a probability of 0 is worth inf
+            value = q / pr
+        self._fold(geos[run], value, q, k2, k1)
+        best = self.value[geos]
+        # a cell of q queries and probability p clears the best M when
+        # q > M (p + _TIE_WIDTH), i.e. q / p > M (1 + _TIE_WIDTH / p)
+        lo_cell, hi_cell = start, start + length - 1
+        low = (first > 0) & ~(q[lo_cell] > best * (pr[lo_cell] + _TIE_WIDTH))
+        high = (end < kmax) & ~(q[hi_cell] > best * (pr[hi_cell] + _TIE_WIDTH))
+        widen = low | high
+        return tuple(field[widen] for field in runs)
+
+    def _fold(self, geo, value, q, k2, k1) -> None:
+        """Fold cells, grouped by geometry in runs, into the best."""
+        heads = np.flatnonzero(np.r_[True, geo[1:] != geo[:-1]])
+        least = np.minimum.reduceat(value, heads)
+        tied = np.flatnonzero(value == np.repeat(least, np.diff(np.r_[heads, len(geo)])))
+        tied = tied[np.lexsort((k2[tied], q[tied], geo[tied]))]
+        tied = tied[np.r_[True, geo[tied][1:] != geo[tied][:-1]]]  # first per geometry
+        g = geo[tied]
+        v, bv = value[tied], self.value[g]
+        better = (v < bv) | (v == bv) & (
+            (q[tied] < self.q[g]) | (q[tied] == self.q[g]) & (k2[tied] < self.k2[g])
+        )
+        tied, g = tied[better], g[better]
+        self.value[g], self.q[g], self.k2[g], self.k1[g] = value[tied], q[tied], k2[tied], k1[tied]
+
+
+def block_scan_min(spaces: Sequence[SearchSpace]) -> list[tuple[float, int, int, float, float]]:
+    """grk_scan_min(space, lambda pb, pt: pb) for every space, bit for
+    bit, in one pass over the columns of all of them.
+
+    Each space's box and seed cut are grk_scan_min's. Every column's
+    candidates (its first and last cell and the floor and ceil of each
+    convex window's root, see the module docstring) are evaluated with
+    one cell more on each side; the least (value, queries, k2) per space
+    is the incumbent M. A candidate whose outermost cell of q queries
+    and probability p does not clear M, q <= M (p + _TIE_WIDTH), is
+    widened, its width doubled, until every one does. Away from its
+    candidate, a column's expectation rises to a maximum and then falls
+    toward the next candidate, so every cell left out lies above the
+    outermost cell of some candidate, and once that cell clears M by
+    more than rounding can hide, the cell can neither beat nor tie M.
+    Columns go _BLOCK_COLUMNS at a time, so memory stays bounded;
+    candidates that do not yet clear their space's M are kept and
+    widened once every column is in.
+    """
+    if not spaces:
+        return []
+    count = len(spaces)
+    every = np.arange(count)
+    theta1 = np.array([angles(s).theta1 for s in spaces])
+    theta2, g, u_bt, u_bb = zip(*map(_geometry_parts, spaces))
+    theta2, g, u_bt, u_bb = np.array(theta2), np.stack(g, axis=-1), np.array(u_bt), np.array(u_bb)
+
+    def coefficients(geo: np.ndarray, k2s: np.ndarray) -> np.ndarray:
+        return _coefficients(theta2[geo], g[:, :, geo], u_bt[geo], u_bb[geo], k2s)
+
+    budget = np.array([default_budget(s) for s in spaces])
+    columns = np.array([min(default_k2_cap(s), b - 1) + 1 for s, b in zip(spaces, budget)])
+    zero = np.zeros(count, dtype=np.int64)
+    pr_b, _ = _probabilities(theta1, zero, coefficients(every, zero))
+    with np.errstate(divide="ignore"):  # a one-query probability of 0 is worth inf
+        seed = 1.0 / pr_b
+    cut = seed < budget
+    budget[cut] = np.floor(seed[cut])
+    columns = np.minimum(columns, budget)
+
+    best = _BlockBest(count)
+    starts = np.r_[0, np.cumsum(columns)]
+    kept = []
+    for c in range(0, int(starts[-1]), _BLOCK_COLUMNS):
+        col = np.arange(c, min(c + _BLOCK_COLUMNS, int(starts[-1])))
+        geo = np.searchsorted(starts, col, side="right") - 1
+        k2s = col - starts[geo]
+        _, _, a_b, b_b = coefficients(geo, k2s)
+        runs = _block_candidates(geo, k2s, budget[geo] - 1 - k2s, theta1[geo], a_b, b_b)
+        kept.append(best.sweep(runs, 1))
+    runs, width = tuple(map(np.concatenate, zip(*kept))), 1
+    while len(runs[0]):
+        runs = best.sweep(runs, width)
+        width *= 2
+
+    pr_b, pr_t = _probabilities(theta1, best.k1, coefficients(every, best.k2))
+    return [
+        (float(best.value[i]), int(best.k1[i]), int(best.k2[i]), float(pr_b[i]), float(pr_t[i]))
+        for i in every
+    ]
 
 
 def grk_max_block_probability(

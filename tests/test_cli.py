@@ -552,29 +552,41 @@ def test_block_schemes_reach_n_62(capsys, scheme, expected):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("bounds", "--n", "62", "--m", "61"),
+        ("parallel", "--scheme", "grk", "--n", "62", "--l", "62"),
         ("parallel", "--scheme", "hybrid", "--n", "62", "--l", "62"),
-        ("bounds", "--n", "62"),
+        ("bounds", "--n", "62", "--m", "31", "--ktot-range", "1..4096"),
         ("parallel", "--scheme", "compare", "--n", "48", "--l-range", "1..24"),
         ("parallel", "--scheme", "compare", "--n", "62", "--l-range", "1..8"),
         ("bounds", "--n", "48", "--m", "24", "--ktot-range", "8400000..8400000"),
     ],
 )
 def test_oversized_scans_exit_1_promptly(capsys, argv):
-    # at n = 62, m = 61 a scan has 2.4e9 k2 columns, over the column cap,
-    # so it is refused before it starts; the sweeps check every m (bounds,
-    # from m = 41 at n = 62) or l (compare, l = 24 at n = 48) before
-    # scanning any. compare at n = 62 passes that check (72,794 columns at
-    # l = 2) and finishes l = 1; its l = 2 grk scan then reaches the cap on
-    # evaluated cells within seconds, as the columns stay nearly tied. The
-    # budget of 8.4e6 splits is just over the 2^23 split cap: evaluating it
-    # takes about 1 s and 0.6 GB
+    # at n = 62, l = 62 (m = 61) a parallel scan has 2.4e9 k2 columns,
+    # over the column cap, so it is refused before it starts; compare
+    # checks every l (l = 24 at n = 48) before scanning any. compare at
+    # n = 62 passes that check (72,794 columns at l = 2) and finishes
+    # l = 1; its l = 2 grk scan then reaches the cap on evaluated cells
+    # within seconds, as the columns stay nearly tied. The budget of
+    # 8.4e6 splits is just over the 2^23 split cap: evaluating it takes
+    # about 1 s and 0.6 GB; the budgets 1..4096 add up to 8,390,656
+    # splits, refused before the first budget
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 10.0
     assert (rc, out) == (1, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "cap" in err
+
+
+def test_bounds_runs_the_widest_block_at_n_62_promptly(capsys):
+    # the block scan has no column cap: at m = 61 the seed's one-query
+    # cell cuts the 2.4e9-column box to itself, and it is the optimum
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "bounds", "--n", "62", "--m", "61")
+    assert time.perf_counter() - t0 < 10.0
+    assert (rc, err) == (0, "")
+    _, (row,) = parse_csv(out)
+    assert (row["m"], row["k1"], row["k2"], row["k_tot"]) == ("61", "0", "0", "1")
 
 
 _HUGE = "1..1000000000000000"

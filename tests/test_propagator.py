@@ -23,6 +23,7 @@ from partial_search.cli import run
 from partial_search.dynamics import _apply_sequences
 from full_box_scan import final_rows, full_box_scan_min, uniform_after_globals
 from partial_search.scans import (
+    block_scan_min,
     default_budget,
     default_k2_cap,
     grk_max_block_probability,
@@ -318,16 +319,113 @@ def test_sweeps_refuse_an_oversized_scan_before_scanning_any(monkeypatch):
 
     monkeypatch.setattr(bounds, "grk_scan_min", record)
     monkeypatch.setattr(parallel, "grk_scan_min", record)
-    with pytest.raises(ResourceLimitError):
-        bounds.min_expected_sweep(8)
     # l = 1, 2 fit (m = 0, 4: 3 and 8 columns); l = 4 (m = 6, 14
     # columns) does not
     with pytest.raises(ResourceLimitError, match="14 k2 columns"):
         parallel.compare_schemes(256, [1, 2, 4])
     assert scanned == []
-    bounds.min_expected_sweep(8, [1, 2])
     parallel.compare_schemes(256, [1, 2])
-    assert scanned == [1, 2, 0, 0, 4, 4]
+    assert scanned == [0, 0, 4, 4]
+    # the block scan of `bounds` has no column cap and no bisection: every
+    # m runs, none through grk_scan_min
+    assert [r.m for r in bounds.min_expected_sweep(8)] == list(range(1, 8))
+    assert scanned == [0, 0, 4, 4]
+
+
+# -- the block success by lobe windows ------------------------------------------
+
+
+def test_block_scan_min_is_grk_scan_min_bit_for_bit():
+    # every m, 0 included, in one pass per n, and geometries of several n
+    # in any order in one pass
+    expectation = SUCCESSES["expectation"]
+    for n in range(1, 33):
+        spaces = [new_search_space(n, m) for m in range(n)]
+        assert block_scan_min(spaces) == [grk_scan_min(s, expectation) for s in spaces], n
+    spaces = [new_search_space(n, m) for n, m in ((30, 29), (7, 0), (30, 4), (19, 9), (7, 0))]
+    assert block_scan_min(spaces) == [grk_scan_min(s, expectation) for s in spaces]
+    assert block_scan_min([]) == []
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_scan_min_is_the_full_box_argmin(n):
+    # the same cell as the sweep over every cell, and the same value up to
+    # the rounding of its products
+    expectation = SUCCESSES["expectation"]
+    spaces = [new_search_space(n, m) for m in range(n)]
+    for got, space in zip(block_scan_min(spaces), spaces):
+        want = full_box_scan_min(space, expectation)
+        assert got[1:3] == want[1:3], space.m
+        assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+
+
+def _mp_lobe_root(half, phi, c, left, right):
+    """The root of g(u) = A + B cos 2u + 2 B (u - phi + c) sin 2u on
+    [left, right], bisected at 60 digits from the doubles given."""
+    B, phi, c = mp.mpf(half), mp.mpf(phi), mp.mpf(c)
+
+    def g(u):
+        return 1 - B + B * mp.cos(2 * u) + 2 * B * (u - phi + c) * mp.sin(2 * u)
+
+    lo, hi = mp.mpf(left), mp.mpf(right)
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+    return lo
+
+
+def test_lobe_newton_iterates_fall_monotonically_onto_the_root(monkeypatch):
+    # random columns, one convex window at a time: every Newton iterate
+    # lies at or right of the 60-digit root (within rounding), none rises,
+    # and the last is within the stopping tolerance of the root
+    rng = np.random.default_rng(20)
+    seen = []
+    slope = scans._lobe_slope
+
+    def record(u, half, z):
+        seen.append(float(u[0]))
+        return slope(u, half, z)
+
+    monkeypatch.setattr(scans, "_lobe_slope", record)
+    solved = 0
+    for _ in range(400):
+        theta1 = math.asin(2.0 ** -(int(rng.integers(2, 63)) / 2.0))
+        r, phi = math.sqrt(rng.uniform()), rng.uniform(-math.pi, math.pi)
+        half = 0.5 * r * r
+        k2 = int(rng.integers(0, 1 << 20))
+        c = (2.0 * k2 + 1.0) * theta1
+        u_first = theta1 + phi
+        u_last = u_first + rng.uniform(0.0, 3.0)
+        j_pi = math.ceil(u_first / math.pi) * math.pi
+        left, right = max(j_pi - 0.25 * math.pi, u_first), min(j_pi, u_last)
+        if left > right:
+            continue
+        seen.clear()
+        (got,) = scans._lobe_roots(*(np.array([x]) for x in (theta1, phi, half, c, left, right)))
+        iterates = seen[2:]  # after g at the window's two ends
+        if not iterates:
+            continue
+        solved += 1
+        root = _mp_lobe_root(half, phi, c, left, right)
+        ulp = 8.0 * math.ulp(abs(float(root)))
+        assert iterates[0] == right
+        assert all(b <= a for a, b in zip(iterates, iterates[1:]))
+        assert all(u >= root - ulp for u in iterates)
+        tol = scans._NEWTON_TOL * theta1 + 2 * ulp
+        assert abs(got - root) <= tol and got == iterates[-1]
+    assert solved > 100
+
+
+def test_block_scan_min_widens_past_rounding_ties_at_n_62():
+    # the expectation is flat to rounding over tens of rows here: at
+    # (62, 3) the cells next to the root round to the value of k1 =
+    # 1,251,511,782, which has fewer queries and wins. A sweep of one cell
+    # each side of the root misses it; the widening rule reaches it
+    expectation = SUCCESSES["expectation"]
+    spaces = [new_search_space(62, 3), new_search_space(62, 10)]
+    got = block_scan_min(spaces)
+    assert [r[1:3] for r in got] == [(1251511782, 1), (1251511749, 16)]
+    assert got == [grk_scan_min(s, expectation) for s in spaces]
 
 
 def test_budget_comparison_refuses_an_oversized_range_before_any_budget(monkeypatch):
